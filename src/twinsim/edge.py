@@ -45,17 +45,6 @@ class Member:
 
 
 @dataclass
-class RegionalState:
-    t0_us: int
-    t1_us: int
-    mean_speed: float
-    density_per_segment: dict[int, float]
-    edge_utilization: float
-    link_quality_mean: float
-    event_labels: tuple[str, ...]
-
-
-@dataclass
 class UplinkPackage:
     rsu_id: int
     t0_us: int
@@ -218,7 +207,6 @@ class FusionWindow:
     """Accumulators for the current 5 s fusion window."""
     speed_sum: float = 0.0
     speed_count: int = 0
-    cq_sum: float = 0.0
     processed_cu: float = 0.0
     completed_tasks: int = 0
     completed_below_cloud: int = 0

@@ -142,28 +142,62 @@ class Engine:
         if dst not in self._endpoints:
             raise RoutingError(f"unknown endpoint: {dst!r}")
         self.messages.sent += 1
-        self._attempt(dst, payload, nbytes, link, rng, 1, on_drop)
-
-    def _attempt(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
         if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-            if attempt >= link.max_attempts:
-                self.messages.dropped += 1
-                if on_drop is not None:
-                    on_drop(payload)
-            else:
-                self.schedule_in(
-                    link.retx_timeout_us,
-                    self._attempt, dst, payload, nbytes, link, rng, attempt + 1, on_drop,
-                    kind="retx",
-                )
+            self._lost(dst, payload, nbytes, link, rng, 1, on_drop)
         else:
-            self.schedule_in(
-                link_latency(link, nbytes), self._deliver, dst, payload, kind="delivery"
-            )
+            self.schedule(self.now + link_latency(link, nbytes), self._deliver,
+                          dst, payload, kind="delivery")
+
+    def send_batch(self, msgs: list, nbytes: int, link: LinkSpec, rng,
+                   on_drop=None) -> None:
+        """Send each (dst, payload) in msgs as ``send`` would, drawing the
+        loss of each in list order; the messages that get through on their
+        first attempt share one delivery event, which hands them to their
+        endpoints in list order.  Lost messages retransmit one by one."""
+        endpoints = self._endpoints
+        counters = self.messages
+        lossy = link.loss_prob > 0.0
+        delivered = []
+        for dst, payload in msgs:
+            if dst not in endpoints:
+                raise RoutingError(f"unknown endpoint: {dst!r}")
+            counters.sent += 1
+            if lossy and rng.random() < link.loss_prob:
+                self._lost(dst, payload, nbytes, link, rng, 1, on_drop)
+            else:
+                delivered.append((dst, payload))
+        if delivered:
+            self.schedule(self.now + link_latency(link, nbytes), self._deliver_batch,
+                          delivered, kind="delivery")
+
+    def _lost(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
+        """Attempt number ``attempt`` was lost: retry after the timeout, or
+        drop once max_attempts are used up."""
+        if attempt >= link.max_attempts:
+            self.messages.dropped += 1
+            if on_drop is not None:
+                on_drop(payload)
+        else:
+            self.schedule(self.now + link.retx_timeout_us, self._retransmit,
+                          dst, payload, nbytes, link, rng, attempt + 1, on_drop,
+                          kind="retx")
+
+    def _retransmit(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
+        if rng.random() < link.loss_prob:
+            self._lost(dst, payload, nbytes, link, rng, attempt, on_drop)
+        else:
+            self.schedule(self.now + link_latency(link, nbytes), self._deliver,
+                          dst, payload, kind="delivery")
 
     def _deliver(self, dst, payload) -> None:
         self.messages.delivered += 1
         self._endpoints[dst](payload)
+
+    def _deliver_batch(self, msgs: list) -> None:
+        self.messages.delivered += len(msgs)
+        endpoints = self._endpoints
+        for dst, payload in msgs:
+            endpoints[dst](payload)
 
     def account_batch(self, sent: int, delivered: int, dropped: int) -> None:
         """Bulk message accounting for batched exchanges (V2V beacons) that

@@ -1,10 +1,13 @@
-"""Per-vehicle local twin: sensing, window preprocessing, task placement and
-status reporting.
+"""Per-vehicle local twin: sensing, task placement and status reporting.
 
-Sensing runs at 100 ms cadence; every 1 s window of 10 samples is downsampled
-into one FeatureRecord (EWMA-denoised speed, mean speed, last-known fields).
-Reports go up every second, plus immediately on an RSU handover or when the
-local queue backlog exceeds the trigger threshold.
+Sensing runs at 100 ms cadence.  A status report goes up every second with
+the mean speed of the last 1 s window, the last channel quality, the road
+segment and the local queue backlog, plus immediately on an RSU handover or
+when the local queue backlog exceeds the trigger threshold.  The simulation
+runner builds these reports from its per-vehicle arrays and does not use
+``preprocess``, ``FeatureRecord``, ``StatusReport`` or ``NeighborTable``:
+they are scalar per-vehicle models of a sensing window, a report and a
+beacon cache.
 """
 from __future__ import annotations
 

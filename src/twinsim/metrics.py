@@ -159,8 +159,3 @@ def indices_csv(series: IndexSeries) -> str:
     for t, a, c in zip(series.window_end_us, series.autonomy, series.coordination):
         w.writerow([t, f"{a:.6f}", f"{c:.6f}"])
     return buf.getvalue()
-
-
-def mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

@@ -281,14 +281,6 @@ class Fleet:
             if norm > 0:
                 self.heading[i] = direction / norm
 
-    def distances_to_rsu(self, rsu_index: np.ndarray) -> np.ndarray:
-        """Distance of each vehicle to its assigned RSU (-1 -> inf)."""
-        pos = self.net.rsu_positions
-        out = np.full(self.n, np.inf)
-        ok = rsu_index >= 0
-        out[ok] = np.linalg.norm(self.pos[ok] - pos[rsu_index[ok]], axis=1)
-        return out
-
     def current_segment_of(self, i: int) -> tuple[int, int]:
         a, b = int(self.segment_from[i]), int(self.waypoint[i])
         return (a, b) if a < b else (b, a)

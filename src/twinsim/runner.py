@@ -23,7 +23,7 @@ from .edge import (EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
                    UplinkPackage, assign_roles, fuse_labels, localize_policy,
                    ols_slope)
 from .kernel import Engine, rng_stream, numpy_stream
-from .local import FeatureRecord, decide_local
+from .local import decide_local
 from .metrics import TaskRecord, build_index_series
 from .mobility import Fleet, build_grid, covering_rsu
 from .scenario import ScenarioConfig
@@ -161,12 +161,14 @@ class Simulation:
         self.sense_slots = round(cfg.periods.report_s * 1000 / cfg.periods.sense_ms)
         self.speed_buf = np.zeros((n, self.sense_slots))
         self.cq_buf = np.zeros((n, self.sense_slots))
-        self.last_feature: list[FeatureRecord | None] = [None] * n
+        # mean speed and last channel quality of the latest 1 s report
+        # window, per vehicle; None until the first report tick
+        self._report_speed: list[float] | None = None
+        self._report_cq: list[float] | None = None
         # beacon snapshots: compact per-tick arrays standing in for per-vehicle
         # neighbor tables (queried lazily on handoff attempts)
         self._beacon_snapshots: list[tuple] = []
         self._neighbor_expiry_us = round(cfg.thresholds.neighbor_expiry_s * US_PER_S)
-        self.vehicle_role = ["acquisition"] * n
         self._role_code = np.zeros(n, dtype=np.int8)  # 0 acq, 1 proc, 2 coord
         self.backlog_triggered = np.zeros(n, dtype=bool)
 
@@ -207,6 +209,9 @@ class Simulation:
         self._fusion_ticks = round(cfg.periods.fusion_s * US_PER_S / self._sense_us)
         self._epoch_ticks = round(cfg.periods.epoch_s * US_PER_S / self._sense_us)
 
+        # kernel endpoint ids: edge r is r, then the cloud, then vehicle v
+        self._cloud = cfg.n_rsus
+        self._veh = cfg.n_rsus + 1
         self._register_endpoints()
         self._initial_membership()
         self._schedule_workload()
@@ -217,10 +222,10 @@ class Simulation:
     def _register_endpoints(self) -> None:
         eng = self.engine
         for r in range(self.cfg.n_rsus):
-            eng.register(f"edge:{r}", self._make_edge_handler(r))
-        eng.register("cloud", self._cloud_handler)
+            eng.register(r, self._make_edge_handler(r))
+        eng.register(self._cloud, self._cloud_handler)
         for v in range(self.cfg.n_vehicles):
-            eng.register(f"veh:{v}", self._make_vehicle_handler(v))
+            eng.register(self._veh + v, self._make_vehicle_handler(v))
 
     def _initial_membership(self) -> None:
         for v in range(self.cfg.n_vehicles):
@@ -293,13 +298,13 @@ class Simulation:
             if backlog_s > cfg.thresholds.handoff_gap_s:
                 peer = self._handoff_candidate(v, now, backlog_cu)
                 if peer is not None:
-                    self.engine.send(f"veh:{peer}", ("handoff", task),
+                    self.engine.send(self._veh + peer, ("handoff", task),
                                      cfg.workload.request_bytes, self.links["v2v"],
                                      self.rng_loss, on_drop=self._drop_task)
                     return
             self._serve_local(v, task)
         else:
-            self.engine.send(f"edge:{rsu}", ("task", task),
+            self.engine.send(rsu, ("task", task),
                              cfg.workload.request_bytes, self.links["v2r"],
                              self.rng_loss, on_drop=self._drop_task)
 
@@ -321,7 +326,7 @@ class Simulation:
         if server_vehicle == task.origin:
             self._complete_task(task)
         else:
-            self.engine.send(f"veh:{task.origin}", ("result", task),
+            self.engine.send(self._veh + task.origin, ("result", task),
                              self.cfg.workload.response_bytes, self.links["v2v"],
                              self.rng_loss, on_drop=self._drop_task)
 
@@ -330,7 +335,7 @@ class Simulation:
         if backlog_s > self.cfg.thresholds.local_backlog_s:
             if not self.backlog_triggered[v]:
                 self.backlog_triggered[v] = True
-                self._send_report(v, triggered=True)
+                self._send_report(v)
         else:
             self.backlog_triggered[v] = False
 
@@ -351,7 +356,7 @@ class Simulation:
                 self.edges[r].directive = payload[1]
             elif kind == "result":
                 task = payload[1]
-                self.engine.send(f"veh:{task.origin}", ("result", task),
+                self.engine.send(self._veh + task.origin, ("result", task),
                                  self.cfg.workload.response_bytes, self.links["v2r"],
                                  self.rng_loss, on_drop=self._drop_task)
         return handler
@@ -365,19 +370,19 @@ class Simulation:
             rec.edge_arrival_us = now
             rec.overloaded_at_arrival = "Overload" in e.labels
         if cfg.mode == "cloud_only":
-            self.engine.send("cloud", ("task", task), cfg.workload.request_bytes,
+            self.engine.send(self._cloud, ("task", task), cfg.workload.request_bytes,
                              self.links["r2c"], self.rng_loss, on_drop=self._drop_task)
             return
         if (not relayed and e.directive_active(now)
                 and e.last_utilization > cfg.thresholds.util_high
                 and e.thinning.take(e.directive.fraction)):
             task.relayed = True
-            self.engine.send(f"edge:{e.directive.to_rsu}", ("relay_task", task),
+            self.engine.send(e.directive.to_rsu, ("relay_task", task),
                              cfg.workload.request_bytes, self.links["e2e"],
                              self.rng_loss, on_drop=self._drop_task)
             return
         if e.server.backlog_s(now) > cfg.thresholds.backlog_to_cloud_s:
-            self.engine.send("cloud", ("task", task), cfg.workload.request_bytes,
+            self.engine.send(self._cloud, ("task", task), cfg.workload.request_bytes,
                              self.links["r2c"], self.rng_loss, on_drop=self._drop_task)
             return
         finish = e.server.enqueue(now, task.cost_cu)
@@ -391,23 +396,22 @@ class Simulation:
         serving_rsu = r if task.tier == "Edge" else None
         if serving_rsu is not None and v not in e.members:
             # member left during service: forward the result via the cloud relay
-            self.engine.send("cloud", ("relay_result", task),
+            self.engine.send(self._cloud, ("relay_result", task),
                              self.cfg.workload.response_bytes, self.links["r2c"],
                              self.rng_loss, on_drop=self._drop_task)
             return
-        self.engine.send(f"veh:{v}", ("result", task),
+        self.engine.send(self._veh + v, ("result", task),
                          self.cfg.workload.response_bytes, self.links["v2r"],
                          self.rng_loss, on_drop=self._drop_task)
 
     def _edge_report(self, r: int, report: tuple) -> None:
+        """report is (device, mean_speed, channel_quality, segment, backlog_cu)."""
         e = self.edges[r]
         device = report[0]
         if device not in e.members:
             return
-        _, mean_speed, cq_last, seg, backlog_cu = report
-        e.window.speed_sum += mean_speed
+        e.window.speed_sum += report[1]
         e.window.speed_count += 1
-        e.window.cq_sum += cq_last
         e.last_report[device] = report
 
     # -- cloud -------------------------------------------------------------
@@ -437,7 +441,7 @@ class Simulation:
         if rsu < 0:
             self._drop_task(("task", task))
             return
-        self.engine.send(f"edge:{rsu}", ("result", task),
+        self.engine.send(rsu, ("result", task),
                          self.cfg.workload.response_bytes, self.links["r2c"],
                          self.rng_loss, on_drop=self._drop_task)
 
@@ -519,11 +523,9 @@ class Simulation:
                 self.edges[old].release(v)
             if nxt >= 0:
                 self.edges[nxt].admit(v, now)
-                self.vehicle_role[v] = "acquisition"
                 self._role_code[v] = 0
             cur[v] = nxt
-            if self.last_feature[v] is not None and nxt >= 0:
-                self._send_report(v, triggered=True)
+            self._send_report(v)
 
     def _sense(self, now: int) -> None:
         slot = (self._tick_index - 1) % self.sense_slots
@@ -534,31 +536,34 @@ class Simulation:
         self.cq_buf[:, slot] = np.clip(np.where(np.isfinite(cq), cq, 0.0), 0.0, 1.0)
 
     def _emit_reports(self, now: int) -> None:
-        alpha = 0.3
-        mean_speed = self.speed_buf.mean(axis=1)
-        ewma = self.speed_buf[:, 0].copy()
-        for i in range(self.sense_slots):
-            ewma = alpha * self.speed_buf[:, i] + (1.0 - alpha) * ewma
-        t_start = now - (self.sense_slots - 1) * self._sense_us
-        for v in range(self.cfg.n_vehicles):
-            self.last_feature[v] = FeatureRecord(
-                t_start, now, float(mean_speed[v]), float(ewma[v]),
-                (float(self.fleet.pos[v, 0]), float(self.fleet.pos[v, 1])),
-                float(self.fleet.energy[v]), float(self.cq_buf[v, -1]),
-            )
-            self._send_report(v, triggered=False)
+        """1 Hz status reports of every covered vehicle, in vehicle order,
+        sent as one batch: those that get through reach their edges in one
+        delivery event."""
+        cfg = self.cfg
+        fleet = self.fleet
+        self._report_speed = speed = self.speed_buf.mean(axis=1).tolist()
+        self._report_cq = cq = self.cq_buf[:, -1].tolist()
+        seg_lo = np.minimum(fleet.segment_from, fleet.waypoint).tolist()
+        seg_hi = np.maximum(fleet.segment_from, fleet.waypoint).tolist()
+        backlog = (np.maximum(self.local_busy_until - now, 0) / US_PER_S
+                   * cfg.capacity.local_cu_s).tolist()
+        msgs = [(rsu, ("report", (v, speed[v], cq[v], (seg_lo[v], seg_hi[v]), backlog[v])))
+                for v, rsu in enumerate(self.current_rsu.tolist()) if rsu >= 0]
+        self.engine.send_batch(msgs, cfg.workload.report_bytes, self.links["v2r"],
+                               self.rng_loss)
 
-    def _send_report(self, v: int, triggered: bool) -> None:
+    def _send_report(self, v: int) -> None:
+        """Out-of-cycle report (RSU handover, backlog trigger): the latest
+        window's speed and channel quality with the current segment and
+        backlog."""
         rsu = int(self.current_rsu[v])
-        if rsu < 0 or self.last_feature[v] is None:
+        if rsu < 0 or self._report_speed is None:
             return
-        f = self.last_feature[v]
-        seg = self.fleet.current_segment_of(v)
-        report = (v, f.mean_speed, f.channel_quality_last, seg,
+        report = (v, self._report_speed[v], self._report_cq[v],
+                  self.fleet.current_segment_of(v),
                   self._local_backlog_cu(v, self.engine.now))
-        self.engine.send(f"edge:{rsu}", ("report", report),
-                         self.cfg.workload.report_bytes, self.links["v2r"],
-                         self.rng_loss)
+        self.engine.send(rsu, ("report", report), self.cfg.workload.report_bytes,
+                         self.links["v2r"], self.rng_loss)
 
     def _beacon_exchange(self, now: int) -> None:
         """Batched V2V beacon pass: neighbor discovery within range with
@@ -572,7 +577,8 @@ class Simulation:
         tree = cKDTree(self.fleet.pos)
         pairs = tree.query_pairs(rrange, output_type="ndarray")
         if len(pairs):
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+            # pairs are unique, so one key gives the (p0, p1) order
+            order = np.argsort(pairs[:, 0] * len(self.fleet.pos) + pairs[:, 1])
             pairs = pairs[order]
         n_directed = 2 * len(pairs)
         latency = kernel.link_latency(self.links["v2v"], self.cfg.workload.beacon_bytes)
@@ -669,7 +675,7 @@ class Simulation:
             trend_speed=ols_slope(e.speed_history[-6:]),
             autonomy_window=autonomy_w,
         )
-        self.engine.send("cloud", ("uplink", package), cfg.workload.uplink_bytes,
+        self.engine.send(self._cloud, ("uplink", package), cfg.workload.uplink_bytes,
                          self.links["r2c"], self.rng_loss)
         e.window = FusionWindow()
 
@@ -678,7 +684,6 @@ class Simulation:
         idle = {d: cfg.capacity.local_cu_s - rep[4] for d, rep in e.last_report.items()}
         assigned = assign_roles(e.members, e.policy.role_quotas, cq, idle)
         for d, role in assigned.items():
-            self.vehicle_role[d] = role
             self._role_code[d] = edge_mod.ROLES.index(role)
 
     def _epoch_boundary(self, now: int) -> None:
@@ -704,7 +709,7 @@ class Simulation:
         for r in sorted(self.evolutions):
             candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
             fractions[r] = candidate.offload_fraction
-            self.engine.send(f"edge:{r}", ("blueprint", candidate),
+            self.engine.send(r, ("blueprint", candidate),
                              cfg.workload.blueprint_bytes, self.links["r2c"],
                              self.rng_loss)
         directives = coordinate(self.graph, fractions, epoch_idx + 1, now + epoch_us)
@@ -714,7 +719,7 @@ class Simulation:
                 self.graph.nodes[d.from_rsu].labels,
                 self.graph.nodes[d.to_rsu].labels,
             ))
-            self.engine.send(f"edge:{d.from_rsu}", ("directive", d), 200,
+            self.engine.send(d.from_rsu, ("directive", d), 200,
                              self.links["r2c"], self.rng_loss)
 
     # -- run ---------------------------------------------------------------

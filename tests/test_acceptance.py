@@ -29,11 +29,11 @@ WALL_LIMIT_S = 60.0
 CLOUD_RT_FLOOR_US = 60_000
 
 
-def _report(capsys, n, name, ok, detail=""):
+def _report(capsys, label, name, ok, detail=""):
     with capsys.disabled():
         status = "PASS" if ok else "FAIL"
         suffix = f"  ({detail})" if detail else ""
-        print(f"[acceptance] criterion {n} {name}: {status}{suffix}")
+        print(f"[acceptance] {label} {name}: {status}{suffix}")
     return ok
 
 
@@ -51,7 +51,7 @@ def test_criterion_1_latency_and_variance(showcase_runs, capsys):
             wins += 1
     wall_ok = max(walls) < WALL_LIMIT_S
     ok = wins >= MIN_SEEDS_CRIT1 and wall_ok
-    _report(capsys, 1, "latency/variance vs baseline", ok,
+    _report(capsys, "criterion 1", "latency/variance vs baseline", ok,
             f"{wins}/10 seeds, max wall {max(walls):.1f}s")
     assert wins >= MIN_SEEDS_CRIT1
     assert wall_ok
@@ -74,7 +74,7 @@ def test_criterion_2_autonomy_growth_and_coordination(showcase_runs, capsys):
         if post > pre:
             coordination_wins += 1
     ok = autonomy_wins >= MIN_SEEDS_CRIT2 and coordination_wins >= MIN_SEEDS_CRIT2
-    _report(capsys, 2, "autonomy growth + coordination rise", ok,
+    _report(capsys, "criterion 2", "autonomy growth + coordination rise", ok,
             f"autonomy {autonomy_wins}/10, coordination {coordination_wins}/10")
     assert autonomy_wins >= MIN_SEEDS_CRIT2
     assert coordination_wins >= MIN_SEEDS_CRIT2
@@ -91,7 +91,7 @@ def test_criterion_3_determinism(capsys, tmp_path):
             for name in ("tasks.csv", "indices.csv", "epochs.jsonl")
         })
     ok = digests[0] == digests[1]
-    _report(capsys, 3, "byte-identical reruns", ok,
+    _report(capsys, "criterion 3", "byte-identical reruns", ok,
             "sha256 over tasks/indices/epochs")
     assert ok
 
@@ -110,7 +110,7 @@ def test_criterion_4_conservation(showcase_runs, capsys):
             if sent != delivered + dropped + in_flight or in_flight < 0:
                 violations += 1
     ok = violations == 0
-    _report(capsys, 4, "conservation over all runs", ok,
+    _report(capsys, "criterion 4", "conservation over all runs", ok,
             f"{violations} violations across 30 runs")
     assert violations == 0
 
@@ -139,7 +139,7 @@ def test_criterion_5_hand_trace_oracle(capsys):
         2: 2_000_000 + 5_200 + 8_000 + 5_100,
     }
     ok = got == expected
-    _report(capsys, 5, "hand-trace oracle to the microsecond", ok,
+    _report(capsys, "criterion 5", "hand-trace oracle to the microsecond", ok,
             f"got {got}")
     assert got == expected
 
@@ -174,7 +174,8 @@ def test_criterion_6_property_invariants(capsys):
     checks.append(fired == sorted(fired))
 
     ok = all(checks)
-    _report(capsys, 6, "property invariants", ok, f"{sum(checks)}/{len(checks)} checks")
+    _report(capsys, "criterion 6", "property invariants", ok,
+            f"{sum(checks)}/{len(checks)} checks")
     assert ok
 
 
@@ -191,7 +192,7 @@ def test_criterion_7_baseline_sanity(showcase_runs, capsys):
         if run["tiers"] - {"Cloud"}:
             exceptions += 1
     ok = exceptions == 0
-    _report(capsys, 7, "baseline sanity (A=0, RT floor)", ok,
+    _report(capsys, "criterion 7", "baseline sanity (A=0, RT floor)", ok,
             f"{exceptions} exceptions over 10 seeds")
     assert exceptions == 0
 
@@ -209,5 +210,6 @@ def test_directive_legality_audit(showcase_runs, capsys):
             if not 0.0 <= fraction <= 1.0:
                 bad += 1
     ok = bad == 0 and total > 0
-    _report(capsys, 6, "directive legality replay", ok, f"{total} directives audited")
+    _report(capsys, "audit", "directive legality replay", ok,
+            f"{total} directives audited")
     assert ok

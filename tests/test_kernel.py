@@ -153,3 +153,53 @@ def test_trace_records_fire_order():
     eng.run_until(10)
     fired = [(e.fire_at, e.kind) for e in eng.trace]
     assert fired == [(3, "b"), (5, "a")]
+
+
+def _loss_oracle_run(batched):
+    """Five messages to two endpoints over a lossy link, sent one at a time
+    or as one batch.  Scripted first attempts: ok, lost, lost, ok, lost;
+    the retries of messages 1 and 4 get through and message 2 is lost
+    again, which exhausts max_attempts=2 and drops it."""
+    link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000, max_attempts=2)
+    rng = ScriptedRng([0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6])
+    eng = Engine(trace=True)
+    calls, drops = [], []
+    for name in ("a", "b"):
+        eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
+    eng.schedule(1_000, lambda: None)
+    eng.run_until(1_000)
+    msgs = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
+    on_drop = lambda p: drops.append((eng.now, p))  # noqa: E731
+    if batched:
+        eng.send_batch(msgs, 2000, link, rng, on_drop=on_drop)
+    else:
+        for dst, payload in msgs:
+            eng.send(dst, payload, 2000, link, rng, on_drop=on_drop)
+    eng.run_until(1_000_000)
+    retx = [e.fire_at for e in eng.trace if e.kind == "retx"]
+    n_delivery_events = sum(e.kind == "delivery" for e in eng.trace)
+    return calls, retx, drops, eng.messages, rng.values, n_delivery_events
+
+
+def test_send_batch_matches_one_at_a_time_sends():
+    single = _loss_oracle_run(batched=False)
+    batch = _loss_oracle_run(batched=True)
+    assert batch[:5] == single[:5]
+    calls, retx, drops, messages, unused, _ = batch
+    # first attempts land at 1000 + 5200 us, retries 20 ms later
+    assert calls == [(6_200, "a", 0), (6_200, "b", 3),
+                     (26_200, "b", 1), (26_200, "a", 4)]
+    assert retx == [21_000, 21_000, 21_000]
+    assert drops == [(21_000, 2)]
+    assert (messages.sent, messages.delivered, messages.dropped) == (5, 4, 1)
+    assert unused == []
+    # the two first-attempt deliveries share one event
+    assert (single[5], batch[5]) == (4, 3)
+
+
+def test_send_batch_unknown_endpoint():
+    eng = Engine()
+    eng.register("sink", lambda p: None)
+    with pytest.raises(RoutingError):
+        eng.send_batch([("sink", 0), ("nowhere", 1)], 100, LinkSpec(1000, 1e7),
+                       random.Random(0))

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from twinsim.metrics import summarize
-from twinsim.runner import run_showcase
+from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import ScenarioConfig, parse_scenario
 
 US = 1_000_000
@@ -133,3 +133,38 @@ def test_directive_log_legality_on_hotspot():
         assert "Overload" in d.from_labels
         assert "Underload" in d.to_labels
         assert 0.0 <= d.fraction <= 1.0
+
+
+def test_batched_reports_match_per_vehicle_fields():
+    """The 1 Hz reports are built from the per-vehicle arrays in one pass;
+    each must carry what the per-vehicle accessors give at send time, in
+    vehicle order."""
+    sim = Simulation(parse_scenario({
+        "duration_s": 31.0,
+        "grid": {"rows": 1, "cols": 2},
+        "vehicles_per_rsu": 60,
+        "capacity": {"local_cu_s": 10},
+        "policy": {"local_serve_threshold": 10},
+    }))
+    send_batch = sim.engine.send_batch
+    checked = {"reports": 0, "backlogged": 0}
+
+    def checking_send_batch(msgs, *args, **kwargs):
+        now = sim.engine.now
+        covered = [v for v in range(sim.cfg.n_vehicles) if sim.current_rsu[v] >= 0]
+        assert [report[0] for _, (_, report) in msgs] == covered
+        for dst, (kind, report) in msgs:
+            v, mean_speed, cq, seg, backlog = report
+            assert kind == "report" and dst == sim.current_rsu[v]
+            assert mean_speed == pytest.approx(sum(sim.speed_buf[v]) / sim.sense_slots)
+            assert cq == sim.cq_buf[v, -1]
+            assert seg == sim.fleet.current_segment_of(v)
+            assert backlog == sim._local_backlog_cu(v, now)
+            checked["backlogged"] += backlog > 0
+        checked["reports"] += len(msgs)
+        return send_batch(msgs, *args, **kwargs)
+
+    sim.engine.send_batch = checking_send_batch
+    sim.run()
+    assert checked["reports"] > 0
+    assert checked["backlogged"] > 0
