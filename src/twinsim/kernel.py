@@ -183,6 +183,7 @@ class Engine:
                           kind="retx")
 
     def _retransmit(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
+        """Attempt number ``attempt``, after a lost one: one more loss draw."""
         if rng.random() < link.loss_prob:
             self._lost(dst, payload, nbytes, link, rng, attempt, on_drop)
         else:

@@ -503,7 +503,9 @@ class Simulation:
 
     def _update_coverage(self, now: int) -> None:
         pos = self.fleet.pos
-        d = np.linalg.norm(pos[:, None, :] - self.rsu_pos[None, :, :], axis=2)
+        dx = pos[:, 0, None] - self.rsu_pos[None, :, 0]
+        dy = pos[:, 1, None] - self.rsu_pos[None, :, 1]
+        d = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
         covered = d <= self.rsu_radii[None, :]
         cur = self.current_rsu
         idx = np.arange(len(cur))
@@ -574,12 +576,12 @@ class Simulation:
         lookups reconstruct the neighbor-table view lazily."""
         rng = self.rng_beacons
         rrange = self.cfg.thresholds.v2v_range_m
+        n = len(self.fleet.pos)
         tree = cKDTree(self.fleet.pos)
         pairs = tree.query_pairs(rrange, output_type="ndarray")
         if len(pairs):
             # pairs are unique, so one key gives the (p0, p1) order
-            order = np.argsort(pairs[:, 0] * len(self.fleet.pos) + pairs[:, 1])
-            pairs = pairs[order]
+            pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
         n_directed = 2 * len(pairs)
         latency = kernel.link_latency(self.links["v2v"], self.cfg.workload.beacon_bytes)
         if n_directed:
@@ -587,7 +589,9 @@ class Simulation:
             dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
             ok = rng.random(n_directed) >= self.links["v2v"].loss_prob
             src, dst = src[ok], dst[ok]
-            by_dst = np.argsort(dst, kind="stable")
+            # the order of a stable sort on dst: each receiver's senders
+            # ascend (first half: senders below it, second half: above it)
+            by_dst = np.argsort(dst * n + src)
             snapshot = (now, now + latency, dst[by_dst], src[by_dst],
                         self.local_busy_until.copy(), self._role_code.copy())
             self._beacon_snapshots.append(snapshot)
