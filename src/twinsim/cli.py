@@ -43,7 +43,6 @@ def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
 def cmd_run(args) -> int:
     cfg = _load(args)
     result = run_showcase(cfg, outdir=args.out)
-    completed = [r for r in result.records if r.completed_us is not None]
     stats = metrics.summarize(result.records)
     tail = None
     if result.series.autonomy:

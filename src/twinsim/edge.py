@@ -4,7 +4,6 @@ packages, and localization of cloud blueprints.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -56,21 +55,6 @@ class UplinkPackage:
     trend_utilization: float
     trend_speed: float
     autonomy_window: float
-
-
-def package_to_json(p: UplinkPackage) -> str:
-    payload = {
-        "rsu_id": p.rsu_id,
-        "window": [p.t0_us, p.t1_us],
-        "event_labels": sorted(p.event_labels),
-        "mean_speed": round(p.mean_speed, 6),
-        "density_map": {str(k): round(v, 6) for k, v in sorted(p.density_map.items())},
-        "utilization": round(p.utilization, 6),
-        "trend_utilization": round(p.trend_utilization, 6),
-        "trend_speed": round(p.trend_speed, 6),
-        "autonomy_window": round(p.autonomy_window, 6),
-    }
-    return json.dumps(payload, separators=(",", ":"))
 
 
 def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...]:

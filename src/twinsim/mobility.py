@@ -3,8 +3,9 @@
 The default world is a 2x3 lattice with 1000 m spacing, one RSU of 600 m
 radius per intersection: the smallest layout with six RSUs, guaranteed
 coverage and genuine handovers.  Vehicles follow random waypoints over
-intersections; the vectorized Fleet path is equivalent to the scalar
-step_vehicle contract (asserted in tests).
+intersections.  Fleet and serving_rsu are the vectorized paths; their
+scalar reference models live in tests/oracles.py, and the tests check each
+pair for equal results.
 """
 from __future__ import annotations
 
@@ -48,19 +49,6 @@ class RoadNetwork:
         a, b = self.segments[seg]
         return float(np.linalg.norm(self.intersections[b] - self.intersections[a]))
 
-    def total_road_length(self) -> float:
-        return sum(self.segment_length(i) for i in range(len(self.segments)))
-
-    def region_road_length(self, rsu_idx: int) -> float:
-        """Road length attributed to one RSU region: half of every segment
-        incident to the RSU's intersection (RSUs sit at intersections)."""
-        node = self.rsus[rsu_idx][0]
-        return sum(
-            0.5 * self.segment_length(i)
-            for i, (a, b) in enumerate(self.segments)
-            if node in (a, b)
-        )
-
     def region_segments(self, rsu_idx: int) -> list[int]:
         node = self.rsus[rsu_idx][0]
         return [i for i, (a, b) in enumerate(self.segments) if node in (a, b)]
@@ -80,7 +68,9 @@ def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600
     """rows x cols lattice, 4-neighbor segments, one RSU per intersection.
 
     Raises ConfigError if the dimensions are degenerate or some road point
-    is outside every RSU's radius (checked by sampling the segments).
+    is outside every RSU's radius.  On this lattice the road point farthest
+    from every RSU is a segment's midpoint, spacing_m / 2 from the RSUs at
+    both ends, so the roads are covered exactly when the radius reaches it.
     """
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
@@ -98,99 +88,38 @@ def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600
                 segments.append((i, i + 1))
             if r + 1 < rows:
                 segments.append((i, i + cols))
+    if segments and rsu_radius_m < spacing_m / 2:
+        raise ConfigError(f"rsu_radius_m {rsu_radius_m} leaves road uncovered: "
+                          f"must be >= spacing_m / 2 = {spacing_m / 2}")
     rsus = [(i, float(rsu_radius_m)) for i in range(rows * cols)]
-    net = RoadNetwork(pts, segments, rsus)
-    _check_full_coverage(net)
-    return net
+    return RoadNetwork(pts, segments, rsus)
 
 
-def _check_full_coverage(net: RoadNetwork, step_m: float = 5.0) -> None:
-    rsu_pos = net.rsu_positions
-    radii = net.rsu_radii
-    for a, b in net.segments:
-        pa, pb = net.intersections[a], net.intersections[b]
-        length = float(np.linalg.norm(pb - pa))
-        n = max(2, int(length / step_m) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        points = pa[None, :] + ts[:, None] * (pb - pa)[None, :]
-        d = np.linalg.norm(points[:, None, :] - rsu_pos[None, :, :], axis=2)
-        if not np.all((d <= radii[None, :]).any(axis=1)):
-            raise ConfigError(f"segment ({a},{b}) is not fully covered by any RSU")
-    # isolated intersections (1x1 grid has no segments)
-    if not net.segments:
-        d = np.linalg.norm(net.intersections[:, None, :] - rsu_pos[None, :, :], axis=2)
-        if not np.all((d <= radii[None, :]).any(axis=1)):
-            raise ConfigError("intersection outside all RSU radii")
+def serving_rsu(
+    pos: np.ndarray,
+    rsu_pos: np.ndarray,
+    radii: np.ndarray,
+    current: np.ndarray | None,
+    hysteresis_m: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serving RSU of each position in ``pos`` (n, 2) and its distance.
 
-
-@dataclass
-class VehicleState:
-    id: int
-    position: np.ndarray       # (2,) meters
-    speed: float               # m/s
-    heading: np.ndarray        # unit vector
-    segment_from: int          # intersection id behind the vehicle
-    waypoint: int              # intersection id ahead
-    nav_intent: int            # planned intersection after the waypoint
-    energy: float = 1.0
-
-
-def step_vehicle(
-    v: VehicleState,
-    dt: float,
-    rng: np.random.Generator,
-    net: RoadNetwork,
-    energy_drain_per_m: float = 1e-5,
-) -> VehicleState:
-    """Advance speed*dt toward the waypoint.  On arrival the tick is consumed
-    there: a new waypoint is drawn uniformly among adjacent intersections and
-    the nav intent is re-drawn one hop further."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    target = net.intersections[v.waypoint]
-    delta = target - v.position
-    dist = float(np.linalg.norm(delta))
-    move = v.speed * dt
-    if move < dist:
-        v.position = v.position + v.heading * move
-        traveled = move
-    else:
-        v.position = target.copy()
-        traveled = dist
-        v.segment_from = v.waypoint
-        adj = net.adjacency[v.waypoint]
-        if adj:
-            v.waypoint = adj[int(rng.integers(len(adj)))]
-            nxt = net.adjacency[v.waypoint]
-            v.nav_intent = nxt[int(rng.integers(len(nxt)))]
-            direction = net.intersections[v.waypoint] - v.position
-            norm = float(np.linalg.norm(direction))
-            v.heading = direction / norm if norm > 0 else v.heading
-    v.energy = max(0.0, v.energy - energy_drain_per_m * traveled)
-    return v
-
-
-def covering_rsu(
-    net: RoadNetwork,
-    position: np.ndarray,
-    current: int | None,
-    hysteresis_m: float = 100.0,
-) -> int | None:
-    """Coverage decision with a hysteresis band: keep the current RSU while
-    it covers the position and no rival is closer by more than hysteresis_m;
-    otherwise the nearest covering RSU; None if uncovered."""
-    d = np.linalg.norm(net.rsu_positions - np.asarray(position)[None, :], axis=1)
-    radii = net.rsu_radii
-    covered = d <= radii
-    if current is not None and covered[current]:
-        best = int(np.argmin(d))
-        if d[current] - d[best] <= hysteresis_m:
-            return current
-        return best if covered[best] else current
-    if not covered.any():
-        return None
-    d_masked = np.where(covered, d, np.inf)
-    return int(np.argmin(d_masked))
+    The current RSU is kept while it covers the position and the nearest RSU
+    is no more than hysteresis_m closer; otherwise the nearest RSU serves
+    (``current=None`` picks the nearest).  RSUs share one radius and
+    build_grid covers every road point, so the nearest RSU covers it.
+    """
+    dx = pos[:, 0, None] - rsu_pos[None, :, 0]
+    dy = pos[:, 1, None] - rsu_pos[None, :, 1]
+    d = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
+    idx = np.arange(len(pos))
+    nearest = np.argmin(d, axis=1)
+    if current is None:
+        return nearest, d[idx, nearest]
+    d_cur = d[idx, current]
+    keep = (d_cur <= radii[current]) & (d_cur - d[idx, nearest] <= hysteresis_m)
+    rsu = np.where(keep, current, nearest)
+    return rsu, d[idx, rsu]
 
 
 def vehicle_density(count: int, road_length_m: float) -> float:
@@ -202,7 +131,7 @@ def vehicle_density(count: int, road_length_m: float) -> float:
 
 class Fleet:
     """Vectorized vehicle population; behaviorally identical to applying
-    step_vehicle per vehicle in index order."""
+    the scalar stepper of tests/oracles.py per vehicle in index order."""
 
     def __init__(
         self,
@@ -210,19 +139,16 @@ class Fleet:
         n: int,
         rng: np.random.Generator,
         speed_range: tuple[float, float] = (8.0, 15.0),
-        energy_drain_per_m: float = 1e-5,
         spawn_rsu: np.ndarray | None = None,
     ):
         self.net = net
         self.n = n
-        self.energy_drain_per_m = energy_drain_per_m
         self.pos = np.zeros((n, 2))
         self.speed = rng.uniform(speed_range[0], speed_range[1], size=n)
         self.heading = np.zeros((n, 2))
         self.segment_from = np.zeros(n, dtype=int)
         self.waypoint = np.zeros(n, dtype=int)
         self.nav_intent = np.zeros(n, dtype=int)
-        self.energy = np.ones(n)
         self._spawn(rng, spawn_rsu)
 
     def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
@@ -256,14 +182,13 @@ class Fleet:
     def step(self, dt: float, rng: np.random.Generator) -> None:
         net = self.net
         targets = net.intersections[self.waypoint]
-        delta = targets - self.pos
-        dist = np.linalg.norm(delta, axis=1)
+        dx = targets[:, 0] - self.pos[:, 0]
+        dy = targets[:, 1] - self.pos[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
         move = self.speed * dt
         arriving = move >= dist
         cruising = ~arriving
         self.pos[cruising] += self.heading[cruising] * move[cruising, None]
-        traveled = np.where(arriving, dist, move)
-        self.energy = np.maximum(0.0, self.energy - self.energy_drain_per_m * traveled)
         # arrivals are rare; handle per vehicle in index order for determinism
         for i in np.flatnonzero(arriving):
             node = int(self.waypoint[i])

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import edge as edge_mod
-from . import kernel, local, metrics, mobility
+from . import kernel, metrics, mobility
 from .cloud import (EpochRecord, KnowledgeGraph, OffloadDirective,
                     PolicyBlueprint, RegionEvolution, coordinate)
 from .edge import (EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
@@ -25,7 +25,7 @@ from .edge import (EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
 from .kernel import Engine, rng_stream, numpy_stream
 from .local import decide_local
 from .metrics import TaskRecord, build_index_series
-from .mobility import Fleet, build_grid, covering_rsu
+from .mobility import Fleet, build_grid, serving_rsu
 from .scenario import ScenarioConfig
 
 US_PER_S = 1_000_000
@@ -36,8 +36,6 @@ class SimTask:
     id: int
     origin: int
     cost_cu: float
-    created_at_us: int
-    relayed: bool = False
     tier: str | None = None
 
 
@@ -104,7 +102,6 @@ class RunResult:
     label_log: list[LabelLogEntry]
     messages: kernel.MessageCounters
     wall_time_s: float
-    event_trace: list | None = None
 
     @property
     def generated(self) -> int:
@@ -132,9 +129,9 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, trace_events: bool = False):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.engine = Engine(trace=trace_events)
+        self.engine = Engine()
         self.rng_tasks = rng_stream(cfg.seed, "tasks")
         self.rng_loss = rng_stream(cfg.seed, "loss")
         self.rng_mutation = rng_stream(cfg.seed, "mutation")
@@ -147,9 +144,7 @@ class Simulation:
         spawn_rsu = np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu)
         self.fleet = Fleet(self.net, n, self.rng_mobility,
                            speed_range=tuple(cfg.speed_range_mps),
-                           energy_drain_per_m=cfg.energy_drain_per_m,
                            spawn_rsu=spawn_rsu if cfg.n_rsus > 1 else None)
-        self.current_rsu = np.full(n, -1, dtype=int)
         self.rsu_pos = self.net.rsu_positions
         self.rsu_radii = self.net.rsu_radii
 
@@ -228,12 +223,10 @@ class Simulation:
             eng.register(self._veh + v, self._make_vehicle_handler(v))
 
     def _initial_membership(self) -> None:
-        for v in range(self.cfg.n_vehicles):
-            rsu = covering_rsu(self.net, self.fleet.pos[v], None,
-                               self.cfg.grid.hysteresis_m)
-            self.current_rsu[v] = -1 if rsu is None else rsu
-            if rsu is not None:
-                self.edges[rsu].admit(v, 0)
+        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
+                                          None, self.cfg.grid.hysteresis_m)
+        for v, rsu in enumerate(self.current_rsu.tolist()):
+            self.edges[rsu].admit(v, 0)
 
     def _schedule_workload(self) -> None:
         cfg = self.cfg
@@ -273,7 +266,7 @@ class Simulation:
 
     def _spawn_task(self, v: int, cost: float) -> None:
         now = self.engine.now
-        task = SimTask(len(self.records), v, cost, now)
+        task = SimTask(len(self.records), v, cost)
         rec = TaskRecord(task.id, v, now, origin_rsu=int(self.current_rsu[v]))
         self.records.append(rec)
         self._place_task(task)
@@ -284,16 +277,12 @@ class Simulation:
         rsu = int(self.current_rsu[v])
         now = self.engine.now
         threshold = 0.0
-        if cfg.mode == "layered" and rsu >= 0:
+        if cfg.mode == "layered":
             threshold = self.edges[rsu].policy.local_serve_threshold
         backlog_cu = self._local_backlog_cu(v, now)
-        placement = decide_local(
-            local.Task(task.id, v, task.cost_cu, cfg.workload.request_bytes,
-                       cfg.workload.response_bytes, task.created_at_us),
-            threshold, backlog_cu, cfg.capacity.local_cu_s,
-            cfg.thresholds.local_backlog_s,
-        )
-        if placement == "local" or rsu < 0:
+        placement = decide_local(task.cost_cu, threshold, backlog_cu,
+                                 cfg.capacity.local_cu_s, cfg.thresholds.local_backlog_s)
+        if placement == "local":
             backlog_s = backlog_cu / cfg.capacity.local_cu_s
             if backlog_s > cfg.thresholds.handoff_gap_s:
                 peer = self._handoff_candidate(v, now, backlog_cu)
@@ -376,7 +365,6 @@ class Simulation:
         if (not relayed and e.directive_active(now)
                 and e.last_utilization > cfg.thresholds.util_high
                 and e.thinning.take(e.directive.fraction)):
-            task.relayed = True
             self.engine.send(e.directive.to_rsu, ("relay_task", task),
                              cfg.workload.request_bytes, self.links["e2e"],
                              self.rng_loss, on_drop=self._drop_task)
@@ -438,9 +426,6 @@ class Simulation:
 
     def _route_result_to_vehicle(self, task: SimTask) -> None:
         rsu = int(self.current_rsu[task.origin])
-        if rsu < 0:
-            self._drop_task(("task", task))
-            return
         self.engine.send(rsu, ("result", task),
                          self.cfg.workload.response_bytes, self.links["r2c"],
                          self.rng_loss, on_drop=self._drop_task)
@@ -463,16 +448,15 @@ class Simulation:
         rec.completed_us = self.engine.now
         rec.tier = task.tier
         region = rec.origin_rsu
-        if region >= 0:
-            self.epoch_rts[region].append(rec.rt_us)
-            self.epoch_total[region] += 1
-            below = rec.tier in metrics.BELOW_CLOUD
-            if below:
-                self.epoch_below[region] += 1
-            e = self.edges[region]
-            e.window.completed_tasks += 1
-            if below:
-                e.window.completed_below_cloud += 1
+        self.epoch_rts[region].append(rec.rt_us)
+        self.epoch_total[region] += 1
+        below = rec.tier in metrics.BELOW_CLOUD
+        if below:
+            self.epoch_below[region] += 1
+        e = self.edges[region]
+        e.window.completed_tasks += 1
+        if below:
+            e.window.completed_below_cloud += 1
 
     def _drop_task(self, payload) -> None:
         task = payload[1]
@@ -502,43 +486,23 @@ class Simulation:
             self.engine.schedule(nxt, self._tick, kind="tick")
 
     def _update_coverage(self, now: int) -> None:
-        pos = self.fleet.pos
-        dx = pos[:, 0, None] - self.rsu_pos[None, :, 0]
-        dy = pos[:, 1, None] - self.rsu_pos[None, :, 1]
-        d = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
-        covered = d <= self.rsu_radii[None, :]
-        cur = self.current_rsu
-        idx = np.arange(len(cur))
-        has_cur = cur >= 0
-        d_cur = np.where(has_cur, d[idx, np.clip(cur, 0, None)], np.inf)
-        cur_covered = has_cur & (d_cur <= np.where(has_cur, self.rsu_radii[np.clip(cur, 0, None)], 0))
-        d_masked = np.where(covered, d, np.inf)
-        nearest = np.argmin(d_masked, axis=1)
-        any_cover = covered.any(axis=1)
-        keep = cur_covered & (d_cur - d_masked[idx, nearest] <= self.cfg.grid.hysteresis_m)
-        new = np.where(keep, cur, np.where(any_cover, nearest, -1))
-        self._d_cur_cache = np.where(new >= 0, d[idx, np.clip(new, 0, None)], np.inf)
-        changed = np.flatnonzero(new != cur)
-        for v in changed:
-            old, nxt = int(cur[v]), int(new[v])
-            if old >= 0:
-                self.edges[old].release(v)
-            if nxt >= 0:
-                self.edges[nxt].admit(v, now)
-                self._role_code[v] = 0
-            cur[v] = nxt
+        old = self.current_rsu
+        self.current_rsu, self._d_cur_cache = serving_rsu(
+            self.fleet.pos, self.rsu_pos, self.rsu_radii, old, self.cfg.grid.hysteresis_m)
+        for v in np.flatnonzero(self.current_rsu != old):
+            self.edges[old[v]].release(v)
+            self.edges[self.current_rsu[v]].admit(v, now)
+            self._role_code[v] = 0
             self._send_report(v)
 
     def _sense(self, now: int) -> None:
         slot = (self._tick_index - 1) % self.sense_slots
         self.speed_buf[:, slot] = self.fleet.speed
-        radius = np.where(self.current_rsu >= 0,
-                          self.rsu_radii[np.clip(self.current_rsu, 0, None)], 1.0)
-        cq = 1.0 - self._d_cur_cache / radius
-        self.cq_buf[:, slot] = np.clip(np.where(np.isfinite(cq), cq, 0.0), 0.0, 1.0)
+        cq = 1.0 - self._d_cur_cache / self.rsu_radii[self.current_rsu]
+        self.cq_buf[:, slot] = np.clip(cq, 0.0, 1.0)
 
     def _emit_reports(self, now: int) -> None:
-        """1 Hz status reports of every covered vehicle, in vehicle order,
+        """1 Hz status reports of every vehicle, in vehicle order,
         sent as one batch: those that get through reach their edges in one
         delivery event."""
         cfg = self.cfg
@@ -550,7 +514,7 @@ class Simulation:
         backlog = (np.maximum(self.local_busy_until - now, 0) / US_PER_S
                    * cfg.capacity.local_cu_s).tolist()
         msgs = [(rsu, ("report", (v, speed[v], cq[v], (seg_lo[v], seg_hi[v]), backlog[v])))
-                for v, rsu in enumerate(self.current_rsu.tolist()) if rsu >= 0]
+                for v, rsu in enumerate(self.current_rsu.tolist())]
         self.engine.send_batch(msgs, cfg.workload.report_bytes, self.links["v2r"],
                                self.rng_loss)
 
@@ -558,14 +522,13 @@ class Simulation:
         """Out-of-cycle report (RSU handover, backlog trigger): the latest
         window's speed and channel quality with the current segment and
         backlog."""
-        rsu = int(self.current_rsu[v])
-        if rsu < 0 or self._report_speed is None:
+        if self._report_speed is None:
             return
         report = (v, self._report_speed[v], self._report_cq[v],
                   self.fleet.current_segment_of(v),
                   self._local_backlog_cu(v, self.engine.now))
-        self.engine.send(rsu, ("report", report), self.cfg.workload.report_bytes,
-                         self.links["v2r"], self.rng_loss)
+        self.engine.send(int(self.current_rsu[v]), ("report", report),
+                         self.cfg.workload.report_bytes, self.links["v2r"], self.rng_loss)
 
     def _beacon_exchange(self, now: int) -> None:
         """Batched V2V beacon pass: neighbor discovery within range with
@@ -666,8 +629,8 @@ class Simulation:
             seg_members[report[3]] = seg_members.get(report[3], 0) + 1
         for seg_idx in self.net.region_segments(e.rsu_id):
             seg = self.net.segments[seg_idx]
-            count = seg_members.get(seg, 0)
-            density[seg_idx] = count / (self.net.segment_length(seg_idx) / 1000.0)
+            density[seg_idx] = mobility.vehicle_density(seg_members.get(seg, 0),
+                                                        self.net.segment_length(seg_idx))
 
         autonomy_w = (w.completed_below_cloud / w.completed_tasks
                       if w.completed_tasks else 1.0)
@@ -744,14 +707,12 @@ class Simulation:
             label_log=self.label_log,
             messages=self.engine.messages,
             wall_time_s=wall,
-            event_trace=self.engine.trace,
         )
 
 
-def run_showcase(cfg: ScenarioConfig, outdir: str | Path | None = None,
-                 trace_events: bool = False) -> RunResult:
+def run_showcase(cfg: ScenarioConfig, outdir: str | Path | None = None) -> RunResult:
     """Execute one scenario to completion; optionally write run artifacts."""
-    sim = Simulation(cfg, trace_events=trace_events)
+    sim = Simulation(cfg)
     result = sim.run()
     if outdir is not None:
         result.write(outdir)

@@ -119,7 +119,6 @@ class ScenarioConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     vehicles_per_rsu: int = 200
     speed_range_mps: tuple = (8.0, 15.0)
-    energy_drain_per_m: float = 1e-5
     links: dict = field(default_factory=default_links)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
@@ -231,6 +230,11 @@ def validate(cfg: ScenarioConfig) -> None:
         check(0 <= cfg.hotspot.region < cfg.n_rsus, "hotspot.region", "not a valid RSU index")
         check(cfg.hotspot.rate_multiplier >= 0, "hotspot.rate_multiplier", "must be >= 0")
         check(cfg.hotspot.t_start_s <= cfg.hotspot.t_end_s, "hotspot.t_start_s", "must be <= t_end_s")
+    for i, st in enumerate(cfg.scripted_tasks):
+        check(0 <= st.device < cfg.n_vehicles, f"scripted_tasks[{i}].device",
+              "not a valid vehicle index")
+        check(st.at_s >= 0, f"scripted_tasks[{i}].at_s", "must be >= 0")
+        check(st.cost_cu > 0, f"scripted_tasks[{i}].cost_cu", "must be > 0")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -12,11 +12,12 @@ import pytest
 from twinsim.cloud import PolicyBlueprint, RegionEvolution
 from twinsim.edge import ThinningCounter, largest_remainder_seats
 from twinsim.kernel import Engine
-from twinsim.local import RawSample, preprocess
+from twinsim.mobility import build_grid
 from twinsim.runner import run_showcase
 from twinsim.scenario import ScenarioConfig, default_hotspot_scenario, parse_scenario
 
 from conftest import SEEDS
+from test_properties import count_switches
 
 US = 1_000_000
 
@@ -149,9 +150,9 @@ def test_criterion_6_property_invariants(capsys):
     randomized suite lives in test_properties.py)."""
     checks = []
 
-    window = [random.Random(1).uniform(0, 30) for _ in range(10)]
-    f = preprocess([RawSample(i, (0, 0), v, 1, 0.5) for i, v in enumerate(window)])
-    checks.append(min(window) <= f.ewma_speed <= max(window))
+    rng = random.Random(1)
+    xs = [500.0 + rng.uniform(-10.0, 10.0) for _ in range(100)]
+    checks.append(count_switches(build_grid(1, 2, 1000.0, 600.0), xs) <= 1)
 
     seats = largest_remainder_seats((0.5, 0.3, 0.2), 5)
     checks.append(seats == (3, 1, 1) and sum(seats) == 5)

@@ -1,11 +1,8 @@
-import json
-
 import pytest
 
 from twinsim.edge import (EdgeServer, LocalPolicy, Member, ThinningCounter,
-                          UplinkPackage, assign_roles, fuse_labels,
-                          largest_remainder_seats, localize_policy, ols_slope,
-                          package_to_json)
+                          assign_roles, fuse_labels, largest_remainder_seats,
+                          localize_policy, ols_slope)
 
 US = 1_000_000
 
@@ -123,20 +120,6 @@ def test_edge_server_fifo_and_backlog():
     assert server.backlog_s(100_000) == pytest.approx(0.65)
     # after drain
     assert server.backlog_s(800_000) == 0.0
-
-
-def test_uplink_package_json_roundtrip():
-    p = UplinkPackage(
-        rsu_id=2, t0_us=0, t1_us=5 * US, event_labels=("Overload",),
-        mean_speed=7.5, density_map={0: 1.5}, utilization=0.9,
-        trend_utilization=0.01, trend_speed=-0.2, autonomy_window=0.8,
-    )
-    text = package_to_json(p)
-    assert text == package_to_json(p)
-    data = json.loads(text)
-    assert data["rsu_id"] == 2
-    assert data["event_labels"] == ["Overload"]
-    assert data["window"] == [0, 5 * US]
 
 
 def test_local_policy_is_frozen():

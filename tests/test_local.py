@@ -1,16 +1,17 @@
-import json
+import copy
 
+import numpy as np
 import pytest
 
-from twinsim.local import (FeatureRecord, NeighborEntry, NeighborTable,
-                           RawSample, StatusReport, Task, channel_quality,
-                           decide_local, preprocess, report_to_json)
+from twinsim.edge import ROLES
+from twinsim.local import decide_local
+from twinsim.runner import Simulation
+from twinsim.scenario import parse_scenario
+
+from oracles import NeighborEntry, NeighborTable, channel_quality
+from test_digests import SCENARIOS
 
 US = 1_000_000
-
-
-def sample(t, speed, cq=0.8):
-    return RawSample(t, (0.0, 0.0), speed, 1.0, cq)
 
 
 def test_channel_quality_linear_and_clipped():
@@ -20,64 +21,35 @@ def test_channel_quality_linear_and_clipped():
     assert channel_quality(900.0, 600.0) == 0.0
 
 
-def test_preprocess_ewma_oracle():
-    # alpha 0.3, seeded with the first sample: [10, 20] -> 13.0
-    f = preprocess([sample(0, 10.0), sample(100_000, 20.0)], alpha=0.3)
-    assert f.mean_speed == pytest.approx(15.0)
-    assert f.ewma_speed == pytest.approx(13.0)
-    assert f.t_start_us == 0
-    assert f.t_end_us == 100_000
+def test_channel_quality_matches_runner_cq_buf():
+    """Each tick's sensed channel quality is the oracle's value for the
+    distance to the serving RSU, for every vehicle."""
+    sim = Simulation(parse_scenario({"seed": 0, "duration_s": 31.0,
+                                     "vehicles_per_rsu": 20}))
+    sense = sim._sense
+    checked = 0
 
+    def checked_sense(now):
+        nonlocal checked
+        sense(now)
+        slot = (sim._tick_index - 1) % sim.sense_slots
+        for v, rsu in enumerate(sim.current_rsu.tolist()):
+            d = float(np.linalg.norm(sim.fleet.pos[v] - sim.rsu_pos[rsu]))
+            assert sim.cq_buf[v, slot] == channel_quality(d, sim.rsu_radii[rsu])
+            checked += 1
 
-def test_preprocess_constant_window_is_identity():
-    f = preprocess([sample(i * 100_000, 12.0) for i in range(10)])
-    assert f.ewma_speed == pytest.approx(12.0)
-    assert f.mean_speed == pytest.approx(12.0)
-
-
-def test_preprocess_last_fields():
-    samples = [
-        RawSample(0, (1.0, 2.0), 10.0, 0.9, 0.5),
-        RawSample(100_000, (3.0, 4.0), 12.0, 0.8, 0.7),
-    ]
-    f = preprocess(samples)
-    assert f.position_last == (3.0, 4.0)
-    assert f.energy_last == 0.8
-    assert f.channel_quality_last == 0.7
-
-
-def task(cost):
-    return Task(0, 0, cost, 2000, 1000, 0)
+    sim._sense = checked_sense
+    sim.run()
+    assert checked == 310 * sim.cfg.n_vehicles
 
 
 def test_decide_local_threshold_and_backlog_guard():
     # cost at the threshold stays local
-    assert decide_local(task(2.0), 2.0, 0.0, 50.0) == "local"
-    assert decide_local(task(2.1), 2.0, 0.0, 50.0) == "edge"
+    assert decide_local(2.0, 2.0, 0.0, 50.0) == "local"
+    assert decide_local(2.1, 2.0, 0.0, 50.0) == "edge"
     # saturated local queue (> 2 s) overrides the threshold
-    assert decide_local(task(1.0), 2.0, 100.0, 50.0) == "local"  # exactly 2 s
-    assert decide_local(task(1.0), 2.0, 101.0, 50.0) == "edge"
-
-
-def test_task_cost_must_be_positive():
-    with pytest.raises(ValueError):
-        Task(0, 0, 0.0, 2000, 1000, 0)
-
-
-def test_report_json_canonical_order():
-    report = StatusReport(
-        device_id=3,
-        features=FeatureRecord(0, US, 10.0, 10.5, (1.0, 2.0), 0.9, 0.8),
-        nav_intent=4,
-        queue_backlog_cu=12.0,
-        role="processing",
-    )
-    text = report_to_json(report)
-    assert text == report_to_json(report)  # stable
-    keys = list(json.loads(text))
-    assert keys == ["device_id", "window", "mean_speed", "ewma_speed",
-                    "position", "energy", "channel_quality", "nav_intent",
-                    "backlog", "role"]
+    assert decide_local(1.0, 2.0, 100.0, 50.0) == "local"  # exactly 2 s
+    assert decide_local(1.0, 2.0, 101.0, 50.0) == "edge"
 
 
 def entry(t, role="processing", backlog=0.0):
@@ -111,3 +83,36 @@ def test_handoff_candidate_tie_breaks_by_id():
 def test_handoff_candidate_none_when_empty():
     table = NeighborTable(3 * US)
     assert table.handoff_candidate(0, 500.0, 50.0) is None
+
+
+def test_neighbor_table_matches_runner_handoff_candidate():
+    """On every handoff query of the v2v_handoff digest scenario, the
+    runner's answer from its beacon snapshots equals that of a NeighborTable
+    fed, oldest first, every beacon the vehicle has heard by then."""
+    sim = Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
+    cap = sim.cfg.capacity.local_cu_s
+    gap = sim.cfg.thresholds.handoff_gap_s
+    runtime = sim._handoff_candidate
+    answers, mismatches = [], []
+
+    def checked(v, now, own_backlog_cu):
+        got = runtime(v, now, own_backlog_cu)
+        table = NeighborTable(sim._neighbor_expiry_us)
+        for t_send, heard_at, dst, src, busy, role in sim._beacon_snapshots:
+            if heard_at > now:
+                continue
+            for s in src[dst == v].tolist():
+                backlog_cu = max(0, int(busy[s]) - t_send) / US * cap
+                # position and speed are not part of the handoff rule
+                table.observe(s, NeighborEntry(heard_at, (0.0, 0.0), 0.0,
+                                               ROLES[role[s]], backlog_cu))
+        want = table.handoff_candidate(now, own_backlog_cu, cap, gap)
+        if got != want:
+            mismatches.append((v, now, got, want))
+        answers.append(got)
+        return got
+
+    sim._handoff_candidate = checked
+    sim.run()
+    assert mismatches == []
+    assert sum(a is not None for a in answers) > 0

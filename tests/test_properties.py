@@ -8,20 +8,7 @@ from hypothesis import strategies as st
 from twinsim.cloud import KnowledgeGraph, PolicyBlueprint, RegionEvolution, coordinate
 from twinsim.edge import ThinningCounter, largest_remainder_seats
 from twinsim.kernel import Engine
-from twinsim.local import RawSample, preprocess
-from twinsim.mobility import build_grid, covering_rsu
-
-speeds = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=30)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(speeds)
-def test_ewma_bounded_by_window_extremes(window):
-    samples = [RawSample(i * 100_000, (0.0, 0.0), v, 1.0, 0.5)
-               for i, v in enumerate(window)]
-    f = preprocess(samples)
-    assert min(window) - 1e-9 <= f.ewma_speed <= max(window) + 1e-9
-    assert min(window) - 1e-9 <= f.mean_speed <= max(window) + 1e-9
+from twinsim.mobility import build_grid, serving_rsu
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,15 +34,21 @@ def test_hysteresis_anti_flapping(seed):
     most once over 100 evaluations."""
     net = build_grid(1, 2, 1000.0, rsu_radius_m=600.0)
     rng = random.Random(seed)
-    current = covering_rsu(net, np.array([500.0, 0.0]), None)
+    xs = [500.0 + rng.uniform(-10.0, 10.0) for _ in range(100)]
+    assert count_switches(net, xs) <= 1
+
+
+def count_switches(net, xs):
+    """RSU changes of one vehicle visiting (x, 0) for each x in xs, starting
+    from its serving RSU at (500, 0)."""
+    args = (net.rsu_positions, net.rsu_radii)
+    current, _ = serving_rsu(np.array([[500.0, 0.0]]), *args, None, 100.0)
     switches = 0
-    for _ in range(100):
-        x = 500.0 + rng.uniform(-10.0, 10.0)
-        nxt = covering_rsu(net, np.array([x, 0.0]), current, hysteresis_m=100.0)
-        if nxt != current:
-            switches += 1
-            current = nxt
-    assert switches <= 1
+    for x in xs:
+        nxt, _ = serving_rsu(np.array([[x, 0.0]]), *args, current, 100.0)
+        switches += int(nxt[0] != current[0])
+        current = nxt
+    return switches
 
 
 @settings(max_examples=300, deadline=None)

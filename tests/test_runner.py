@@ -151,8 +151,7 @@ def test_batched_reports_match_per_vehicle_fields():
 
     def checking_send_batch(msgs, *args, **kwargs):
         now = sim.engine.now
-        covered = [v for v in range(sim.cfg.n_vehicles) if sim.current_rsu[v] >= 0]
-        assert [report[0] for _, (_, report) in msgs] == covered
+        assert [report[0] for _, (_, report) in msgs] == list(range(sim.cfg.n_vehicles))
         for dst, (kind, report) in msgs:
             v, mean_speed, cq, seg, backlog = report
             assert kind == "report" and dst == sim.current_rsu[v]
@@ -168,3 +167,25 @@ def test_batched_reports_match_per_vehicle_fields():
     sim.run()
     assert checked["reports"] > 0
     assert checked["backlogged"] > 0
+
+
+def test_every_vehicle_covered_at_smallest_radius():
+    """At the smallest radius build_grid accepts, half the spacing, each
+    vehicle's serving RSU covers it on every tick."""
+    sim = Simulation(parse_scenario({
+        "duration_s": 31.0,
+        "grid": {"rows": 1, "cols": 2, "spacing_m": 1005.0, "rsu_radius_m": 502.5},
+        "vehicles_per_rsu": 100,
+    }))
+    update = sim._update_coverage
+    ticks = 0
+
+    def checked_update(now):
+        nonlocal ticks
+        update(now)
+        assert (sim._d_cur_cache <= sim.rsu_radii[sim.current_rsu]).all()
+        ticks += 1
+
+    sim._update_coverage = checked_update
+    sim.run()
+    assert ticks == 310

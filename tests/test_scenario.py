@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twinsim.cli import main
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (ScenarioConfig, default_hotspot_scenario,
                               load_scenario, parse_scenario, validate)
@@ -43,6 +44,9 @@ def test_unknown_keys_rejected_with_path():
         parse_scenario({"links": {"v2x": {}}})
     with pytest.raises(ConfigError, match="unknown key: turbo"):
         parse_scenario({"turbo": True})
+    # the write-only energy model is gone
+    with pytest.raises(ConfigError, match="unknown key: energy_drain_per_m"):
+        parse_scenario({"energy_drain_per_m": 1e-5})
 
 
 def test_validation_errors_name_the_field():
@@ -67,6 +71,39 @@ def test_hotspot_and_scripted_tasks_parse():
     assert cfg.scripted_tasks[0].cost_cu == 2.0
     with pytest.raises(ConfigError, match="scripted_tasks"):
         parse_scenario({"scripted_tasks": [{"device": 0, "when": 1.0}]})
+
+
+def scripted(device=0, at_s=1.0, cost_cu=2.0):
+    """A 2-vehicle scenario with one scripted task."""
+    return {"grid": {"rows": 1, "cols": 1}, "vehicles_per_rsu": 2,
+            "scripted_tasks": [{"device": 0, "at_s": 0.5, "cost_cu": 1.0},
+                               {"device": device, "at_s": at_s, "cost_cu": cost_cu}]}
+
+
+def test_scripted_task_device_out_of_range():
+    parse_scenario(scripted(device=1))
+    for device in (2, -1):
+        with pytest.raises(ConfigError, match=r"scripted_tasks\[1\]\.device"):
+            parse_scenario(scripted(device=device))
+
+
+def test_scripted_task_cost_must_be_positive():
+    for cost in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"scripted_tasks\[1\]\.cost_cu"):
+            parse_scenario(scripted(cost_cu=cost))
+
+
+def test_scripted_task_at_s_not_negative():
+    parse_scenario(scripted(at_s=0.0))
+    with pytest.raises(ConfigError, match=r"scripted_tasks\[1\]\.at_s"):
+        parse_scenario(scripted(at_s=-0.1))
+
+
+def test_cli_run_rejects_bad_scripted_task(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scripted(device=99)))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "scripted_tasks[1].device" in capsys.readouterr().err
 
 
 def test_load_scenario_files(tmp_path):
