@@ -148,27 +148,28 @@ class Engine:
             self.schedule(self.now + link_latency(link, nbytes), self._deliver,
                           dst, payload, kind="delivery")
 
-    def send_batch(self, msgs: list, nbytes: int, link: LinkSpec, rng,
-                   on_drop=None) -> None:
-        """Send each (dst, payload) in msgs as ``send`` would, drawing the
-        loss of each in list order; the messages that get through on their
-        first attempt share one delivery event, which hands them to their
-        endpoints in list order.  Lost messages retransmit one by one."""
+    def send_batch(self, dsts: list, nbytes: int, link: LinkSpec, rng, deliver,
+                   payload, on_drop=None) -> None:
+        """Send one message to each endpoint in dsts, drawing the loss of
+        each in list order as ``send`` would.  The messages that get through
+        on their first attempt share one delivery event, which calls
+        ``deliver`` once with their list indices in order; a lost message i
+        carries ``payload(i)`` and retransmits on its own, as ``send`` does."""
         endpoints = self._endpoints
         counters = self.messages
         lossy = link.loss_prob > 0.0
         delivered = []
-        for dst, payload in msgs:
+        for i, dst in enumerate(dsts):
             if dst not in endpoints:
                 raise RoutingError(f"unknown endpoint: {dst!r}")
             counters.sent += 1
             if lossy and rng.random() < link.loss_prob:
-                self._lost(dst, payload, nbytes, link, rng, 1, on_drop)
+                self._lost(dst, payload(i), nbytes, link, rng, 1, on_drop)
             else:
-                delivered.append((dst, payload))
+                delivered.append(i)
         if delivered:
             self.schedule(self.now + link_latency(link, nbytes), self._deliver_batch,
-                          delivered, kind="delivery")
+                          deliver, delivered, kind="delivery")
 
     def _lost(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
         """Attempt number ``attempt`` was lost: retry after the timeout, or
@@ -194,11 +195,9 @@ class Engine:
         self.messages.delivered += 1
         self._endpoints[dst](payload)
 
-    def _deliver_batch(self, msgs: list) -> None:
-        self.messages.delivered += len(msgs)
-        endpoints = self._endpoints
-        for dst, payload in msgs:
-            endpoints[dst](payload)
+    def _deliver_batch(self, deliver, indices: list) -> None:
+        self.messages.delivered += len(indices)
+        deliver(indices)
 
     def account_batch(self, sent: int, delivered: int, dropped: int) -> None:
         """Bulk message accounting for batched exchanges (V2V beacons) that

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 US_PER_S = 1_000_000
 
@@ -136,20 +137,18 @@ INDICES_HEADER = ["window_end_us", "autonomy", "coordination"]
 
 
 def tasks_csv(records: list[TaskRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TASKS_HEADER)
-    for r in sorted(records, key=lambda r: (r.created_us, r.task_id)):
-        w.writerow([
-            r.task_id,
-            r.origin,
-            r.created_us,
-            r.completed_us if r.completed_us is not None else "",
-            r.tier or "",
-            r.rt_us if r.rt_us is not None else "",
-            1 if r.dropped else 0,
-        ])
-    return buf.getvalue()
+    """One row per record in (created_us, task_id) order, as ``csv.writer``
+    would write it: no field needs quoting, and None is an empty field."""
+    rows = sorted(records, key=attrgetter("task_id"))
+    rows.sort(key=attrgetter("created_us"))  # stable: ties stay in task_id order
+    lines = [",".join(TASKS_HEADER) + "\n"]
+    for r in rows:
+        done = r.completed_us is not None
+        lines.append(f"{r.task_id},{r.origin},{r.created_us},"
+                     f"{r.completed_us if done else ''},{r.tier or ''},"
+                     f"{r.completed_us - r.created_us if done else ''},"
+                     f"{1 if r.dropped else 0}\n")
+    return "".join(lines)
 
 
 def indices_csv(series: IndexSeries) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,6 @@ class EdgeRuntime:
         self.pending_blueprint: PolicyBlueprint | None = None
         self.directive: OffloadDirective | None = None
         self.window = FusionWindow()
-        self.last_report: dict[int, tuple] = {}
         self.util_history: list[float] = []
         self.speed_history: list[float] = []
         self.labels: tuple = ("Normal",)
@@ -86,7 +86,6 @@ class EdgeRuntime:
 
     def release(self, device_id: int) -> None:
         self.members.pop(device_id, None)
-        self.last_report.pop(device_id, None)
 
     def directive_active(self, now_us: int) -> bool:
         return self.directive is not None and now_us < self.directive.expires_at_us
@@ -158,8 +157,14 @@ class Simulation:
         self.cq_buf = np.zeros((n, self.sense_slots))
         # mean speed and last channel quality of the latest 1 s report
         # window, per vehicle; None until the first report tick
-        self._report_speed: list[float] | None = None
-        self._report_cq: list[float] | None = None
+        self._report_speed: np.ndarray | None = None
+        self._report_cq: np.ndarray | None = None
+        # the latest report the serving edge holds of each vehicle: written
+        # on delivery, forgotten when the vehicle changes RSU
+        self._has_report = np.zeros(n, dtype=bool)
+        self._rep_cq = np.zeros(n)
+        self._rep_backlog = np.zeros(n)
+        self._rep_seg = np.zeros((n, 2), dtype=np.int64)
         # beacon snapshots: compact per-tick arrays standing in for per-vehicle
         # neighbor tables (queried lazily on handoff attempts)
         self._beacon_snapshots: list[tuple] = []
@@ -400,7 +405,31 @@ class Simulation:
             return
         e.window.speed_sum += report[1]
         e.window.speed_count += 1
-        e.last_report[device] = report
+        self._has_report[device] = True
+        self._rep_cq[device] = report[2]
+        self._rep_seg[device] = report[3]
+        self._rep_backlog[device] = report[4]
+
+    def _deliver_reports(self, batch: tuple, indices: list) -> None:
+        """The reports of one batch that got through, as ``_edge_report``
+        would take them one by one in vehicle order: an edge keeps those of
+        its members (vehicles it still serves) and adds their mean speeds in
+        that order."""
+        rsu, speed, cq, seg, backlog = batch
+        v = np.array(indices)
+        v = v[self.current_rsu[v] == rsu[v]]
+        for e in self.edges:
+            mine = v[rsu[v] == e.rsu_id]
+            w = e.window
+            total = w.speed_sum
+            for s in speed[mine].tolist():
+                total += s
+            w.speed_sum = total
+            w.speed_count += len(mine)
+        self._has_report[v] = True
+        self._rep_cq[v] = cq[v]
+        self._rep_seg[v] = seg[v]
+        self._rep_backlog[v] = backlog[v]
 
     # -- cloud -------------------------------------------------------------
 
@@ -489,7 +518,9 @@ class Simulation:
         old = self.current_rsu
         self.current_rsu, self._d_cur_cache = serving_rsu(
             self.fleet.pos, self.rsu_pos, self.rsu_radii, old, self.cfg.grid.hysteresis_m)
-        for v in np.flatnonzero(self.current_rsu != old):
+        moved = np.flatnonzero(self.current_rsu != old)
+        self._has_report[moved] = False
+        for v in moved:
             self.edges[old[v]].release(v)
             self.edges[self.current_rsu[v]].admit(v, now)
             self._role_code[v] = 0
@@ -502,21 +533,26 @@ class Simulation:
         self.cq_buf[:, slot] = np.clip(cq, 0.0, 1.0)
 
     def _emit_reports(self, now: int) -> None:
-        """1 Hz status reports of every vehicle, in vehicle order,
-        sent as one batch: those that get through reach their edges in one
-        delivery event."""
+        """1 Hz status reports of every vehicle, in vehicle order, sent as
+        one batch whose fields stay in arrays: those that get through reach
+        their edges in one delivery event (``_deliver_reports``); a lost one
+        retransmits as a report tuple."""
         cfg = self.cfg
         fleet = self.fleet
-        self._report_speed = speed = self.speed_buf.mean(axis=1).tolist()
-        self._report_cq = cq = self.cq_buf[:, -1].tolist()
-        seg_lo = np.minimum(fleet.segment_from, fleet.waypoint).tolist()
-        seg_hi = np.maximum(fleet.segment_from, fleet.waypoint).tolist()
+        self._report_speed = speed = self.speed_buf.mean(axis=1)
+        self._report_cq = cq = self.cq_buf[:, -1].copy()
+        seg = np.sort(np.stack([fleet.segment_from, fleet.waypoint], axis=1), axis=1)
         backlog = (np.maximum(self.local_busy_until - now, 0) / US_PER_S
-                   * cfg.capacity.local_cu_s).tolist()
-        msgs = [(rsu, ("report", (v, speed[v], cq[v], (seg_lo[v], seg_hi[v]), backlog[v])))
-                for v, rsu in enumerate(self.current_rsu.tolist())]
-        self.engine.send_batch(msgs, cfg.workload.report_bytes, self.links["v2r"],
-                               self.rng_loss)
+                   * cfg.capacity.local_cu_s)
+        batch = (self.current_rsu, speed, cq, seg, backlog)
+
+        def payload(v):
+            lo, hi = seg[v].tolist()
+            return "report", (v, float(speed[v]), float(cq[v]), (lo, hi), float(backlog[v]))
+
+        self.engine.send_batch(self.current_rsu.tolist(), cfg.workload.report_bytes,
+                               self.links["v2r"], self.rng_loss,
+                               partial(self._deliver_reports, batch), payload)
 
     def _send_report(self, v: int) -> None:
         """Out-of-cycle report (RSU handover, backlog trigger): the latest
@@ -524,7 +560,7 @@ class Simulation:
         backlog."""
         if self._report_speed is None:
             return
-        report = (v, self._report_speed[v], self._report_cq[v],
+        report = (v, float(self._report_speed[v]), float(self._report_cq[v]),
                   self.fleet.current_segment_of(v),
                   self._local_backlog_cu(v, self.engine.now))
         self.engine.send(int(self.current_rsu[v]), ("report", report),
@@ -623,10 +659,11 @@ class Simulation:
         e.speed_history.append(mean_speed)
         self.label_log.append(LabelLogEntry(now, e.rsu_id, labels, utilization, mean_speed))
 
+        reported = np.flatnonzero(self._has_report & (self.current_rsu == e.rsu_id))
         density = {}
         seg_members: dict = {}
-        for device, report in e.last_report.items():
-            seg_members[report[3]] = seg_members.get(report[3], 0) + 1
+        for seg in map(tuple, self._rep_seg[reported].tolist()):
+            seg_members[seg] = seg_members.get(seg, 0) + 1
         for seg_idx in self.net.region_segments(e.rsu_id):
             seg = self.net.segments[seg_idx]
             density[seg_idx] = mobility.vehicle_density(seg_members.get(seg, 0),
@@ -647,8 +684,9 @@ class Simulation:
         e.window = FusionWindow()
 
         # role churn follows the fused picture
-        cq = {d: rep[2] for d, rep in e.last_report.items()}
-        idle = {d: cfg.capacity.local_cu_s - rep[4] for d, rep in e.last_report.items()}
+        ids = reported.tolist()
+        cq = dict(zip(ids, self._rep_cq[reported].tolist()))
+        idle = dict(zip(ids, (cfg.capacity.local_cu_s - self._rep_backlog[reported]).tolist()))
         assigned = assign_roles(e.members, e.policy.role_quotas, cq, idle)
         for d, role in assigned.items():
             self._role_code[d] = edge_mod.ROLES.index(role)

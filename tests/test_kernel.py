@@ -171,7 +171,11 @@ def _loss_oracle_run(batched):
     msgs = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
     on_drop = lambda p: drops.append((eng.now, p))  # noqa: E731
     if batched:
-        eng.send_batch(msgs, 2000, link, rng, on_drop=on_drop)
+        def deliver(indices):
+            for i in indices:
+                calls.append((eng.now, *msgs[i]))
+        eng.send_batch([dst for dst, _ in msgs], 2000, link, rng, deliver,
+                       lambda i: msgs[i][1], on_drop=on_drop)
     else:
         for dst, payload in msgs:
             eng.send(dst, payload, 2000, link, rng, on_drop=on_drop)
@@ -201,5 +205,5 @@ def test_send_batch_unknown_endpoint():
     eng = Engine()
     eng.register("sink", lambda p: None)
     with pytest.raises(RoutingError):
-        eng.send_batch([("sink", 0), ("nowhere", 1)], 100, LinkSpec(1000, 1e7),
-                       random.Random(0))
+        eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1000, 1e7),
+                       random.Random(0), lambda indices: None, lambda i: i)

@@ -1,7 +1,11 @@
+import csv
+import io
+import random
+
 import pytest
 
-from twinsim.metrics import (TaskRecord, build_index_series, indices_csv,
-                             median, nearest_rank, summarize, tasks_csv)
+from twinsim.metrics import (TASKS_HEADER, TIERS, TaskRecord, build_index_series,
+                             indices_csv, median, nearest_rank, summarize, tasks_csv)
 
 US = 1_000_000
 
@@ -85,6 +89,35 @@ def test_coordination_capped_at_one():
     ]
     series = build_index_series(records, 10 * US, 10 * US)
     assert series.coordination == [1.0]
+
+
+def _csv_writer_tasks(records):
+    """The csv.writer form of tasks.csv that tasks_csv must reproduce."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(TASKS_HEADER)
+    for r in sorted(records, key=lambda r: (r.created_us, r.task_id)):
+        w.writerow([r.task_id, r.origin, r.created_us,
+                    r.completed_us if r.completed_us is not None else "",
+                    r.tier or "", r.rt_us if r.rt_us is not None else "",
+                    1 if r.dropped else 0])
+    return buf.getvalue()
+
+
+def test_tasks_csv_matches_csv_writer():
+    rng = random.Random(5)
+    records = []
+    for i in rng.sample(range(400), 400):  # shuffled ids, many created_us ties
+        created = rng.randrange(0, 50) * 1000
+        rec = TaskRecord(i, rng.randrange(30), created)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rec.completed_us = created + rng.randrange(1, 10**7)
+            rec.tier = rng.choice(TIERS)
+        elif kind == 1:
+            rec.dropped = True
+        records.append(rec)
+    assert tasks_csv(records) == _csv_writer_tasks(records)
 
 
 def test_tasks_csv_shape():

@@ -135,38 +135,86 @@ def test_directive_log_legality_on_hotspot():
         assert 0.0 <= d.fraction <= 1.0
 
 
-def test_batched_reports_match_per_vehicle_fields():
-    """The 1 Hz reports are built from the per-vehicle arrays in one pass;
-    each must carry what the per-vehicle accessors give at send time, in
-    vehicle order."""
-    sim = Simulation(parse_scenario({
+def _backlogged_two_rsu_sim(**overrides):
+    return Simulation(parse_scenario({
         "duration_s": 31.0,
         "grid": {"rows": 1, "cols": 2},
         "vehicles_per_rsu": 60,
         "capacity": {"local_cu_s": 10},
         "policy": {"local_serve_threshold": 10},
+        **overrides,
     }))
+
+
+def test_batched_reports_match_per_vehicle_fields():
+    """The 1 Hz reports are built from the per-vehicle arrays in one pass;
+    each must carry what the per-vehicle accessors give at send time, in
+    vehicle order."""
+    sim = _backlogged_two_rsu_sim()
     send_batch = sim.engine.send_batch
     checked = {"reports": 0, "backlogged": 0}
 
-    def checking_send_batch(msgs, *args, **kwargs):
+    def checking_send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
         now = sim.engine.now
-        assert [report[0] for _, (_, report) in msgs] == list(range(sim.cfg.n_vehicles))
-        for dst, (kind, report) in msgs:
-            v, mean_speed, cq, seg, backlog = report
-            assert kind == "report" and dst == sim.current_rsu[v]
+        assert dsts == sim.current_rsu.tolist()
+        for v in range(sim.cfg.n_vehicles):
+            kind, (device, mean_speed, cq, seg, backlog) = payload(v)
+            assert kind == "report" and device == v
             assert mean_speed == pytest.approx(sum(sim.speed_buf[v]) / sim.sense_slots)
             assert cq == sim.cq_buf[v, -1]
             assert seg == sim.fleet.current_segment_of(v)
             assert backlog == sim._local_backlog_cu(v, now)
+            assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0
-        checked["reports"] += len(msgs)
-        return send_batch(msgs, *args, **kwargs)
+        checked["reports"] += len(dsts)
+        return send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop)
 
     sim.engine.send_batch = checking_send_batch
     sim.run()
     assert checked["reports"] > 0
     assert checked["backlogged"] > 0
+
+
+@pytest.mark.parametrize("v2r_latency_ms", [5, 250])
+def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
+    """Delivering a report batch from its arrays leaves every edge window,
+    stored report, role and task record as sending each report on its own
+    (``Engine.send`` to ``_edge_report``) does.  At 250 ms some vehicles
+    change RSU while their report is in flight."""
+    def run(batched):
+        sim = _backlogged_two_rsu_sim(links={"v2r": {"base_latency_ms": v2r_latency_ms}})
+        send_batch, lost = sim.engine.send_batch, []
+
+        def sending(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
+            if batched:
+                def lost_payload(i):
+                    lost.append(i)
+                    return payload(i)
+                return send_batch(dsts, nbytes, link, rng, deliver, lost_payload, on_drop)
+            for i, dst in enumerate(dsts):
+                sim.engine.send(dst, payload(i), nbytes, link, rng, on_drop)
+        sim.engine.send_batch = sending
+        roles = []
+        fuse = sim._fuse_and_uplink
+
+        def recording_fuse(e, now):
+            fuse(e, now)
+            roles.append(sim._role_code.tolist())
+        sim._fuse_and_uplink = recording_fuse
+        result = sim.run()
+        held = (sim._has_report.tolist(), sim._rep_cq.tolist(),
+                sim._rep_backlog.tolist(), sim._rep_seg.tolist())
+        return result, roles, held, len(lost)
+
+    (batched, roles_b, held_b, lost), (single, roles_s, held_s, _) = run(True), run(False)
+    assert lost > 0  # some reports of a batch retransmit on their own
+    assert batched.label_log == single.label_log
+    assert roles_b == roles_s and len(roles_b) > 0
+    assert held_b == held_s and any(held_b[0])
+    assert batched.records == single.records
+    m_b, m_s = batched.messages, single.messages
+    assert (m_b.sent, m_b.delivered, m_b.dropped) == (m_s.sent, m_s.delivered, m_s.dropped)
+    assert m_b.dropped > 0
 
 
 def test_every_vehicle_covered_at_smallest_radius():
