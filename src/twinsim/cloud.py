@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .edge import PARAM_RANGES, clamp, ols_slope
 

@@ -4,8 +4,7 @@ packages, and localization of cloud blueprints.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -187,8 +187,9 @@ class Fleet:
         dist = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
         move = self.speed * dt
         arriving = move >= dist
-        cruising = ~arriving
-        self.pos[cruising] += self.heading[cruising] * move[cruising, None]
+        # the whole array moves: an arriving vehicle's position is
+        # overwritten with its waypoint below
+        self.pos += self.heading * move[:, None]
         # arrivals are rare; handle per vehicle in index order for determinism
         for i in np.flatnonzero(arriving):
             node = int(self.waypoint[i])

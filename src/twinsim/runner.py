@@ -9,7 +9,7 @@ the cloud).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .edge import (EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
                    UplinkPackage, assign_roles, fuse_labels, localize_policy,
                    ols_slope)
 from .kernel import Engine, rng_stream, numpy_stream
-from .local import decide_local
+from .local import BeaconSnapshot, decide_local
 from .metrics import TaskRecord, build_index_series
 from .mobility import Fleet, build_grid, serving_rsu
 from .scenario import ScenarioConfig
@@ -165,9 +165,9 @@ class Simulation:
         self._rep_cq = np.zeros(n)
         self._rep_backlog = np.zeros(n)
         self._rep_seg = np.zeros((n, 2), dtype=np.int64)
-        # beacon snapshots: compact per-tick arrays standing in for per-vehicle
-        # neighbor tables (queried lazily on handoff attempts)
-        self._beacon_snapshots: list[tuple] = []
+        # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
+        # neighbor tables (indexed lazily on handoff attempts)
+        self._beacon_snapshots: list[BeaconSnapshot] = []
         self._neighbor_expiry_us = round(cfg.thresholds.neighbor_expiry_s * US_PER_S)
         self._role_code = np.zeros(n, dtype=np.int8)  # 0 acq, 1 proc, 2 coord
         self.backlog_triggered = np.zeros(n, dtype=bool)
@@ -570,53 +570,41 @@ class Simulation:
         """Batched V2V beacon pass: neighbor discovery within range with
         Bernoulli loss per beacon, without per-message kernel events.
 
-        Delivered beacons are kept as one compact snapshot per tick (sender,
-        receiver, and the sender-side state arrays at send time); handoff
-        lookups reconstruct the neighbor-table view lazily."""
-        rng = self.rng_beacons
-        rrange = self.cfg.thresholds.v2v_range_m
-        n = len(self.fleet.pos)
-        tree = cKDTree(self.fleet.pos)
-        pairs = tree.query_pairs(rrange, output_type="ndarray")
-        if len(pairs):
-            # pairs are unique, so one key gives the (p0, p1) order
-            pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+        The loss draws and the message counters happen here, every tick;
+        the pass is kept as one ``BeaconSnapshot`` (pairs, loss mask and
+        the sender-side state arrays at send time), whose per-receiver
+        neighbour index is built on the first handoff query that reads it."""
+        pairs = cKDTree(self.fleet.pos).query_pairs(self.cfg.thresholds.v2v_range_m,
+                                                    output_type="ndarray")
         n_directed = 2 * len(pairs)
-        latency = kernel.link_latency(self.links["v2v"], self.cfg.workload.beacon_bytes)
+        delivered = 0
         if n_directed:
-            src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            ok = rng.random(n_directed) >= self.links["v2v"].loss_prob
-            src, dst = src[ok], dst[ok]
-            # the order of a stable sort on dst: each receiver's senders
-            # ascend (first half: senders below it, second half: above it)
-            by_dst = np.argsort(dst * n + src)
-            snapshot = (now, now + latency, dst[by_dst], src[by_dst],
-                        self.local_busy_until.copy(), self._role_code.copy())
-            self._beacon_snapshots.append(snapshot)
-            delivered = int(ok.sum())
-        else:
-            delivered = 0
+            ok = self.rng_beacons.random(n_directed) >= self.links["v2v"].loss_prob
+            delivered = int(np.count_nonzero(ok))
+            latency = kernel.link_latency(self.links["v2v"], self.cfg.workload.beacon_bytes)
+            self._beacon_snapshots.append(BeaconSnapshot(
+                now, now + latency, pairs, ok,
+                self.local_busy_until.copy(), self._role_code.copy()))
         while (self._beacon_snapshots
-               and now - self._beacon_snapshots[0][1] > self._neighbor_expiry_us):
+               and now - self._beacon_snapshots[0].heard_at > self._neighbor_expiry_us):
             self._beacon_snapshots.pop(0)
         self.engine.account_batch(n_directed, delivered, n_directed - delivered)
 
     def _handoff_candidate(self, v: int, now: int, own_backlog_cu: float) -> int | None:
         """Processing-role neighbor whose advertised backlog trails ours by
         more than the handoff gap; lowest backlog wins, ties by id.  Uses the
-        most recent unexpired beacon per neighbor."""
+        most recent unexpired beacon per neighbor; each snapshot it reads
+        builds its neighbour index on the first such read."""
         cap = self.cfg.capacity.local_cu_s
         need = own_backlog_cu / cap - self.cfg.thresholds.handoff_gap_s
         seen: set[int] = set()
         best: tuple[float, int] | None = None
-        for t_send, heard_at, dst, src, busy, role in reversed(self._beacon_snapshots):
+        for snap in reversed(self._beacon_snapshots):
+            heard_at = snap.heard_at
             if heard_at > now or now - heard_at > self._neighbor_expiry_us:
                 continue
-            i0 = np.searchsorted(dst, v, side="left")
-            i1 = np.searchsorted(dst, v, side="right")
-            for s in src[i0:i1]:
-                s = int(s)
+            t_send, busy, role = snap.t_send, snap.busy, snap.role
+            for s in snap.senders(v).tolist():
                 if s in seen:
                     continue
                 seen.add(s)

@@ -7,7 +7,8 @@ mode, 300 s, seed 0.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kernel import LinkSpec
@@ -219,6 +220,20 @@ def validate(cfg: ScenarioConfig) -> None:
           "capacity", "capacities must be > 0")
     t = cfg.thresholds
     check(0 <= t.util_low < t.util_high <= 1, "thresholds.util_low/util_high", "need 0 <= low < high <= 1")
+    # a negative query range makes every vehicle pair a V2V neighbour
+    check(t.v2v_range_m >= 0, "thresholds.v2v_range_m", "must be >= 0")
+    check(t.neighbor_expiry_s >= 0, "thresholds.neighbor_expiry_s", "must be >= 0")
+    # the runner counts time in whole microseconds and every period in
+    # whole sensing ticks
+    periods = cfg.periods
+    sense_us = round(periods.sense_ms * 1000) if 0 < periods.sense_ms < math.inf else 0
+    check(sense_us >= 1 and math.isclose(periods.sense_ms * 1000, sense_us),
+          "periods.sense_ms", "must be a positive whole number of microseconds")
+    for key in ("report_s", "fusion_s", "epoch_s"):
+        value = getattr(periods, key)
+        ticks = round(value * US_PER_S / sense_us) if 0 < value < math.inf else 0
+        check(ticks >= 1 and math.isclose(value * US_PER_S, ticks * sense_us), f"periods.{key}",
+              "must be a positive integer multiple of periods.sense_ms")
     p = cfg.policy
     check(0 <= p.local_serve_threshold <= 10, "policy.local_serve_threshold", "must be in [0, 10]")
     check(0 <= p.offload_fraction <= 1, "policy.offload_fraction", "must be in [0, 1]")

@@ -7,6 +7,8 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``covering_rsu``: ``mobility.serving_rsu``;
 - ``NeighborEntry``/``NeighborTable``: ``Simulation._handoff_candidate`` over
   the batched beacon snapshots;
+- ``eager_beacons``: the per-receiver sender index that
+  ``local.BeaconSnapshot`` builds on its first lookup;
 - ``channel_quality``: the runner's per-tick ``cq_buf`` column.
 """
 from __future__ import annotations
@@ -130,3 +132,15 @@ class NeighborTable:
                 if best is None or (e.backlog_cu, dev) < best[1]:
                     best = (dev, (e.backlog_cu, dev))
         return best[0] if best else None
+
+
+def eager_beacons(pairs: np.ndarray, ok: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delivered directed beacons ``(dst, src)`` of one pass, ordered by
+    receiver and then sender.  ``ok[i]`` is the loss draw of the ``i``-th
+    directed beacon of the pairs in ``(p0, p1)`` order: first every
+    ``p0 -> p1``, then every ``p1 -> p0``."""
+    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])[ok]
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[ok]
+    by_dst = np.argsort(dst * n + src)
+    return dst[by_dst], src[by_dst]

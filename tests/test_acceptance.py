@@ -7,14 +7,12 @@ session-scoped `showcase_runs` fixture.
 import hashlib
 import random
 
-import pytest
-
 from twinsim.cloud import PolicyBlueprint, RegionEvolution
 from twinsim.edge import ThinningCounter, largest_remainder_seats
 from twinsim.kernel import Engine
 from twinsim.mobility import build_grid
 from twinsim.runner import run_showcase
-from twinsim.scenario import ScenarioConfig, default_hotspot_scenario, parse_scenario
+from twinsim.scenario import ScenarioConfig, parse_scenario
 
 from conftest import SEEDS
 from test_properties import count_switches

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from twinsim.edge import ROLES
-from twinsim.local import decide_local
+from twinsim.local import BeaconSnapshot, decide_local
 from twinsim.runner import Simulation
 from twinsim.scenario import parse_scenario
 
-from oracles import NeighborEntry, NeighborTable, channel_quality
+from oracles import NeighborEntry, NeighborTable, channel_quality, eager_beacons
 from test_digests import SCENARIOS
 
 US = 1_000_000
@@ -85,27 +85,37 @@ def test_handoff_candidate_none_when_empty():
     assert table.handoff_candidate(0, 500.0, 50.0) is None
 
 
+def v2v_handoff_sim():
+    return Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
+
+
 def test_neighbor_table_matches_runner_handoff_candidate():
     """On every handoff query of the v2v_handoff digest scenario, the
     runner's answer from its beacon snapshots equals that of a NeighborTable
-    fed, oldest first, every beacon the vehicle has heard by then."""
-    sim = Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
+    fed, oldest first, every beacon the vehicle has heard by then, as the
+    eager oracle lists them."""
+    sim = v2v_handoff_sim()
+    n = sim.cfg.n_vehicles
     cap = sim.cfg.capacity.local_cu_s
     gap = sim.cfg.thresholds.handoff_gap_s
     runtime = sim._handoff_candidate
+    eager = {}  # id(snapshot) -> (snapshot, dst, src)
     answers, mismatches = [], []
 
     def checked(v, now, own_backlog_cu):
         got = runtime(v, now, own_backlog_cu)
         table = NeighborTable(sim._neighbor_expiry_us)
-        for t_send, heard_at, dst, src, busy, role in sim._beacon_snapshots:
-            if heard_at > now:
+        for snap in sim._beacon_snapshots:
+            if snap.heard_at > now:
                 continue
+            if id(snap) not in eager:
+                eager[id(snap)] = (snap, *eager_beacons(snap.pairs, snap.ok, n))
+            _, dst, src = eager[id(snap)]
             for s in src[dst == v].tolist():
-                backlog_cu = max(0, int(busy[s]) - t_send) / US * cap
+                backlog_cu = max(0, int(snap.busy[s]) - snap.t_send) / US * cap
                 # position and speed are not part of the handoff rule
-                table.observe(s, NeighborEntry(heard_at, (0.0, 0.0), 0.0,
-                                               ROLES[role[s]], backlog_cu))
+                table.observe(s, NeighborEntry(snap.heard_at, (0.0, 0.0), 0.0,
+                                               ROLES[snap.role[s]], backlog_cu))
         want = table.handoff_candidate(now, own_backlog_cu, cap, gap)
         if got != want:
             mismatches.append((v, now, got, want))
@@ -116,3 +126,50 @@ def test_neighbor_table_matches_runner_handoff_candidate():
     sim.run()
     assert mismatches == []
     assert sum(a is not None for a in answers) > 0
+
+
+def test_lazy_beacon_index_matches_eager_pass():
+    """For every beacon pass of the v2v_handoff digest scenario, each
+    receiver's senders from the lazily built index equal the eager oracle's,
+    whether a handoff query built the index during the run or not."""
+    sim = v2v_handoff_sim()
+    n = sim.cfg.n_vehicles
+    exchange = sim._beacon_exchange
+    snapshots = []
+
+    def recorded(now):
+        before = sim._beacon_snapshots[-1] if sim._beacon_snapshots else None
+        exchange(now)
+        if sim._beacon_snapshots and sim._beacon_snapshots[-1] is not before:
+            snapshots.append(sim._beacon_snapshots[-1])
+
+    sim._beacon_exchange = recorded
+    sim.run()
+    assert len(snapshots) == 31
+    for snap in snapshots:
+        dst, src = eager_beacons(snap.pairs, snap.ok, n)
+        assert len(src) == int(snap.ok.sum()) > 0
+        indptr = np.searchsorted(dst, np.arange(n + 1))
+        for v in range(n):
+            assert np.array_equal(snap.senders(v), src[indptr[v]:indptr[v + 1]])
+
+
+def test_beacon_index_not_built_without_handoff_query(monkeypatch):
+    """A run without handoffs draws every beacon's loss but builds no
+    neighbour index."""
+    built = []
+    build = BeaconSnapshot._build_index
+
+    def counted(snap):
+        built.append(snap)
+        build(snap)
+
+    monkeypatch.setattr(BeaconSnapshot, "_build_index", counted)
+    sim = Simulation(parse_scenario(copy.deepcopy(SCENARIOS["layered"])))
+    queries = []
+    runtime = sim._handoff_candidate
+    sim._handoff_candidate = lambda *a: queries.append(a) or runtime(*a)
+    sim.run()
+    assert queries == []
+    assert sim._beacon_snapshots
+    assert built == []

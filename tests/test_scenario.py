@@ -106,6 +106,44 @@ def test_cli_run_rejects_bad_scripted_task(tmp_path, capsys):
     assert "scripted_tasks[1].device" in capsys.readouterr().err
 
 
+def test_v2v_range_not_negative():
+    parse_scenario({"thresholds": {"v2v_range_m": 0.0}})
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"thresholds\.v2v_range_m"):
+            parse_scenario({"thresholds": {"v2v_range_m": value}})
+
+
+def test_neighbor_expiry_not_negative():
+    parse_scenario({"thresholds": {"neighbor_expiry_s": 0.0}})
+    with pytest.raises(ConfigError, match=r"thresholds\.neighbor_expiry_s"):
+        parse_scenario({"thresholds": {"neighbor_expiry_s": -0.5}})
+
+
+def test_cli_run_rejects_negative_v2v_range(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"thresholds": {"v2v_range_m": -1.0}}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "thresholds.v2v_range_m" in capsys.readouterr().err
+
+
+def test_sense_period_must_be_positive():
+    # a zero period divided the report period by zero
+    for value in (0, -100.0, 0.0004, 0.0015, float("nan")):
+        with pytest.raises(ConfigError, match=r"periods\.sense_ms"):
+            parse_scenario({"periods": {"sense_ms": value}})
+
+
+@pytest.mark.parametrize("key", ["report_s", "fusion_s", "epoch_s"])
+def test_periods_are_whole_multiples_of_sense_period(key):
+    # report_s 0.01 was a modulo by zero, fusion_s 0.33 silently ran 0.3 s
+    # windows
+    for value in (0.01, 0.33, 0.0, -1.0, float("inf")):
+        with pytest.raises(ConfigError, match=rf"periods\.{key}"):
+            parse_scenario({"periods": {key: value}})
+    cfg = parse_scenario({"periods": {"sense_ms": 50, key: 0.35}, "duration_s": 40.0})
+    assert getattr(cfg.periods, key) == 0.35
+
+
 def test_load_scenario_files(tmp_path):
     good = tmp_path / "s.json"
     good.write_text(json.dumps({"seed": 9}))
