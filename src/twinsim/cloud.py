@@ -1,16 +1,13 @@
-"""Cloud twin: cross-regional knowledge graph with ring-buffered history,
-(1+1)-style blueprint evolution with rollback, and overload/underload
-pairing directives.
+"""Cloud twin: cross-regional knowledge graph of the latest region labels
+and utilization, (1+1)-style blueprint evolution with rollback, and
+overload/underload pairing directives.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .edge import PARAM_RANGES, clamp, ols_slope
-
-US_PER_S = 1_000_000
+from .edge import PARAM_RANGES, clamp
 
 # round-robin mutation order, one parameter per epoch
 MUTATION_ORDER = (
@@ -71,40 +68,30 @@ class OffloadDirective:
 @dataclass
 class RegionNode:
     rsu_id: int
-    history: deque = field(default_factory=lambda: deque(maxlen=100))
     labels: tuple[str, ...] = ("Normal",)
     utilization: float = 0.0
-    mean_speed: float = 0.0
 
 
 class KnowledgeGraph:
-    """One node per RSU region with a bounded package history; edges follow
-    RSU adjacency and carry the currently active offload pairing."""
+    """One node per RSU region holding its latest labels and utilization;
+    edges follow RSU adjacency."""
 
-    def __init__(self, rsu_ids: list[int], adjacency: dict[int, list[int]],
-                 ring_capacity: int = 100):
-        self.nodes = {r: RegionNode(r, deque(maxlen=ring_capacity)) for r in rsu_ids}
+    def __init__(self, rsu_ids: list[int], adjacency: dict[int, list[int]]):
+        self.nodes = {r: RegionNode(r) for r in rsu_ids}
         self.adjacency = adjacency
-        self.active_pairings: dict[int, int] = {}   # from_rsu -> to_rsu
         self.rejected = 0
 
     def ingest(self, package) -> bool:
-        """Append a package summary to its region's ring buffer and latch the
-        region's labels; malformed or unknown packages are rejected/counted."""
+        """Latch a package's labels and utilization on its region; malformed
+        or unknown packages are rejected/counted."""
         rsu = getattr(package, "rsu_id", None)
         if rsu not in self.nodes:
             self.rejected += 1
             return False
         node = self.nodes[rsu]
-        node.history.append(package)
         node.labels = tuple(package.event_labels)
         node.utilization = package.utilization
-        node.mean_speed = package.mean_speed
         return True
-
-    def trend(self, rsu_id: int, attr: str, points: int = 6) -> float:
-        values = [getattr(p, attr) for p in list(self.nodes[rsu_id].history)[-points:]]
-        return ols_slope(values)
 
 
 def coordinate(graph: KnowledgeGraph, fractions: dict[int, float], epoch: int,
@@ -129,7 +116,6 @@ def coordinate(graph: KnowledgeGraph, fractions: dict[int, float], epoch: int,
         directives.append(
             OffloadDirective(r, partner, fractions.get(r, 0.0), epoch, expires_at_us)
         )
-    graph.active_pairings = {d.from_rsu: d.to_rsu for d in directives}
     return directives
 
 

@@ -1,14 +1,14 @@
-"""Edge twin at each RSU: population membership and roles, regional fusion,
-task scheduling (FIFO server, counter thinning, cloud overflow), uplink
-packages, and localization of cloud blueprints.
+"""Edge twin at each RSU: population roles, regional fusion, task
+scheduling (FIFO server, counter thinning, cloud overflow), uplink packages,
+and localization of cloud blueprints.
+
+An RSU's population is the vehicles it serves (``Simulation.current_rsu``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-US_PER_S = 1_000_000
+from .kernel import US_PER_S
 
 ROLES = ("acquisition", "processing", "coordination")
 
@@ -19,8 +19,6 @@ class LocalPolicy:
     offload_fraction: float            # [0, 1]
     congestion_speed_threshold: float  # m/s, [3, 10]
     role_quotas: tuple[float, float, float]
-    version: int = 0
-    source_blueprint: str = "initial"
 
 
 PARAM_RANGES = {
@@ -36,24 +34,11 @@ def clamp(x: float, lo: float, hi: float) -> float:
 
 
 @dataclass
-class Member:
-    device_id: int
-    joined_at_us: int
-    role: str = "acquisition"
-
-
-@dataclass
 class UplinkPackage:
+    """What the cloud reads of a region's fusion window."""
     rsu_id: int
-    t0_us: int
-    t1_us: int
     event_labels: tuple[str, ...]
-    mean_speed: float
-    density_map: dict[int, float]
     utilization: float
-    trend_utilization: float
-    trend_speed: float
-    autonomy_window: float
 
 
 def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...]:
@@ -72,20 +57,19 @@ def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...
 
 
 def assign_roles(
-    members: dict[int, Member],
+    members: list[int],
     quotas: tuple[float, float, float],
     channel_quality: dict[int, float],
     idle_compute: dict[int, float],
 ) -> dict[int, str]:
     """Capability-sorted seat filling: channel quality for acquisition, idle
-    compute for processing, tenure for coordination; ties by device id."""
+    compute for processing, every remaining member for coordination; ties
+    by device id."""
     if not members:
         return {}
-    ids = sorted(members)
-    n = len(ids)
-    seats = largest_remainder_seats(quotas, n)
+    seats = largest_remainder_seats(quotas, len(members))
     assigned: dict[int, str] = {}
-    pool = set(ids)
+    pool = set(members)
     by_cq = sorted(pool, key=lambda d: (-channel_quality.get(d, 0.0), d))
     for d in by_cq[: seats[0]]:
         assigned[d] = "acquisition"
@@ -94,11 +78,8 @@ def assign_roles(
     for d in by_idle[: seats[1]]:
         assigned[d] = "processing"
         pool.discard(d)
-    by_tenure = sorted(pool, key=lambda d: (members[d].joined_at_us, d))
-    for d in by_tenure:
+    for d in pool:
         assigned[d] = "coordination"
-    for d, role in assigned.items():
-        members[d].role = role
     return assigned
 
 
@@ -116,24 +97,7 @@ def fuse_labels(mean_speed: float, utilization: float, congestion_speed: float,
     return tuple(labels)
 
 
-def ols_slope(values: list[float]) -> float:
-    """Least-squares slope per unit step; degenerate series give 0."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    x = np.arange(n, dtype=float)
-    y = np.asarray(values, dtype=float)
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    return float(np.dot(xc, y - y.mean()) / denom)
-
-
-def localize_policy(
-    blueprint_params: dict,
-    blueprint_epoch: int,
-    blueprint_id: str,
-    congestion_active: bool,
-) -> LocalPolicy:
+def localize_policy(blueprint_params: dict, congestion_active: bool) -> LocalPolicy:
     """Clamp blueprint parameters into their declared ranges and apply the
     edge's contextual refinement: under congestion the acquisition quota is
     raised by 0.1 at the expense of coordination (floor 0.05).
@@ -165,8 +129,6 @@ def localize_policy(
             *PARAM_RANGES["congestion_speed_threshold"],
         ),
         role_quotas=(acq, proc, coord),
-        version=blueprint_epoch,
-        source_blueprint=blueprint_id,
     )
 
 
@@ -191,8 +153,6 @@ class FusionWindow:
     speed_sum: float = 0.0
     speed_count: int = 0
     processed_cu: float = 0.0
-    completed_tasks: int = 0
-    completed_below_cloud: int = 0
 
 
 class EdgeServer:

@@ -1,9 +1,11 @@
 """Per-vehicle local twin: task placement and the V2V beacon record.
 
 Sensing runs at 100 ms cadence.  A status report goes up every second with
-the mean speed of the last 1 s window, the last channel quality, the road
-segment and the local queue backlog, plus immediately on an RSU handover or
-when the local queue backlog exceeds the trigger threshold.  The simulation
+the mean speed of the last 1 s window, the last channel quality and the
+local queue backlog, plus immediately on an RSU handover or when the local
+queue backlog exceeds the trigger threshold.  The serving edge adds the
+speeds to its fusion window and ranks its vehicles for roles by the channel
+quality and idle compute of their latest report.  The simulation
 runner computes sensing, reports and V2V beacons over its per-vehicle
 arrays; the scalar models of channel quality and of the neighbour table
 that those arrays stand in for live in tests/oracles.py, where the tests

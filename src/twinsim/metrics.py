@@ -1,5 +1,9 @@
 """Per-task lifecycle records, run summaries, and the two ecosystem index
 series (edge autonomy and population coordination) over fixed windows.
+
+A ``TaskRecord`` is the task itself: the runner sends it between the twins,
+sets its tier when a tier serves it and its completion or drop when it
+settles.
 """
 from __future__ import annotations
 
@@ -9,13 +13,13 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-US_PER_S = 1_000_000
+from .kernel import US_PER_S
 
 TIERS = ("Local", "Edge", "PartnerEdge", "Cloud")
 BELOW_CLOUD = ("Local", "Edge", "PartnerEdge")
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     task_id: int
     origin: int
@@ -26,6 +30,7 @@ class TaskRecord:
     origin_rsu: int = -1
     edge_arrival_us: int | None = None
     overloaded_at_arrival: bool = False
+    cost_cu: float = 0.0
 
     @property
     def rt_us(self) -> int | None:
@@ -138,14 +143,16 @@ INDICES_HEADER = ["window_end_us", "autonomy", "coordination"]
 
 def tasks_csv(records: list[TaskRecord]) -> str:
     """One row per record in (created_us, task_id) order, as ``csv.writer``
-    would write it: no field needs quoting, and None is an empty field."""
+    would write it: no field needs quoting, and None is an empty field.  The
+    tier, the completion time and the response time are written only on
+    completed rows."""
     rows = sorted(records, key=attrgetter("task_id"))
     rows.sort(key=attrgetter("created_us"))  # stable: ties stay in task_id order
     lines = [",".join(TASKS_HEADER) + "\n"]
     for r in rows:
         done = r.completed_us is not None
         lines.append(f"{r.task_id},{r.origin},{r.created_us},"
-                     f"{r.completed_us if done else ''},{r.tier or ''},"
+                     f"{r.completed_us if done else ''},{r.tier if done else ''},"
                      f"{r.completed_us - r.created_us if done else ''},"
                      f"{1 if r.dropped else 0}\n")
     return "".join(lines)

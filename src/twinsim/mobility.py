@@ -45,10 +45,6 @@ class RoadNetwork:
     def rsu_radii(self) -> np.ndarray:
         return np.array([r for _, r in self.rsus])
 
-    def segment_length(self, seg: int) -> float:
-        a, b = self.segments[seg]
-        return float(np.linalg.norm(self.intersections[b] - self.intersections[a]))
-
     def region_segments(self, rsu_idx: int) -> list[int]:
         node = self.rsus[rsu_idx][0]
         return [i for i, (a, b) in enumerate(self.segments) if node in (a, b)]
@@ -122,13 +118,6 @@ def serving_rsu(
     return rsu, d[idx, rsu]
 
 
-def vehicle_density(count: int, road_length_m: float) -> float:
-    """Vehicles per km of road in a region."""
-    if road_length_m <= 0:
-        raise ValueError("region road length must be > 0")
-    return count / (road_length_m / 1000.0)
-
-
 class Fleet:
     """Vectorized vehicle population; behaviorally identical to applying
     the scalar stepper of tests/oracles.py per vehicle in index order."""
@@ -146,7 +135,6 @@ class Fleet:
         self.pos = np.zeros((n, 2))
         self.speed = rng.uniform(speed_range[0], speed_range[1], size=n)
         self.heading = np.zeros((n, 2))
-        self.segment_from = np.zeros(n, dtype=int)
         self.waypoint = np.zeros(n, dtype=int)
         self.nav_intent = np.zeros(n, dtype=int)
         self._spawn(rng, spawn_rsu)
@@ -162,7 +150,6 @@ class Fleet:
             else:
                 node = 0
                 self.pos[i] = net.intersections[node]
-                self.segment_from[i] = node
                 self.waypoint[i] = node
                 self.nav_intent[i] = node
                 continue
@@ -174,7 +161,6 @@ class Fleet:
             self.pos[i] = pa + u * (pb - pa)
             direction = pb - pa
             self.heading[i] = direction / np.linalg.norm(direction)
-            self.segment_from[i] = a
             self.waypoint[i] = b
             nxt = net.adjacency[b]
             self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
@@ -194,7 +180,6 @@ class Fleet:
         for i in np.flatnonzero(arriving):
             node = int(self.waypoint[i])
             self.pos[i] = net.intersections[node]
-            self.segment_from[i] = node
             adj = net.adjacency[node]
             if not adj:
                 continue
@@ -206,7 +191,3 @@ class Fleet:
             norm = np.linalg.norm(direction)
             if norm > 0:
                 self.heading[i] = direction / norm
-
-    def current_segment_of(self, i: int) -> tuple[int, int]:
-        a, b = int(self.segment_from[i]), int(self.waypoint[i])
-        return (a, b) if a < b else (b, a)

@@ -16,28 +16,16 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import edge as edge_mod
-from . import kernel, metrics, mobility
+from . import kernel, metrics
 from .cloud import (EpochRecord, KnowledgeGraph, OffloadDirective,
                     PolicyBlueprint, RegionEvolution, coordinate)
-from .edge import (EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
-                   UplinkPackage, assign_roles, fuse_labels, localize_policy,
-                   ols_slope)
-from .kernel import Engine, rng_stream, numpy_stream
+from .edge import (ROLES, EdgeServer, FusionWindow, LocalPolicy, ThinningCounter,
+                   UplinkPackage, assign_roles, fuse_labels, localize_policy)
+from .kernel import US_PER_S, Engine, rng_stream, numpy_stream
 from .local import BeaconSnapshot, decide_local
 from .metrics import TaskRecord, build_index_series
 from .mobility import Fleet, build_grid, serving_rsu
 from .scenario import ScenarioConfig
-
-US_PER_S = 1_000_000
-
-
-@dataclass
-class SimTask:
-    id: int
-    origin: int
-    cost_cu: float
-    tier: str | None = None
 
 
 @dataclass
@@ -61,31 +49,21 @@ class LabelLogEntry:
 
 
 class EdgeRuntime:
-    """Per-RSU edge twin state inside one simulation instance."""
+    """Per-RSU edge twin state inside one simulation instance.  Its
+    population is the vehicles it serves: ``current_rsu[v] == rsu_id``."""
 
-    def __init__(self, rsu_id: int, cfg: ScenarioConfig, policy: LocalPolicy):
+    def __init__(self, rsu_id: int, edge_cu_s: float, policy: LocalPolicy):
         self.rsu_id = rsu_id
-        self.cfg = cfg
-        self.members: dict[int, edge_mod.Member] = {}
-        self.server = EdgeServer(cfg.capacity.edge_cu_s)
+        self.server = EdgeServer(edge_cu_s)
         self.thinning = ThinningCounter()
         self.policy = policy
         self.pending_blueprint: PolicyBlueprint | None = None
         self.directive: OffloadDirective | None = None
         self.window = FusionWindow()
-        self.util_history: list[float] = []
-        self.speed_history: list[float] = []
         self.labels: tuple = ("Normal",)
         self.last_utilization = 0.0
         self.last_mean_speed: float | None = None
         self.rejected_blueprints = 0
-
-    def admit(self, device_id: int, now_us: int) -> None:
-        assert device_id not in self.members, "duplicate membership"
-        self.members[device_id] = edge_mod.Member(device_id, now_us)
-
-    def release(self, device_id: int) -> None:
-        self.members.pop(device_id, None)
 
     def directive_active(self, now_us: int) -> bool:
         return self.directive is not None and now_us < self.directive.expires_at_us
@@ -164,7 +142,6 @@ class Simulation:
         self._has_report = np.zeros(n, dtype=bool)
         self._rep_cq = np.zeros(n)
         self._rep_backlog = np.zeros(n)
-        self._rep_seg = np.zeros((n, 2), dtype=np.int64)
         # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
         # neighbor tables (indexed lazily on handoff attempts)
         self._beacon_snapshots: list[BeaconSnapshot] = []
@@ -179,7 +156,8 @@ class Simulation:
             cfg.policy.congestion_speed_threshold,
             tuple(cfg.policy.role_quotas),
         )
-        self.edges = [EdgeRuntime(r, cfg, init_policy) for r in range(cfg.n_rsus)]
+        self.edges = [EdgeRuntime(r, cfg.capacity.edge_cu_s, init_policy)
+                      for r in range(cfg.n_rsus)]
 
         # cloud twin
         adjacency = self.net.rsu_adjacency()
@@ -197,7 +175,6 @@ class Simulation:
         self.cloud_busy_until = 0
         self.epoch_rts: dict[int, list[int]] = {r: [] for r in range(cfg.n_rsus)}
         self.epoch_below: dict[int, int] = {r: 0 for r in range(cfg.n_rsus)}
-        self.epoch_total: dict[int, int] = {r: 0 for r in range(cfg.n_rsus)}
         self.epoch_records: list[EpochRecord] = []
         self.directive_log: list[DirectiveLogEntry] = []
         self.label_log: list[LabelLogEntry] = []
@@ -213,7 +190,8 @@ class Simulation:
         self._cloud = cfg.n_rsus
         self._veh = cfg.n_rsus + 1
         self._register_endpoints()
-        self._initial_membership()
+        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
+                                          None, cfg.grid.hysteresis_m)
         self._schedule_workload()
         self.engine.schedule(self._sense_us, self._tick, kind="tick")
 
@@ -226,12 +204,6 @@ class Simulation:
         eng.register(self._cloud, self._cloud_handler)
         for v in range(self.cfg.n_vehicles):
             eng.register(self._veh + v, self._make_vehicle_handler(v))
-
-    def _initial_membership(self) -> None:
-        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
-                                          None, self.cfg.grid.hysteresis_m)
-        for v, rsu in enumerate(self.current_rsu.tolist()):
-            self.edges[rsu].admit(v, 0)
 
     def _schedule_workload(self) -> None:
         cfg = self.cfg
@@ -270,13 +242,12 @@ class Simulation:
         self._schedule_next_task(v)
 
     def _spawn_task(self, v: int, cost: float) -> None:
-        now = self.engine.now
-        task = SimTask(len(self.records), v, cost)
-        rec = TaskRecord(task.id, v, now, origin_rsu=int(self.current_rsu[v]))
-        self.records.append(rec)
+        task = TaskRecord(len(self.records), v, self.engine.now,
+                          origin_rsu=int(self.current_rsu[v]), cost_cu=cost)
+        self.records.append(task)
         self._place_task(task)
 
-    def _place_task(self, task: SimTask) -> None:
+    def _place_task(self, task: TaskRecord) -> None:
         cfg = self.cfg
         v = task.origin
         rsu = int(self.current_rsu[v])
@@ -306,7 +277,7 @@ class Simulation:
         pending_us = max(0, int(self.local_busy_until[v]) - now_us)
         return pending_us / US_PER_S * self.cfg.capacity.local_cu_s
 
-    def _serve_local(self, server_vehicle: int, task: SimTask) -> None:
+    def _serve_local(self, server_vehicle: int, task: TaskRecord) -> None:
         now = self.engine.now
         cap = self.cfg.capacity.local_cu_s
         start = max(now, int(self.local_busy_until[server_vehicle]))
@@ -316,7 +287,7 @@ class Simulation:
         self.engine.schedule(finish, self._local_done, server_vehicle, task, kind="compute")
         self._check_backlog_trigger(server_vehicle)
 
-    def _local_done(self, server_vehicle: int, task: SimTask) -> None:
+    def _local_done(self, server_vehicle: int, task: TaskRecord) -> None:
         if server_vehicle == task.origin:
             self._complete_task(task)
         else:
@@ -355,14 +326,13 @@ class Simulation:
                                  self.rng_loss, on_drop=self._drop_task)
         return handler
 
-    def _edge_task(self, r: int, task: SimTask, relayed: bool) -> None:
+    def _edge_task(self, r: int, task: TaskRecord, relayed: bool) -> None:
         cfg = self.cfg
         e = self.edges[r]
         now = self.engine.now
-        rec = self.records[task.id]
         if not relayed:
-            rec.edge_arrival_us = now
-            rec.overloaded_at_arrival = "Overload" in e.labels
+            task.edge_arrival_us = now
+            task.overloaded_at_arrival = "Overload" in e.labels
         if cfg.mode == "cloud_only":
             self.engine.send(self._cloud, ("task", task), cfg.workload.request_bytes,
                              self.links["r2c"], self.rng_loss, on_drop=self._drop_task)
@@ -382,12 +352,10 @@ class Simulation:
         task.tier = "PartnerEdge" if relayed else "Edge"
         self.engine.schedule(finish, self._edge_done, r, task, kind="compute")
 
-    def _edge_done(self, r: int, task: SimTask) -> None:
-        e = self.edges[r]
-        e.window.processed_cu += task.cost_cu
+    def _edge_done(self, r: int, task: TaskRecord) -> None:
+        self.edges[r].window.processed_cu += task.cost_cu
         v = task.origin
-        serving_rsu = r if task.tier == "Edge" else None
-        if serving_rsu is not None and v not in e.members:
+        if task.tier == "Edge" and self.current_rsu[v] != r:
             # member left during service: forward the result via the cloud relay
             self.engine.send(self._cloud, ("relay_result", task),
                              self.cfg.workload.response_bytes, self.links["r2c"],
@@ -398,24 +366,23 @@ class Simulation:
                          self.rng_loss, on_drop=self._drop_task)
 
     def _edge_report(self, r: int, report: tuple) -> None:
-        """report is (device, mean_speed, channel_quality, segment, backlog_cu)."""
-        e = self.edges[r]
+        """report is (device, mean_speed, channel_quality, backlog_cu)."""
         device = report[0]
-        if device not in e.members:
+        if self.current_rsu[device] != r:
             return
-        e.window.speed_sum += report[1]
-        e.window.speed_count += 1
+        w = self.edges[r].window
+        w.speed_sum += report[1]
+        w.speed_count += 1
         self._has_report[device] = True
         self._rep_cq[device] = report[2]
-        self._rep_seg[device] = report[3]
-        self._rep_backlog[device] = report[4]
+        self._rep_backlog[device] = report[3]
 
     def _deliver_reports(self, batch: tuple, indices: list) -> None:
         """The reports of one batch that got through, as ``_edge_report``
         would take them one by one in vehicle order: an edge keeps those of
         its members (vehicles it still serves) and adds their mean speeds in
         that order."""
-        rsu, speed, cq, seg, backlog = batch
+        rsu, speed, cq, backlog = batch
         v = np.array(indices)
         v = v[self.current_rsu[v] == rsu[v]]
         for e in self.edges:
@@ -428,7 +395,6 @@ class Simulation:
             w.speed_count += len(mine)
         self._has_report[v] = True
         self._rep_cq[v] = cq[v]
-        self._rep_seg[v] = seg[v]
         self._rep_backlog[v] = backlog[v]
 
     # -- cloud -------------------------------------------------------------
@@ -450,10 +416,10 @@ class Simulation:
         elif kind == "uplink":
             self.graph.ingest(payload[1])
 
-    def _cloud_done(self, task: SimTask) -> None:
+    def _cloud_done(self, task: TaskRecord) -> None:
         self._route_result_to_vehicle(task)
 
-    def _route_result_to_vehicle(self, task: SimTask) -> None:
+    def _route_result_to_vehicle(self, task: TaskRecord) -> None:
         rsu = int(self.current_rsu[task.origin])
         self.engine.send(rsu, ("result", task),
                          self.cfg.workload.response_bytes, self.links["r2c"],
@@ -470,28 +436,19 @@ class Simulation:
                 self._serve_local(v, payload[1])
         return handler
 
-    def _complete_task(self, task: SimTask) -> None:
-        rec = self.records[task.id]
-        if rec.completed_us is not None or rec.dropped:
+    def _complete_task(self, task: TaskRecord) -> None:
+        if task.completed_us is not None or task.dropped:
             return
-        rec.completed_us = self.engine.now
-        rec.tier = task.tier
-        region = rec.origin_rsu
-        self.epoch_rts[region].append(rec.rt_us)
-        self.epoch_total[region] += 1
-        below = rec.tier in metrics.BELOW_CLOUD
-        if below:
+        task.completed_us = self.engine.now
+        region = task.origin_rsu
+        self.epoch_rts[region].append(task.rt_us)
+        if task.tier in metrics.BELOW_CLOUD:
             self.epoch_below[region] += 1
-        e = self.edges[region]
-        e.window.completed_tasks += 1
-        if below:
-            e.window.completed_below_cloud += 1
 
     def _drop_task(self, payload) -> None:
         task = payload[1]
-        rec = self.records[task.id]
-        if rec.completed_us is None:
-            rec.dropped = True
+        if task.completed_us is None:
+            task.dropped = True
 
     # -- periodic machinery ------------------------------------------------
 
@@ -520,10 +477,8 @@ class Simulation:
             self.fleet.pos, self.rsu_pos, self.rsu_radii, old, self.cfg.grid.hysteresis_m)
         moved = np.flatnonzero(self.current_rsu != old)
         self._has_report[moved] = False
+        self._role_code[moved] = 0
         for v in moved:
-            self.edges[old[v]].release(v)
-            self.edges[self.current_rsu[v]].admit(v, now)
-            self._role_code[v] = 0
             self._send_report(v)
 
     def _sense(self, now: int) -> None:
@@ -538,17 +493,14 @@ class Simulation:
         their edges in one delivery event (``_deliver_reports``); a lost one
         retransmits as a report tuple."""
         cfg = self.cfg
-        fleet = self.fleet
         self._report_speed = speed = self.speed_buf.mean(axis=1)
         self._report_cq = cq = self.cq_buf[:, -1].copy()
-        seg = np.sort(np.stack([fleet.segment_from, fleet.waypoint], axis=1), axis=1)
         backlog = (np.maximum(self.local_busy_until - now, 0) / US_PER_S
                    * cfg.capacity.local_cu_s)
-        batch = (self.current_rsu, speed, cq, seg, backlog)
+        batch = (self.current_rsu, speed, cq, backlog)
 
         def payload(v):
-            lo, hi = seg[v].tolist()
-            return "report", (v, float(speed[v]), float(cq[v]), (lo, hi), float(backlog[v]))
+            return "report", (v, float(speed[v]), float(cq[v]), float(backlog[v]))
 
         self.engine.send_batch(self.current_rsu.tolist(), cfg.workload.report_bytes,
                                self.links["v2r"], self.rng_loss,
@@ -556,12 +508,10 @@ class Simulation:
 
     def _send_report(self, v: int) -> None:
         """Out-of-cycle report (RSU handover, backlog trigger): the latest
-        window's speed and channel quality with the current segment and
-        backlog."""
+        window's speed and channel quality with the current backlog."""
         if self._report_speed is None:
             return
         report = (v, float(self._report_speed[v]), float(self._report_cq[v]),
-                  self.fleet.current_segment_of(v),
                   self._local_backlog_cu(v, self.engine.now))
         self.engine.send(int(self.current_rsu[v]), ("report", report),
                          self.cfg.workload.report_bytes, self.links["v2r"], self.rng_loss)
@@ -624,7 +574,7 @@ class Simulation:
             bp = e.pending_blueprint
             e.pending_blueprint = None
             try:
-                e.policy = localize_policy(bp.params(), bp.epoch, bp.blueprint_id,
+                e.policy = localize_policy(bp.params(),
                                            congestion_active="Congestion" in e.labels)
             except ValueError:
                 e.rejected_blueprints += 1
@@ -643,41 +593,20 @@ class Simulation:
             labels = ("Normal",)
         e.labels = labels
         e.last_utilization = utilization
-        e.util_history.append(utilization)
-        e.speed_history.append(mean_speed)
         self.label_log.append(LabelLogEntry(now, e.rsu_id, labels, utilization, mean_speed))
-
-        reported = np.flatnonzero(self._has_report & (self.current_rsu == e.rsu_id))
-        density = {}
-        seg_members: dict = {}
-        for seg in map(tuple, self._rep_seg[reported].tolist()):
-            seg_members[seg] = seg_members.get(seg, 0) + 1
-        for seg_idx in self.net.region_segments(e.rsu_id):
-            seg = self.net.segments[seg_idx]
-            density[seg_idx] = mobility.vehicle_density(seg_members.get(seg, 0),
-                                                        self.net.segment_length(seg_idx))
-
-        autonomy_w = (w.completed_below_cloud / w.completed_tasks
-                      if w.completed_tasks else 1.0)
-        package = UplinkPackage(
-            rsu_id=e.rsu_id, t0_us=now - window_us, t1_us=now,
-            event_labels=labels, mean_speed=mean_speed, density_map=density,
-            utilization=utilization,
-            trend_utilization=ols_slope(e.util_history[-6:]),
-            trend_speed=ols_slope(e.speed_history[-6:]),
-            autonomy_window=autonomy_w,
-        )
-        self.engine.send(self._cloud, ("uplink", package), cfg.workload.uplink_bytes,
-                         self.links["r2c"], self.rng_loss)
+        self.engine.send(self._cloud, ("uplink", UplinkPackage(e.rsu_id, labels, utilization)),
+                         cfg.workload.uplink_bytes, self.links["r2c"], self.rng_loss)
         e.window = FusionWindow()
 
         # role churn follows the fused picture
+        members = self.current_rsu == e.rsu_id
+        reported = np.flatnonzero(self._has_report & members)
         ids = reported.tolist()
         cq = dict(zip(ids, self._rep_cq[reported].tolist()))
         idle = dict(zip(ids, (cfg.capacity.local_cu_s - self._rep_backlog[reported]).tolist()))
-        assigned = assign_roles(e.members, e.policy.role_quotas, cq, idle)
+        assigned = assign_roles(np.flatnonzero(members).tolist(), e.policy.role_quotas, cq, idle)
         for d, role in assigned.items():
-            self._role_code[d] = edge_mod.ROLES.index(role)
+            self._role_code[d] = ROLES.index(role)
 
     def _epoch_boundary(self, now: int) -> None:
         cfg = self.cfg
@@ -688,14 +617,12 @@ class Simulation:
             evaluated = evo.candidate if evo.candidate is not None else evo.kept
             rts = self.epoch_rts[r]
             med = metrics.median(rts) if rts else None
-            total = self.epoch_total[r]
-            autonomy = self.epoch_below[r] / total if total else None
+            autonomy = self.epoch_below[r] / len(rts) if rts else None
             decision, _ = evo.close_epoch(med)
             self.epoch_records.append(
                 EpochRecord(epoch_idx, r, evaluated, med, autonomy, decision))
             self.epoch_rts[r] = []
             self.epoch_below[r] = 0
-            self.epoch_total[r] = 0
         if now >= cfg.duration_us:
             return
         fractions = {}

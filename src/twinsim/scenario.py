@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .kernel import LinkSpec
+from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
-
-US_PER_S = 1_000_000
 
 
 @dataclass
@@ -145,19 +143,36 @@ class ScenarioConfig:
         return round(self.duration_s * US_PER_S)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str):
+    """``value`` if it is a number (JSON true/false is not), else a
+    ConfigError that names the key."""
+    if not _is_number(value):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return value
+
+
 def _fill(obj, data: dict, path: str):
     known = set(obj.__dataclass_fields__)
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key: {path}{key}")
         current = getattr(obj, key)
+        name = f"{path}{key}"
         if isinstance(current, (GridConfig, WorkloadConfig, CapacityConfig,
                                 ThresholdConfig, PeriodConfig, PolicyConfig)):
             if not isinstance(value, dict):
-                raise ConfigError(f"{path}{key}: expected an object")
-            _fill(current, value, f"{path}{key}.")
-        elif isinstance(current, tuple) and value is not None:
-            setattr(obj, key, tuple(value))
+                raise ConfigError(f"{name}: expected an object")
+            _fill(current, value, f"{name}.")
+        elif isinstance(current, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name}: expected a list of numbers")
+            setattr(obj, key, tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value)))
+        elif _is_number(current):
+            setattr(obj, key, _number(value, name))
         else:
             setattr(obj, key, value)
 
@@ -172,11 +187,13 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         for name, spec in links.items():
             if name not in cfg.links:
                 raise ConfigError(f"unknown key: links.{name}")
+            if not isinstance(spec, dict):
+                raise ConfigError(f"links.{name}: expected an object")
             base = cfg.links[name]
             for k, v in spec.items():
                 if k not in base.__dataclass_fields__:
                     raise ConfigError(f"unknown key: links.{name}.{k}")
-                setattr(base, k, v)
+                setattr(base, k, _number(v, f"links.{name}.{k}"))
     if "hotspot" in data:
         hs = data.pop("hotspot")
         if hs is not None:
@@ -189,9 +206,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
             extra = set(entry) - {"device", "at_s", "cost_cu"}
             if extra:
                 raise ConfigError(f"unknown key: scripted_tasks[{i}].{extra.pop()}")
-            cfg.scripted_tasks.append(
-                ScriptedTask(int(entry["device"]), float(entry["at_s"]), float(entry["cost_cu"]))
-            )
+            device, at_s, cost_cu = (_number(entry.get(k), f"scripted_tasks[{i}].{k}")
+                                     for k in ("device", "at_s", "cost_cu"))
+            cfg.scripted_tasks.append(ScriptedTask(int(device), float(at_s), float(cost_cu)))
     _fill(cfg, data, "")
     validate(cfg)
     return cfg
@@ -206,12 +223,15 @@ def validate(cfg: ScenarioConfig) -> None:
     check(cfg.grid.spacing_m > 0, "grid.spacing_m", "must be > 0")
     check(cfg.grid.rsu_radius_m > 0, "grid.rsu_radius_m", "must be > 0")
     check(cfg.grid.hysteresis_m >= 0, "grid.hysteresis_m", "must be >= 0")
-    check(cfg.vehicles_per_rsu >= 0, "vehicles_per_rsu", "must be >= 0")
+    check(cfg.vehicles_per_rsu >= 1, "vehicles_per_rsu", "must be >= 1")
     check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1], "speed_range_mps", "invalid range")
     for name, link in cfg.links.items():
         check(link.bandwidth_bps > 0, f"links.{name}.bandwidth_bps", "must be > 0")
         check(0 <= link.loss_prob < 1, f"links.{name}.loss_prob", "must be in [0, 1)")
         check(link.max_attempts >= 1, f"links.{name}.max_attempts", "must be >= 1")
+        # a negative delay schedules a delivery or retransmission in the past
+        for key in ("base_latency_ms", "retx_timeout_ms"):
+            check(getattr(link, key) >= 0, f"links.{name}.{key}", "must be >= 0")
     w = cfg.workload
     check(w.task_rate_hz >= 0, "workload.task_rate_hz", "must be >= 0")
     check(0 < w.cost_range_cu[0] <= w.cost_range_cu[1], "workload.cost_range_cu", "invalid range")

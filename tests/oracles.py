@@ -28,7 +28,6 @@ class VehicleState:
     position: np.ndarray       # (2,) meters
     speed: float               # m/s
     heading: np.ndarray        # unit vector
-    segment_from: int          # intersection id behind the vehicle
     waypoint: int              # intersection id ahead
     nav_intent: int            # planned intersection after the waypoint
 
@@ -52,7 +51,6 @@ def step_vehicle(
         v.position = v.position + v.heading * move
     else:
         v.position = target.copy()
-        v.segment_from = v.waypoint
         adj = net.adjacency[v.waypoint]
         if adj:
             v.waypoint = adj[int(rng.integers(len(adj)))]

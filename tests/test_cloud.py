@@ -17,11 +17,10 @@ def bp(target=0, epoch=0, **overrides):
 
 
 class Package:
-    def __init__(self, rsu_id, labels=("Normal",), utilization=0.2, mean_speed=10.0):
+    def __init__(self, rsu_id, labels=("Normal",), utilization=0.2):
         self.rsu_id = rsu_id
         self.event_labels = labels
         self.utilization = utilization
-        self.mean_speed = mean_speed
 
 
 def lattice_graph():
@@ -29,14 +28,6 @@ def lattice_graph():
     adjacency = {0: [1, 3], 1: [0, 2, 4], 2: [1, 5],
                  3: [0, 4], 4: [1, 3, 5], 5: [2, 4]}
     return KnowledgeGraph(list(range(6)), adjacency)
-
-
-def test_ring_buffer_capacity():
-    graph = KnowledgeGraph([0], {0: []}, ring_capacity=100)
-    for i in range(150):
-        assert graph.ingest(Package(0, utilization=i / 150))
-    assert len(graph.nodes[0].history) == 100
-    assert graph.nodes[0].history[0].utilization == pytest.approx(50 / 150)
 
 
 def test_ingest_rejects_unknown_region():
@@ -54,13 +45,6 @@ def test_ingest_latches_labels():
     assert graph.nodes[2].utilization == pytest.approx(0.95)
 
 
-def test_trend_uses_last_six():
-    graph = KnowledgeGraph([0], {0: []})
-    for u in [0.9, 0.9, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5]:
-        graph.ingest(Package(0, utilization=u))
-    assert graph.trend(0, "utilization") == pytest.approx(0.1)
-
-
 def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
     graph = lattice_graph()
     graph.ingest(Package(1, labels=("Overload",), utilization=0.95))
@@ -74,7 +58,6 @@ def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
     assert d.fraction == 0.25
     assert d.epoch == 3
     assert d.expires_at_us == 90_000_000
-    assert graph.active_pairings == {1: 2}
 
 
 def test_coordinate_exclusive_partners():
@@ -92,7 +75,6 @@ def test_coordinate_no_eligible_partner():
     graph = lattice_graph()
     graph.ingest(Package(0, labels=("Overload",), utilization=0.9))
     assert coordinate(graph, {0: 0.2}, 1, 0) == []
-    assert graph.active_pairings == {}
 
 
 def test_evaluate_epoch_strict_tolerance():

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module under
-src/twinsim imports is referenced in that module."""
+src/twinsim imports is referenced in that module, and every function, class
+and method defined under src/twinsim is referenced somewhere in it."""
 import ast
 from pathlib import Path
 
@@ -46,3 +47,47 @@ def test_unused_import_is_caught():
                      "import os.path\nfrom json import dumps, loads as load\n"
                      "__all__ = ['dumps']\n")
     assert set(imported_names(tree)) - referenced_names(tree) == {"os", "load"}
+
+
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Function, class and method name -> line number; dunders are exempt."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """``referenced_names`` plus every attribute read (``obj.name``)."""
+    return referenced_names(tree) | {node.attr for node in ast.walk(tree)
+                                     if isinstance(node, ast.Attribute)}
+
+
+def unreferenced(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """Definitions no module of ``trees`` uses, as ``"file:name" -> line``."""
+    used = set().union(*map(used_names, trees.values()))
+    return {f"{name}:{d}": line for name, tree in trees.items()
+            for d, line in defined_names(tree).items() if d not in used}
+
+
+# Read only from outside src/twinsim by design: ``RunResult.in_flight`` and
+# ``MessageCounters.in_flight`` are the task and message conservation
+# counters that the benchmark (perfbench/child.py) and the tests check.
+READ_OUTSIDE_SRC = {"runner.py:in_flight", "kernel.py:in_flight"}
+
+
+def test_no_unreferenced_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    found = set(unreferenced(trees)) - READ_OUTSIDE_SRC
+    assert found == set(), f"defined under src/twinsim but never referenced there: {found}"
+
+
+def test_unreferenced_definition_is_caught():
+    trees = {"a.py": ast.parse("__all__ = ['Exported']\n"
+                               "class Exported:\n"
+                               "    def __init__(self): self.helper()\n"
+                               "    def helper(self): pass\n"
+                               "    def orphan(self): pass\n"
+                               "def called(): pass\n"
+                               "def lonely(): pass\n"),
+             "b.py": ast.parse("from a import called\ncalled()\n")}
+    assert set(unreferenced(trees)) == {"a.py:orphan", "a.py:lonely"}

@@ -92,14 +92,16 @@ def test_coordination_capped_at_one():
 
 
 def _csv_writer_tasks(records):
-    """The csv.writer form of tasks.csv that tasks_csv must reproduce."""
+    """The csv.writer form of tasks.csv that tasks_csv must reproduce: the
+    tier of a task that was served but never completed stays blank."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TASKS_HEADER)
     for r in sorted(records, key=lambda r: (r.created_us, r.task_id)):
+        done = r.completed_us is not None
         w.writerow([r.task_id, r.origin, r.created_us,
-                    r.completed_us if r.completed_us is not None else "",
-                    r.tier or "", r.rt_us if r.rt_us is not None else "",
+                    r.completed_us if done else "",
+                    r.tier if done else "", r.rt_us if done else "",
                     1 if r.dropped else 0])
     return buf.getvalue()
 
@@ -111,12 +113,15 @@ def test_tasks_csv_matches_csv_writer():
         created = rng.randrange(0, 50) * 1000
         rec = TaskRecord(i, rng.randrange(30), created)
         kind = rng.randrange(3)
+        if rng.randrange(2):
+            rec.tier = rng.choice(TIERS)  # served
         if kind == 0:
             rec.completed_us = created + rng.randrange(1, 10**7)
             rec.tier = rng.choice(TIERS)
         elif kind == 1:
             rec.dropped = True
         records.append(rec)
+    assert any(r.tier and r.completed_us is None for r in records)
     assert tasks_csv(records) == _csv_writer_tasks(records)
 
 

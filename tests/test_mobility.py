@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from twinsim.kernel import numpy_stream
-from twinsim.mobility import (ConfigError, Fleet, build_grid, serving_rsu,
-                              vehicle_density)
+from twinsim.mobility import ConfigError, Fleet, build_grid, serving_rsu
 
 from oracles import VehicleState, covering_rsu, step_vehicle
 
@@ -17,7 +16,9 @@ def test_grid_geometry(grid):
     assert len(grid.intersections) == 6
     # 2x3 lattice: 4 horizontal + 3 vertical segments
     assert len(grid.segments) == 7
-    assert sum(grid.segment_length(i) for i in range(7)) == pytest.approx(7000.0)
+    a, b = np.array(grid.segments).T
+    lengths = np.linalg.norm(grid.intersections[b] - grid.intersections[a], axis=1)
+    assert lengths.sum() == pytest.approx(7000.0)
     assert len(grid.rsus) == 6
 
 
@@ -91,11 +92,6 @@ def test_covering_rsu_uncovered_returns_none(grid):
     assert covering_rsu(grid, np.array([5000.0, 5000.0]), 0) is None
 
 
-def test_vehicle_density():
-    assert vehicle_density(10, 2000.0) == pytest.approx(5.0)
-    assert vehicle_density(0, 1000.0) == 0.0
-
-
 def test_step_vehicle_consumes_waypoint_on_arrival(grid):
     rng = numpy_stream(0, "mobility")
     v = VehicleState(
@@ -103,14 +99,12 @@ def test_step_vehicle_consumes_waypoint_on_arrival(grid):
         position=np.array([990.0, 0.0]),
         speed=10.0,
         heading=np.array([1.0, 0.0]),
-        segment_from=0,
         waypoint=1,
         nav_intent=2,
     )
     step_vehicle(v, 2.0, rng, grid)
     # arrived at node 1 and drew a fresh waypoint among its neighbors
     np.testing.assert_allclose(v.position, grid.intersections[1])
-    assert v.segment_from == 1
     assert v.waypoint in grid.adjacency[1]
     assert v.nav_intent in grid.adjacency[v.waypoint]
 
@@ -123,8 +117,8 @@ def test_fleet_matches_scalar_stepper(grid):
 
     scalars = [
         VehicleState(i, fleet.pos[i].copy(), float(fleet.speed[i]),
-                     fleet.heading[i].copy(), int(fleet.segment_from[i]),
-                     int(fleet.waypoint[i]), int(fleet.nav_intent[i]))
+                     fleet.heading[i].copy(), int(fleet.waypoint[i]),
+                     int(fleet.nav_intent[i]))
         for i in range(fleet.n)
     ]
     for _ in range(200):
@@ -140,9 +134,11 @@ def test_fleet_matches_scalar_stepper(grid):
 def test_fleet_spawns_on_region_segments(grid):
     spawn = np.repeat(np.arange(6), 10)
     fleet = Fleet(grid, 60, numpy_stream(0, "mobility"), spawn_rsu=spawn)
-    # each vehicle starts within its assigned region's incident segments
+    # each vehicle starts on one of its assigned region's incident segments
     for i in range(60):
-        region = int(spawn[i])
-        seg = fleet.current_segment_of(i)
-        region_segs = {grid.segments[s] for s in grid.region_segments(region)}
-        assert seg in region_segs
+        on_segment = []
+        for s in grid.region_segments(int(spawn[i])):
+            pa, pb = (grid.intersections[n] for n in grid.segments[s])
+            u = np.dot(fleet.pos[i] - pa, pb - pa) / np.dot(pb - pa, pb - pa)
+            on_segment.append(0 <= u <= 1 and np.allclose(pa + u * (pb - pa), fleet.pos[i]))
+        assert any(on_segment)

@@ -158,11 +158,10 @@ def test_batched_reports_match_per_vehicle_fields():
         now = sim.engine.now
         assert dsts == sim.current_rsu.tolist()
         for v in range(sim.cfg.n_vehicles):
-            kind, (device, mean_speed, cq, seg, backlog) = payload(v)
+            kind, (device, mean_speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
             assert mean_speed == pytest.approx(sum(sim.speed_buf[v]) / sim.sense_slots)
             assert cq == sim.cq_buf[v, -1]
-            assert seg == sim.fleet.current_segment_of(v)
             assert backlog == sim._local_backlog_cu(v, now)
             assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0
@@ -203,7 +202,7 @@ def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
         sim._fuse_and_uplink = recording_fuse
         result = sim.run()
         held = (sim._has_report.tolist(), sim._rep_cq.tolist(),
-                sim._rep_backlog.tolist(), sim._rep_seg.tolist())
+                sim._rep_backlog.tolist())
         return result, roles, held, len(lost)
 
     (batched, roles_b, held_b, lost), (single, roles_s, held_s, _) = run(True), run(False)

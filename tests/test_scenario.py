@@ -178,3 +178,52 @@ def test_link_to_spec_unit_conversion():
     assert spec.base_latency_us == 5_000
     assert spec.retx_timeout_us == 20_000
     assert spec.max_attempts == 3
+
+
+@pytest.mark.parametrize("data,path", [
+    ({"vehicles_per_rsu": "200"}, r"vehicles_per_rsu"),
+    ({"periods": {"sense_ms": "100"}}, r"periods\.sense_ms"),
+    ({"thresholds": {"v2v_range_m": "150"}}, r"thresholds\.v2v_range_m"),
+])
+def test_string_where_number_belongs_rejected(data, path):
+    # each raised TypeError in validation (CLI exit 1)
+    with pytest.raises(ConfigError, match=rf"{path}: expected a number"):
+        parse_scenario(data)
+
+
+def test_non_numbers_rejected_with_path():
+    for data, path in (({"grid": {"rows": True}}, r"grid\.rows"),
+                       ({"links": {"v2r": {"loss_prob": None}}}, r"links\.v2r\.loss_prob"),
+                       ({"hotspot": {"rate_multiplier": "12"}}, r"hotspot\.rate_multiplier"),
+                       ({"workload": {"cost_range_cu": [1.0, "10"]}},
+                        r"workload\.cost_range_cu\[1\]"),
+                       ({"speed_range_mps": 8.0}, r"speed_range_mps"),
+                       ({"scripted_tasks": [{"device": "0", "at_s": 1.0, "cost_cu": 2.0}]},
+                        r"scripted_tasks\[0\]\.device"),
+                       ({"scripted_tasks": [{"device": 0, "cost_cu": 2.0}]},
+                        r"scripted_tasks\[0\]\.at_s")):
+        with pytest.raises(ConfigError, match=path):
+            parse_scenario(data)
+
+
+def test_cli_run_rejects_string_number(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"vehicles_per_rsu": "200"}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "vehicles_per_rsu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["base_latency_ms", "retx_timeout_ms"])
+def test_link_times_not_negative(key):
+    # a negative time raised CausalityError mid-run
+    parse_scenario({"links": {"v2v": {key: 0.0}}})
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match=rf"links\.v2v\.{key}"):
+            parse_scenario({"links": {"v2v": {key: value}}})
+
+
+def test_at_least_one_vehicle_per_rsu():
+    # 0 vehicles ran, and then summarize raised on the empty record set
+    parse_scenario({"vehicles_per_rsu": 1})
+    with pytest.raises(ConfigError, match="vehicles_per_rsu"):
+        parse_scenario({"vehicles_per_rsu": 0})
