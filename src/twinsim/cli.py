@@ -110,25 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario")
-    run_p.add_argument("--scenario", help="scenario JSON file (defaults apply if omitted)")
-    run_p.add_argument("--mode", choices=["layered", "cloud_only"])
+    sweep_p = sub.add_parser("sweep", help="run one scenario across a seed range")
+    for p in (run_p, sweep_p):
+        p.add_argument("--scenario", help="scenario JSON file (defaults apply if omitted)")
+        p.add_argument("--mode", choices=["layered", "cloud_only"])
+        p.add_argument("--duration", type=float, help="duration in seconds")
+        p.add_argument("--out", help="directory for run artifacts")
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--duration", type=float, help="duration in seconds")
-    run_p.add_argument("--out", help="directory for run artifacts")
     run_p.set_defaults(fn=cmd_run)
+    sweep_p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    sweep_p.add_argument("--seeds", default="0..9", help="e.g. 0..9 or 0,2,5")
+    sweep_p.set_defaults(fn=cmd_sweep)
 
     sum_p = sub.add_parser("summarize", help="summarize a finished run directory")
     sum_p.add_argument("--in", dest="indir", required=True)
     sum_p.set_defaults(fn=cmd_summarize)
-
-    sweep_p = sub.add_parser("sweep", help="run one scenario across a seed range")
-    sweep_p.add_argument("--scenario")
-    sweep_p.add_argument("--mode", choices=["layered", "cloud_only"])
-    sweep_p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    sweep_p.add_argument("--duration", type=float)
-    sweep_p.add_argument("--seeds", default="0..9", help="e.g. 0..9 or 0,2,5")
-    sweep_p.add_argument("--out")
-    sweep_p.set_defaults(fn=cmd_sweep)
     return parser
 
 

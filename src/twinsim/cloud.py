@@ -1,6 +1,10 @@
 """Cloud twin: cross-regional knowledge graph of the latest region labels
 and utilization, (1+1)-style blueprint evolution with rollback, and
 overload/underload pairing directives.
+
+``CloudTwin``, the kernel endpoint after the last RSU, owns the cloud FIFO
+and the results it routes to a vehicle's current RSU, the uplink ingest,
+each region's per-epoch completion tallies, and the epoch boundary.
 """
 from __future__ import annotations
 
@@ -8,6 +12,9 @@ import json
 from dataclasses import dataclass
 
 from .edge import PARAM_RANGES, clamp
+from .kernel import US_PER_S
+from .local import drop_task
+from .metrics import BELOW_CLOUD, median
 
 # round-robin mutation order, one parameter per epoch
 MUTATION_ORDER = (
@@ -46,12 +53,7 @@ def blueprint_to_json(bp: PolicyBlueprint) -> str:
         "target": bp.target,
         "epoch": bp.epoch,
         "parent": bp.parent_id,
-        "params": {
-            "local_serve_threshold": bp.local_serve_threshold,
-            "offload_fraction": bp.offload_fraction,
-            "congestion_speed_threshold": bp.congestion_speed_threshold,
-            "role_quotas": list(bp.role_quotas),
-        },
+        "params": {**bp.params(), "role_quotas": list(bp.role_quotas)},
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -123,12 +125,7 @@ def mutate_blueprint(parent: PolicyBlueprint, epoch: int, rng) -> PolicyBlueprin
     """(1+1)-ES step: one parameter chosen round-robin per epoch, Gaussian
     perturbation with sigma = 10% of the parameter's range, clamped."""
     which = MUTATION_ORDER[(epoch - 1) % len(MUTATION_ORDER)]
-    child = {
-        "local_serve_threshold": parent.local_serve_threshold,
-        "offload_fraction": parent.offload_fraction,
-        "congestion_speed_threshold": parent.congestion_speed_threshold,
-        "role_quotas": parent.role_quotas,
-    }
+    child = parent.params()
     if which == "role_quotas":
         lo, hi = PARAM_RANGES["acquisition_quota"]
         sigma = 0.1  # 10% of the unit quota scale
@@ -152,16 +149,8 @@ def mutate_blueprint(parent: PolicyBlueprint, epoch: int, rng) -> PolicyBlueprin
     else:
         lo, hi = PARAM_RANGES[which]
         sigma = 0.1 * (hi - lo)
-        child[which] = clamp(parent.params()[which] + rng.gauss(0.0, sigma), lo, hi)
-    return PolicyBlueprint(
-        target=parent.target,
-        epoch=epoch,
-        parent_id=parent.blueprint_id,
-        local_serve_threshold=child["local_serve_threshold"],
-        offload_fraction=child["offload_fraction"],
-        congestion_speed_threshold=child["congestion_speed_threshold"],
-        role_quotas=tuple(child["role_quotas"]),
-    )
+        child[which] = clamp(child[which] + rng.gauss(0.0, sigma), lo, hi)
+    return PolicyBlueprint(parent.target, epoch, parent.blueprint_id, **child)
 
 
 def evaluate_epoch(prev_kept_median_us: float | None,
@@ -225,3 +214,94 @@ class RegionEvolution:
     def open_epoch(self, epoch: int, rng) -> PolicyBlueprint:
         self.candidate = mutate_blueprint(self.kept, epoch, rng)
         return self.candidate
+
+
+@dataclass
+class DirectiveLogEntry:
+    issued_us: int
+    epoch: int
+    from_rsu: int
+    to_rsu: int
+    fraction: float
+    from_labels: tuple
+    to_labels: tuple
+
+
+class CloudTwin:
+    """The one cloud twin; ``world`` is the runner's read-only view."""
+
+    def __init__(self, world, epoch_us: int):
+        cfg = self.cfg = world.cfg
+        self.engine = world.engine
+        self.links = world.links
+        self.current_rsu = world.current_rsu
+        self.rng_loss = world.rng_loss
+        self.rng_mutation = world.rng_mutation
+        self.epoch_us = epoch_us
+        regions = range(cfg.n_rsus)
+        self.graph = KnowledgeGraph(list(regions), world.net.rsu_adjacency())
+        self.evolutions = {r: RegionEvolution(PolicyBlueprint(r, 0, None, **cfg.policy.params()))
+                           for r in regions}
+        self.busy_until = 0
+        # per region: response times and below-cloud completions this epoch
+        self.epoch_rts: dict[int, list[int]] = {r: [] for r in regions}
+        self.epoch_below: dict[int, int] = {r: 0 for r in regions}
+        self.epoch_records: list[EpochRecord] = []
+        self.directive_log: list[DirectiveLogEntry] = []
+
+    def receive(self, payload) -> None:
+        kind = payload[0]
+        if kind == "task":
+            task = payload[1]
+            start = max(self.engine.now, self.busy_until)
+            finish = start + round(task.cost_cu / self.cfg.capacity.cloud_cu_s * US_PER_S)
+            self.busy_until = finish
+            task.tier = "Cloud"
+            self.engine.schedule(finish, self._route_result, task, kind="compute")
+        elif kind == "relay_result":
+            self._route_result(payload[1])
+        elif kind == "uplink":
+            self.graph.ingest(payload[1])
+
+    def _route_result(self, task) -> None:
+        """Send a result to the edge that serves its vehicle now."""
+        rsu = int(self.current_rsu[task.origin])
+        self.engine.send(rsu, ("result", task),
+                         self.cfg.workload.response_bytes, self.links["r2c"],
+                         self.rng_loss, on_drop=drop_task)
+
+    def tally(self, task) -> None:
+        """A completed task counts toward its origin region's epoch."""
+        self.epoch_rts[task.origin_rsu].append(task.rt_us)
+        if task.tier in BELOW_CLOUD:
+            self.epoch_below[task.origin_rsu] += 1
+
+    def epoch_boundary(self, now: int, epoch_idx: int) -> None:
+        """Close epoch ``epoch_idx``; unless the run ends, open the next."""
+        for r in sorted(self.evolutions):
+            evo = self.evolutions[r]
+            evaluated = evo.candidate if evo.candidate is not None else evo.kept
+            rts = self.epoch_rts[r]
+            med = median(rts) if rts else None
+            autonomy = self.epoch_below[r] / len(rts) if rts else None
+            decision, _ = evo.close_epoch(med)
+            self.epoch_records.append(
+                EpochRecord(epoch_idx, r, evaluated, med, autonomy, decision))
+            self.epoch_rts[r] = []
+            self.epoch_below[r] = 0
+        if now >= self.cfg.duration_us:
+            return
+        fractions = {}
+        for r in sorted(self.evolutions):
+            candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
+            fractions[r] = candidate.offload_fraction
+            self.engine.send(r, ("blueprint", candidate),
+                             self.cfg.workload.blueprint_bytes, self.links["r2c"],
+                             self.rng_loss)
+        nodes = self.graph.nodes
+        for d in coordinate(self.graph, fractions, epoch_idx + 1, now + self.epoch_us):
+            self.directive_log.append(DirectiveLogEntry(
+                now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
+                nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
+            self.engine.send(d.from_rsu, ("directive", d), 200,
+                             self.links["r2c"], self.rng_loss)

@@ -1,14 +1,18 @@
-"""Edge twin at each RSU: population roles, regional fusion, task
-scheduling (FIFO server, counter thinning, cloud overflow), uplink packages,
-and localization of cloud blueprints.
-
-An RSU's population is the vehicles it serves (``Simulation.current_rsu``).
+"""Edge twins: one ``EdgeTwin`` per RSU, whose kernel endpoint is its RSU
+index.  It owns its population's roles, regional fusion and labels, task
+scheduling (FIFO server, counter thinning to a partner edge, cloud
+overflow), results to vehicles, the uplink package, and the localization of
+the cloud's blueprints and directives.  An RSU's population is the vehicles
+it serves (``current_rsu[v] == rsu_id``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kernel import US_PER_S
+from .local import drop_task
 
 ROLES = ("acquisition", "processing", "coordination")
 
@@ -104,9 +108,9 @@ def localize_policy(blueprint_params: dict, congestion_active: bool) -> LocalPol
 
     Raises ValueError on a malformed blueprint (caller keeps the old policy).
     """
-    required = {"local_serve_threshold", "offload_fraction",
-                "congestion_speed_threshold", "role_quotas"}
-    if not isinstance(blueprint_params, dict) or not required.issubset(blueprint_params):
+    scalars = ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold")
+    if (not isinstance(blueprint_params, dict)
+            or not {*scalars, "role_quotas"}.issubset(blueprint_params)):
         raise ValueError("malformed blueprint: missing parameters")
     quotas = blueprint_params["role_quotas"]
     if len(quotas) != 3 or any(q < 0 for q in quotas) or abs(sum(quotas) - 1.0) > 1e-6:
@@ -117,19 +121,8 @@ def localize_policy(blueprint_params: dict, congestion_active: bool) -> LocalPol
         if shift > 0:
             acq += shift
             coord -= shift
-    return LocalPolicy(
-        local_serve_threshold=clamp(
-            float(blueprint_params["local_serve_threshold"]), *PARAM_RANGES["local_serve_threshold"]
-        ),
-        offload_fraction=clamp(
-            float(blueprint_params["offload_fraction"]), *PARAM_RANGES["offload_fraction"]
-        ),
-        congestion_speed_threshold=clamp(
-            float(blueprint_params["congestion_speed_threshold"]),
-            *PARAM_RANGES["congestion_speed_threshold"],
-        ),
-        role_quotas=(acq, proc, coord),
-    )
+    return LocalPolicy(**{k: clamp(float(blueprint_params[k]), *PARAM_RANGES[k]) for k in scalars},
+                       role_quotas=(acq, proc, coord))
 
 
 class ThinningCounter:
@@ -171,3 +164,185 @@ class EdgeServer:
         service_us = round(cost_cu / self.capacity * US_PER_S)
         self.busy_until_us = start + service_us
         return self.busy_until_us
+
+
+@dataclass
+class LabelLogEntry:
+    window_end_us: int
+    rsu_id: int
+    labels: tuple
+    utilization: float
+    mean_speed: float
+
+
+class HeldReports:
+    """Per vehicle, whether its serving edge holds a report of it, that
+    report's channel quality and backlog, and its role (index into ``ROLES``).
+    Only the edge twins write these arrays."""
+
+    def __init__(self, n: int):
+        self.has = np.zeros(n, dtype=bool)
+        self.cq = np.zeros(n)
+        self.backlog = np.zeros(n)
+        self.role = np.zeros(n, dtype=np.int8)
+
+    def forget(self, moved: np.ndarray) -> None:
+        """Vehicles that changed RSU start at their new edge unreported."""
+        self.has[moved] = False
+        self.role[moved] = 0
+
+
+class EdgeTwin:
+    """The twin of RSU ``rsu_id``; ``held`` and ``label_log`` are shared by
+    every edge twin, ``world`` is the runner's read-only view."""
+
+    def __init__(self, rsu_id: int, world, held: HeldReports, label_log: list,
+                 window_us: int):
+        cfg = self.cfg = world.cfg
+        self.rsu_id = rsu_id
+        self.engine = world.engine
+        self.links = world.links
+        self.current_rsu = world.current_rsu
+        self.rng_loss = world.rng_loss
+        self.held = held
+        self.label_log = label_log
+        # kernel endpoints: the cloud, then one shared by every vehicle
+        self._cloud = cfg.n_rsus
+        self._vehicles = cfg.n_rsus + 1
+        self._window_cu = cfg.capacity.edge_cu_s * window_us / US_PER_S
+        self.server = EdgeServer(cfg.capacity.edge_cu_s)
+        self.thinning = ThinningCounter()
+        self.policy = LocalPolicy(**cfg.policy.params())
+        self.pending_blueprint = None  # a cloud PolicyBlueprint, applied at fusion
+        self.directive = None          # the cloud's latest OffloadDirective
+        self.window = FusionWindow()
+        self.labels: tuple = ("Normal",)
+        self.last_utilization = 0.0
+        self.last_mean_speed: float | None = None
+        self.rejected_blueprints = 0
+
+    def receive(self, payload) -> None:
+        kind = payload[0]
+        if kind == "task":
+            self._task(payload[1], relayed=False)
+        elif kind == "relay_task":
+            self._task(payload[1], relayed=True)
+        elif kind == "report":
+            self._report(payload[1])
+        elif kind == "blueprint":
+            self.pending_blueprint = payload[1]
+        elif kind == "directive":
+            self.directive = payload[1]
+        elif kind == "result":
+            self.engine.send(self._vehicles, ("result", payload[1]),
+                             self.cfg.workload.response_bytes, self.links["v2r"],
+                             self.rng_loss, on_drop=drop_task)
+
+    def _task(self, task, relayed: bool) -> None:
+        cfg = self.cfg
+        now = self.engine.now
+        if not relayed:
+            task.edge_arrival_us = now
+            task.overloaded_at_arrival = "Overload" in self.labels
+        # cloud_only relays every task to the cloud
+        if cfg.mode != "cloud_only":
+            directive = self.directive
+            if (not relayed and directive is not None and now < directive.expires_at_us
+                    and self.last_utilization > cfg.thresholds.util_high
+                    and self.thinning.take(directive.fraction)):
+                self.engine.send(directive.to_rsu, ("relay_task", task),
+                                 cfg.workload.request_bytes, self.links["e2e"],
+                                 self.rng_loss, on_drop=drop_task)
+                return
+            if self.server.backlog_s(now) <= cfg.thresholds.backlog_to_cloud_s:
+                finish = self.server.enqueue(now, task.cost_cu)
+                task.tier = "PartnerEdge" if relayed else "Edge"
+                self.engine.schedule(finish, self._done, task, kind="compute")
+                return
+        self.engine.send(self._cloud, ("task", task), cfg.workload.request_bytes,
+                         self.links["r2c"], self.rng_loss, on_drop=drop_task)
+
+    def _done(self, task) -> None:
+        self.window.processed_cu += task.cost_cu
+        if task.tier == "Edge" and self.current_rsu[task.origin] != self.rsu_id:
+            # member left during service: forward the result via the cloud relay
+            self.engine.send(self._cloud, ("relay_result", task),
+                             self.cfg.workload.response_bytes, self.links["r2c"],
+                             self.rng_loss, on_drop=drop_task)
+            return
+        self.engine.send(self._vehicles, ("result", task),
+                         self.cfg.workload.response_bytes, self.links["v2r"],
+                         self.rng_loss, on_drop=drop_task)
+
+    def _report(self, report: tuple) -> None:
+        """report is (device, mean_speed, channel_quality, backlog_cu)."""
+        device = report[0]
+        if self.current_rsu[device] != self.rsu_id:
+            return
+        w = self.window
+        w.speed_sum += report[1]
+        w.speed_count += 1
+        held = self.held
+        held.has[device] = True
+        held.cq[device] = report[2]
+        held.backlog[device] = report[3]
+
+    def take_reports(self, batch: tuple, v: np.ndarray) -> None:
+        """The reports of vehicles ``v`` (ascending) that got through from a
+        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as ``_report``
+        takes them one by one in that order."""
+        rsu, speed, cq, backlog = batch
+        r = self.rsu_id
+        mine = v[(rsu[v] == r) & (self.current_rsu[v] == r)]
+        w = self.window
+        total = w.speed_sum
+        for s in speed[mine].tolist():
+            total += s
+        w.speed_sum = total
+        w.speed_count += len(mine)
+        held = self.held
+        held.has[mine] = True
+        held.cq[mine] = cq[mine]
+        held.backlog[mine] = backlog[mine]
+
+    def fuse_and_uplink(self, now: int) -> None:
+        """Close the fusion window; reassign the population's roles."""
+        cfg = self.cfg
+        # policy descent takes effect only at window boundaries
+        if self.pending_blueprint is not None:
+            bp = self.pending_blueprint
+            self.pending_blueprint = None
+            try:
+                self.policy = localize_policy(bp.params(),
+                                              congestion_active="Congestion" in self.labels)
+            except ValueError:
+                self.rejected_blueprints += 1
+        w = self.window
+        utilization = min(1.0, w.processed_cu / self._window_cu)
+        if w.speed_count:
+            mean_speed = w.speed_sum / w.speed_count
+            self.last_mean_speed = mean_speed
+            labels = fuse_labels(mean_speed, utilization,
+                                 self.policy.congestion_speed_threshold,
+                                 cfg.thresholds.util_high, cfg.thresholds.util_low)
+        else:
+            mean_speed = self.last_mean_speed if self.last_mean_speed is not None else 0.0
+            labels = ("Normal",)
+        self.labels = labels
+        self.last_utilization = utilization
+        self.label_log.append(LabelLogEntry(now, self.rsu_id, labels, utilization, mean_speed))
+        self.engine.send(self._cloud, ("uplink", UplinkPackage(self.rsu_id, labels, utilization)),
+                         cfg.workload.uplink_bytes, self.links["r2c"], self.rng_loss)
+        self.window = FusionWindow()
+
+        # role churn follows the fused picture
+        held = self.held
+        members = self.current_rsu == self.rsu_id
+        reported = np.flatnonzero(held.has & members)
+        ids = reported.tolist()
+        cq = dict(zip(ids, held.cq[reported].tolist()))
+        idle = dict(zip(ids, (cfg.capacity.local_cu_s - held.backlog[reported]).tolist()))
+        assigned = assign_roles(np.flatnonzero(members).tolist(), self.policy.role_quotas,
+                                cq, idle)
+        for d, role in assigned.items():
+            held.role[d] = ROLES.index(role)

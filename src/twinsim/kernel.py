@@ -113,9 +113,6 @@ class Engine:
         heapq.heappush(self._heap, (at_us, seq, kind, fn, args))
         return seq
 
-    def schedule_in(self, delay_us: int, fn, *args, kind: str = "timer") -> int:
-        return self.schedule(self.now + delay_us, fn, *args, kind=kind)
-
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_at <= t_end (inclusive), in
         (fire_at, seq) order; leaves the clock at t_end."""

@@ -1,19 +1,27 @@
-"""Per-vehicle local twin: task placement and the V2V beacon record.
+"""Local twins: one vectorized ``LocalTwins`` for every vehicle's twin.  It
+owns task arrivals, placement, the local queue, V2V handoff, completion and
+drop, sensing, status reports and the V2V beacon pass.  All vehicles share
+one kernel endpoint: a result names its vehicle by its task's origin, a
+handoff ``("handoff", peer, task)`` by the peer that serves it.
 
 Sensing runs at 100 ms cadence.  A status report goes up every second with
 the mean speed of the last 1 s window, the last channel quality and the
 local queue backlog, plus immediately on an RSU handover or when the local
 queue backlog exceeds the trigger threshold.  The serving edge adds the
 speeds to its fusion window and ranks its vehicles for roles by the channel
-quality and idle compute of their latest report.  The simulation
-runner computes sensing, reports and V2V beacons over its per-vehicle
-arrays; the scalar models of channel quality and of the neighbour table
-that those arrays stand in for live in tests/oracles.py, where the tests
-check the runner against them.
+quality and idle compute of their latest report.  The scalar models of
+channel quality and of the neighbour table that the per-vehicle arrays stand
+in for live in tests/oracles.py, where the tests check this module against
+them.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+from .kernel import US_PER_S, link_latency
+from .metrics import TaskRecord
 
 
 def decide_local(cost_cu: float, local_serve_threshold: float, backlog_cu: float,
@@ -26,6 +34,14 @@ def decide_local(cost_cu: float, local_serve_threshold: float, backlog_cu: float
     ):
         return "local"
     return "edge"
+
+
+def drop_task(payload) -> None:
+    """``on_drop`` of every message that carries a task as its last element:
+    the task is dropped unless it already completed."""
+    task = payload[-1]
+    if task.completed_us is None:
+        task.dropped = True
 
 
 class BeaconSnapshot:
@@ -74,3 +90,241 @@ class BeaconSnapshot:
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
         self._indptr = indptr
+
+
+class LocalTwins:
+    """The twins of every vehicle, over per-vehicle arrays; ``world`` is the
+    runner's read-only view.  Construction schedules the first task arrival
+    of every vehicle and every scripted task."""
+
+    def __init__(self, world, edges: list, held, cloud, sense_slots: int):
+        cfg = self.cfg = world.cfg
+        self.engine = world.engine
+        self.links = world.links
+        self.fleet = world.fleet
+        self.current_rsu = world.current_rsu
+        self.rng_tasks = world.rng_tasks
+        self.rng_loss = world.rng_loss
+        self.rng_beacons = world.rng_beacons
+        self.edges = edges
+        self.role = held.role
+        self._tally = cloud.tally
+        self.endpoint = cfg.n_rsus + 1
+        n = cfg.n_vehicles
+        self.records: list[TaskRecord] = []
+        self.busy_until = np.zeros(n, dtype=np.int64)
+        self.backlog_triggered = np.zeros(n, dtype=bool)
+        # one sensing slot per tick of the report window
+        self.sense_slots = sense_slots
+        self.speed_buf = np.zeros((n, sense_slots))
+        self.cq_buf = np.zeros((n, sense_slots))
+        # mean speed and last channel quality of the latest 1 s report
+        # window, per vehicle; None until the first report tick
+        self._report_speed: np.ndarray | None = None
+        self._report_cq: np.ndarray | None = None
+        # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
+        # neighbor tables (indexed lazily on handoff attempts)
+        self.beacon_snapshots: list[BeaconSnapshot] = []
+        self.neighbor_expiry_us = round(cfg.thresholds.neighbor_expiry_s * US_PER_S)
+
+        if cfg.workload.task_rate_hz > 0:
+            for v in range(n):
+                self._schedule_next_task(v)
+        for st in cfg.scripted_tasks:
+            self.engine.schedule(round(st.at_s * US_PER_S), self._spawn_task,
+                                 st.device, st.cost_cu, kind="task")
+
+    # -- workload ----------------------------------------------------------
+
+    def _schedule_next_task(self, v: int) -> None:
+        now = self.engine.now
+        rate = self.cfg.workload.task_rate_hz
+        hs = self.cfg.hotspot
+        if hs is not None and self.current_rsu[v] == hs.region:
+            if hs.t_start_s * US_PER_S <= now < hs.t_end_s * US_PER_S:
+                rate *= hs.rate_multiplier
+        if rate <= 0:
+            # re-check one second later; the hotspot may switch back on
+            self.engine.schedule(now + US_PER_S, self._schedule_next_task, v, kind="task")
+            return
+        gap = round(self.rng_tasks.expovariate(rate) * US_PER_S)
+        at = now + max(1, gap)
+        if at <= self.cfg.duration_us:
+            self.engine.schedule(at, self._task_arrival, v, kind="task")
+
+    def _task_arrival(self, v: int) -> None:
+        self._spawn_task(v, self.rng_tasks.uniform(*self.cfg.workload.cost_range_cu))
+        self._schedule_next_task(v)
+
+    def _spawn_task(self, v: int, cost: float) -> None:
+        task = TaskRecord(len(self.records), v, self.engine.now,
+                          origin_rsu=int(self.current_rsu[v]), cost_cu=cost)
+        self.records.append(task)
+        self._place_task(task)
+
+    def _place_task(self, task: TaskRecord) -> None:
+        cfg = self.cfg
+        v = task.origin
+        rsu = int(self.current_rsu[v])
+        now = self.engine.now
+        threshold = 0.0
+        if cfg.mode == "layered":
+            threshold = self.edges[rsu].policy.local_serve_threshold
+        backlog_cu = self.backlog_cu(v, now)
+        placement = decide_local(task.cost_cu, threshold, backlog_cu,
+                                 cfg.capacity.local_cu_s, cfg.thresholds.local_backlog_s)
+        if placement == "local":
+            backlog_s = backlog_cu / cfg.capacity.local_cu_s
+            if backlog_s > cfg.thresholds.handoff_gap_s:
+                peer = self.handoff_candidate(v, now, backlog_cu)
+                if peer is not None:
+                    self.engine.send(self.endpoint, ("handoff", peer, task),
+                                     cfg.workload.request_bytes, self.links["v2v"],
+                                     self.rng_loss, on_drop=drop_task)
+                    return
+            self._serve(v, task)
+        else:
+            self.engine.send(rsu, ("task", task),
+                             cfg.workload.request_bytes, self.links["v2r"],
+                             self.rng_loss, on_drop=drop_task)
+
+    def backlog_cu(self, v: int, now_us: int) -> float:
+        """Work left in vehicle ``v``'s local queue at ``now_us``, in CU."""
+        pending_us = max(0, int(self.busy_until[v]) - now_us)
+        return pending_us / US_PER_S * self.cfg.capacity.local_cu_s
+
+    def _serve(self, server_vehicle: int, task: TaskRecord) -> None:
+        now = self.engine.now
+        cap = self.cfg.capacity.local_cu_s
+        start = max(now, int(self.busy_until[server_vehicle]))
+        finish = start + round(task.cost_cu / cap * US_PER_S)
+        self.busy_until[server_vehicle] = finish
+        task.tier = "Local"
+        self.engine.schedule(finish, self._local_done, server_vehicle, task, kind="compute")
+        # one report when the backlog passes its trigger
+        over = self.backlog_cu(server_vehicle, now) / cap > self.cfg.thresholds.local_backlog_s
+        if over and not self.backlog_triggered[server_vehicle]:
+            self._send_report(server_vehicle)
+        self.backlog_triggered[server_vehicle] = over
+
+    def _local_done(self, server_vehicle: int, task: TaskRecord) -> None:
+        if server_vehicle == task.origin:
+            self.complete(task)
+        else:
+            self.engine.send(self.endpoint, ("result", task),
+                             self.cfg.workload.response_bytes, self.links["v2v"],
+                             self.rng_loss, on_drop=drop_task)
+
+    # -- vehicle endpoint --------------------------------------------------
+
+    def receive(self, payload) -> None:
+        """A result reaches its origin; a handoff joins its peer's queue."""
+        kind = payload[0]
+        if kind == "result":
+            self.complete(payload[1])
+        elif kind == "handoff":
+            self._serve(payload[1], payload[2])
+
+    def complete(self, task: TaskRecord) -> None:
+        if task.completed_us is not None or task.dropped:
+            return
+        task.completed_us = self.engine.now
+        self._tally(task)
+
+    # -- sensing, reports, beacons -----------------------------------------
+
+    def sense(self, tick: int, d_rel: np.ndarray) -> None:
+        """Sensing tick ``tick``: each vehicle's speed, and its channel
+        quality at distance ``d_rel`` (in RSU radii) from its serving RSU."""
+        slot = (tick - 1) % self.sense_slots
+        self.speed_buf[:, slot] = self.fleet.speed
+        self.cq_buf[:, slot] = np.clip(1.0 - d_rel, 0.0, 1.0)
+
+    def emit_reports(self, now: int) -> None:
+        """1 Hz status reports of every vehicle, in vehicle order, sent as
+        one batch whose fields stay in arrays: those that get through reach
+        their edges in one delivery event; a lost one retransmits as a
+        report tuple."""
+        cfg = self.cfg
+        self._report_speed = speed = self.speed_buf.mean(axis=1)
+        self._report_cq = cq = self.cq_buf[:, -1].copy()
+        backlog = (np.maximum(self.busy_until - now, 0) / US_PER_S
+                   * cfg.capacity.local_cu_s)
+        rsu = self.current_rsu.copy()
+        batch = (rsu, speed, cq, backlog)
+
+        def payload(v):
+            return "report", (v, float(speed[v]), float(cq[v]), float(backlog[v]))
+
+        self.engine.send_batch(rsu.tolist(), cfg.workload.report_bytes,
+                               self.links["v2r"], self.rng_loss,
+                               partial(self._deliver_reports, batch), payload)
+
+    def _deliver_reports(self, batch: tuple, indices: list) -> None:
+        v = np.array(indices)
+        for e in self.edges:
+            e.take_reports(batch, v)
+
+    def handover(self, moved: np.ndarray) -> None:
+        """Vehicles that changed RSU this tick report to their new edge."""
+        for v in moved:
+            self._send_report(v)
+
+    def _send_report(self, v: int) -> None:
+        """Out-of-cycle report (RSU handover, backlog trigger): the latest
+        window's speed and channel quality with the current backlog."""
+        if self._report_speed is None:
+            return
+        report = (v, float(self._report_speed[v]), float(self._report_cq[v]),
+                  self.backlog_cu(v, self.engine.now))
+        self.engine.send(int(self.current_rsu[v]), ("report", report),
+                         self.cfg.workload.report_bytes, self.links["v2r"], self.rng_loss)
+
+    def beacon_pass(self, now: int, pairs: np.ndarray) -> None:
+        """Batched V2V beacon pass over the vehicle pairs in range: Bernoulli
+        loss per beacon, without per-message kernel events.
+
+        The loss draws and the message counters happen here, every pass;
+        the pass is kept as one ``BeaconSnapshot`` (pairs, loss mask and
+        the sender-side state arrays at send time), whose per-receiver
+        neighbour index is built on the first handoff query that reads it."""
+        v2v = self.links["v2v"]
+        n_directed = 2 * len(pairs)
+        delivered = 0
+        if n_directed:
+            ok = self.rng_beacons.random(n_directed) >= v2v.loss_prob
+            delivered = int(np.count_nonzero(ok))
+            latency = link_latency(v2v, self.cfg.workload.beacon_bytes)
+            self.beacon_snapshots.append(BeaconSnapshot(
+                now, now + latency, pairs, ok, self.busy_until.copy(), self.role.copy()))
+        snapshots = self.beacon_snapshots
+        while snapshots and now - snapshots[0].heard_at > self.neighbor_expiry_us:
+            snapshots.pop(0)
+        self.engine.account_batch(n_directed, delivered, n_directed - delivered)
+
+    def handoff_candidate(self, v: int, now: int, own_backlog_cu: float) -> int | None:
+        """Processing-role neighbor whose advertised backlog trails ours by
+        more than the handoff gap; lowest backlog wins, ties by id.  Uses the
+        most recent unexpired beacon per neighbor; each snapshot it reads
+        builds its neighbour index on the first such read."""
+        cap = self.cfg.capacity.local_cu_s
+        need = own_backlog_cu / cap - self.cfg.thresholds.handoff_gap_s
+        seen: set[int] = set()
+        best: tuple[float, int] | None = None
+        for snap in reversed(self.beacon_snapshots):
+            heard_at = snap.heard_at
+            if heard_at > now or now - heard_at > self.neighbor_expiry_us:
+                continue
+            t_send, busy, role = snap.t_send, snap.busy, snap.role
+            for s in snap.senders(v).tolist():
+                if s in seen:
+                    continue
+                seen.add(s)
+                if role[s] != 1:
+                    continue
+                backlog_s = max(0, int(busy[s]) - t_send) / US_PER_S
+                if backlog_s < need:
+                    key = (backlog_s * cap, s)
+                    if best is None or key < best:
+                        best = key
+        return best[1] if best is not None else None

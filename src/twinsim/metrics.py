@@ -1,14 +1,12 @@
 """Per-task lifecycle records, run summaries, and the two ecosystem index
 series (edge autonomy and population coordination) over fixed windows.
 
-A ``TaskRecord`` is the task itself: the runner sends it between the twins,
-sets its tier when a tier serves it and its completion or drop when it
+A ``TaskRecord`` is the task itself: the twins pass it between each other
+and set its tier when a tier serves it and its completion or drop when it
 settles.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -159,9 +157,7 @@ def tasks_csv(records: list[TaskRecord]) -> str:
 
 
 def indices_csv(series: IndexSeries) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(INDICES_HEADER)
-    for t, a, c in zip(series.window_end_us, series.autonomy, series.coordination):
-        w.writerow([t, f"{a:.6f}", f"{c:.6f}"])
-    return buf.getvalue()
+    """One row per window, as ``csv.writer`` would write it."""
+    rows = zip(series.window_end_us, series.autonomy, series.coordination)
+    return "".join([",".join(INDICES_HEADER) + "\n",
+                    *(f"{t},{a:.6f},{c:.6f}\n" for t, a, c in rows)])

@@ -142,8 +142,7 @@ class Fleet:
     def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
         net = self.net
         for i in range(self.n):
-            if spawn_rsu is not None and net.region_segments(int(spawn_rsu[i])):
-                segs = net.region_segments(int(spawn_rsu[i]))
+            if spawn_rsu is not None and (segs := net.region_segments(int(spawn_rsu[i]))):
                 seg = segs[int(rng.integers(len(segs)))]
             elif net.segments:
                 seg = int(rng.integers(len(net.segments)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from .kernel import US_PER_S, LinkSpec
@@ -97,6 +97,10 @@ class PolicyConfig:
     congestion_speed_threshold: float = 6.0
     role_quotas: tuple = (0.4, 0.4, 0.2)
 
+    def params(self) -> dict:
+        """The initial policy, as the parameters of a blueprint."""
+        return {**vars(self), "role_quotas": tuple(self.role_quotas)}
+
 
 @dataclass
 class HotspotConfig:
@@ -147,12 +151,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, name: str):
+def _number(value, name: str, whole: bool = False):
     """``value`` if it is a number (JSON true/false is not), else a
-    ConfigError that names the key."""
+    ConfigError that names the key.  With ``whole``, where the default is an
+    ``int``, it must be a whole number and comes back as an ``int``."""
     if not _is_number(value):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return value
+    if whole and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name}: expected a whole number, got {value!r}")
+    return int(value) if whole else value
 
 
 def _fill(obj, data: dict, path: str):
@@ -162,8 +169,7 @@ def _fill(obj, data: dict, path: str):
             raise ConfigError(f"unknown key: {path}{key}")
         current = getattr(obj, key)
         name = f"{path}{key}"
-        if isinstance(current, (GridConfig, WorkloadConfig, CapacityConfig,
-                                ThresholdConfig, PeriodConfig, PolicyConfig)):
+        if is_dataclass(current):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name}: expected an object")
             _fill(current, value, f"{name}.")
@@ -172,7 +178,7 @@ def _fill(obj, data: dict, path: str):
                 raise ConfigError(f"{name}: expected a list of numbers")
             setattr(obj, key, tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value)))
         elif _is_number(current):
-            setattr(obj, key, _number(value, name))
+            setattr(obj, key, _number(value, name, whole=isinstance(current, int)))
         else:
             setattr(obj, key, value)
 
@@ -189,11 +195,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                 raise ConfigError(f"unknown key: links.{name}")
             if not isinstance(spec, dict):
                 raise ConfigError(f"links.{name}: expected an object")
-            base = cfg.links[name]
-            for k, v in spec.items():
-                if k not in base.__dataclass_fields__:
-                    raise ConfigError(f"unknown key: links.{name}.{k}")
-                setattr(base, k, _number(v, f"links.{name}.{k}"))
+            _fill(cfg.links[name], spec, f"links.{name}.")
     if "hotspot" in data:
         hs = data.pop("hotspot")
         if hs is not None:
@@ -206,9 +208,10 @@ def parse_scenario(data: dict) -> ScenarioConfig:
             extra = set(entry) - {"device", "at_s", "cost_cu"}
             if extra:
                 raise ConfigError(f"unknown key: scripted_tasks[{i}].{extra.pop()}")
-            device, at_s, cost_cu = (_number(entry.get(k), f"scripted_tasks[{i}].{k}")
+            device, at_s, cost_cu = (_number(entry.get(k), f"scripted_tasks[{i}].{k}",
+                                             whole=k == "device")
                                      for k in ("device", "at_s", "cost_cu"))
-            cfg.scripted_tasks.append(ScriptedTask(int(device), float(at_s), float(cost_cu)))
+            cfg.scripted_tasks.append(ScriptedTask(device, float(at_s), float(cost_cu)))
     _fill(cfg, data, "")
     validate(cfg)
     return cfg

@@ -5,11 +5,11 @@ evaluates in bulk; the tests check the runtime code against it:
 
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
-- ``NeighborEntry``/``NeighborTable``: ``Simulation._handoff_candidate`` over
-  the batched beacon snapshots;
+- ``NeighborEntry``/``NeighborTable``: ``LocalTwins.handoff_candidate``
+  over the batched beacon snapshots;
 - ``eager_beacons``: the per-receiver sender index that
   ``local.BeaconSnapshot`` builds on its first lookup;
-- ``channel_quality``: the runner's per-tick ``cq_buf`` column.
+- ``channel_quality``: the per-tick ``LocalTwins.cq_buf`` column.
 """
 from __future__ import annotations
 

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter: every name a module under
-src/twinsim imports is referenced in that module, and every function, class
-and method defined under src/twinsim is referenced somewhere in it."""
+src/twinsim imports is referenced in that module, every function, class
+and method defined under src/twinsim is referenced somewhere in it, and the
+runner sends no message, because message traffic belongs to a twin
+layer."""
 import ast
 from pathlib import Path
 
@@ -91,3 +93,33 @@ def test_unreferenced_definition_is_caught():
                                "def lonely(): pass\n"),
              "b.py": ast.parse("from a import called\ncalled()\n")}
     assert set(unreferenced(trees)) == {"a.py:orphan", "a.py:lonely"}
+
+
+MESSAGE_CALLS = {"send", "send_batch", "account_batch"}
+
+
+def message_calls(tree: ast.Module) -> dict[str, int]:
+    """Kernel messaging calls (``x.send(...)``, ``send_batch``,
+    ``account_batch``, by attribute or by name) -> line number."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in MESSAGE_CALLS:
+                calls[name] = node.lineno
+    return calls
+
+
+def test_runner_sends_no_messages():
+    path = Path(twinsim.__file__).parent / "runner.py"
+    found = message_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert found == {}, f"runner.py sends messages; move them to a twin layer: {found}"
+
+
+def test_runner_message_call_is_caught():
+    tree = ast.parse("self.engine.send(1, ('task', t), 10, link, rng)\n"
+                     "eng.send_batch(dsts, 10, link, rng, deliver, payload)\n"
+                     "account_batch(2, 1, 1)\n"
+                     "self.engine.schedule(5, tick)\nsender.sends += 1\n")
+    assert set(message_calls(tree)) == MESSAGE_CALLS

@@ -21,24 +21,25 @@ def test_channel_quality_linear_and_clipped():
     assert channel_quality(900.0, 600.0) == 0.0
 
 
-def test_channel_quality_matches_runner_cq_buf():
+def test_channel_quality_matches_local_cq_buf():
     """Each tick's sensed channel quality is the oracle's value for the
     distance to the serving RSU, for every vehicle."""
     sim = Simulation(parse_scenario({"seed": 0, "duration_s": 31.0,
                                      "vehicles_per_rsu": 20}))
-    sense = sim._sense
+    local = sim.local
+    sense = local.sense
     checked = 0
 
-    def checked_sense(now):
+    def checked_sense(tick, d_rel):
         nonlocal checked
-        sense(now)
-        slot = (sim._tick_index - 1) % sim.sense_slots
+        sense(tick, d_rel)
+        slot = (tick - 1) % local.sense_slots
         for v, rsu in enumerate(sim.current_rsu.tolist()):
             d = float(np.linalg.norm(sim.fleet.pos[v] - sim.rsu_pos[rsu]))
-            assert sim.cq_buf[v, slot] == channel_quality(d, sim.rsu_radii[rsu])
+            assert local.cq_buf[v, slot] == channel_quality(d, sim.rsu_radii[rsu])
             checked += 1
 
-    sim._sense = checked_sense
+    local.sense = checked_sense
     sim.run()
     assert checked == 310 * sim.cfg.n_vehicles
 
@@ -89,23 +90,24 @@ def v2v_handoff_sim():
     return Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
 
 
-def test_neighbor_table_matches_runner_handoff_candidate():
-    """On every handoff query of the v2v_handoff digest scenario, the
-    runner's answer from its beacon snapshots equals that of a NeighborTable
+def test_neighbor_table_matches_local_handoff_candidate():
+    """On every handoff query of the v2v_handoff digest scenario, the local
+    twins' answer from their beacon snapshots equals that of a NeighborTable
     fed, oldest first, every beacon the vehicle has heard by then, as the
     eager oracle lists them."""
     sim = v2v_handoff_sim()
+    local = sim.local
     n = sim.cfg.n_vehicles
     cap = sim.cfg.capacity.local_cu_s
     gap = sim.cfg.thresholds.handoff_gap_s
-    runtime = sim._handoff_candidate
+    runtime = local.handoff_candidate
     eager = {}  # id(snapshot) -> (snapshot, dst, src)
     answers, mismatches = [], []
 
     def checked(v, now, own_backlog_cu):
         got = runtime(v, now, own_backlog_cu)
-        table = NeighborTable(sim._neighbor_expiry_us)
-        for snap in sim._beacon_snapshots:
+        table = NeighborTable(local.neighbor_expiry_us)
+        for snap in local.beacon_snapshots:
             if snap.heard_at > now:
                 continue
             if id(snap) not in eager:
@@ -122,7 +124,7 @@ def test_neighbor_table_matches_runner_handoff_candidate():
         answers.append(got)
         return got
 
-    sim._handoff_candidate = checked
+    local.handoff_candidate = checked
     sim.run()
     assert mismatches == []
     assert sum(a is not None for a in answers) > 0
@@ -133,17 +135,18 @@ def test_lazy_beacon_index_matches_eager_pass():
     receiver's senders from the lazily built index equal the eager oracle's,
     whether a handoff query built the index during the run or not."""
     sim = v2v_handoff_sim()
+    local = sim.local
     n = sim.cfg.n_vehicles
-    exchange = sim._beacon_exchange
+    beacon_pass = local.beacon_pass
     snapshots = []
 
-    def recorded(now):
-        before = sim._beacon_snapshots[-1] if sim._beacon_snapshots else None
-        exchange(now)
-        if sim._beacon_snapshots and sim._beacon_snapshots[-1] is not before:
-            snapshots.append(sim._beacon_snapshots[-1])
+    def recorded(now, pairs):
+        before = local.beacon_snapshots[-1] if local.beacon_snapshots else None
+        beacon_pass(now, pairs)
+        if local.beacon_snapshots and local.beacon_snapshots[-1] is not before:
+            snapshots.append(local.beacon_snapshots[-1])
 
-    sim._beacon_exchange = recorded
+    local.beacon_pass = recorded
     sim.run()
     assert len(snapshots) == 31
     for snap in snapshots:
@@ -167,9 +170,9 @@ def test_beacon_index_not_built_without_handoff_query(monkeypatch):
     monkeypatch.setattr(BeaconSnapshot, "_build_index", counted)
     sim = Simulation(parse_scenario(copy.deepcopy(SCENARIOS["layered"])))
     queries = []
-    runtime = sim._handoff_candidate
-    sim._handoff_candidate = lambda *a: queries.append(a) or runtime(*a)
+    runtime = sim.local.handoff_candidate
+    sim.local.handoff_candidate = lambda *a: queries.append(a) or runtime(*a)
     sim.run()
     assert queries == []
-    assert sim._beacon_snapshots
+    assert sim.local.beacon_snapshots
     assert built == []

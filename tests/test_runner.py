@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from twinsim.kernel import Engine
 from twinsim.metrics import summarize
 from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import ScenarioConfig, parse_scenario
@@ -147,10 +148,11 @@ def _backlogged_two_rsu_sim(**overrides):
 
 
 def test_batched_reports_match_per_vehicle_fields():
-    """The 1 Hz reports are built from the per-vehicle arrays in one pass;
-    each must carry what the per-vehicle accessors give at send time, in
-    vehicle order."""
+    """The local twins build the 1 Hz reports from their per-vehicle arrays
+    in one pass; each must carry what the per-vehicle accessors give at send
+    time, in vehicle order."""
     sim = _backlogged_two_rsu_sim()
+    local = sim.local
     send_batch = sim.engine.send_batch
     checked = {"reports": 0, "backlogged": 0}
 
@@ -160,9 +162,9 @@ def test_batched_reports_match_per_vehicle_fields():
         for v in range(sim.cfg.n_vehicles):
             kind, (device, mean_speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
-            assert mean_speed == pytest.approx(sum(sim.speed_buf[v]) / sim.sense_slots)
-            assert cq == sim.cq_buf[v, -1]
-            assert backlog == sim._local_backlog_cu(v, now)
+            assert mean_speed == pytest.approx(sum(local.speed_buf[v]) / local.sense_slots)
+            assert cq == local.cq_buf[v, -1]
+            assert backlog == local.backlog_cu(v, now)
             assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0
         checked["reports"] += len(dsts)
@@ -176,10 +178,10 @@ def test_batched_reports_match_per_vehicle_fields():
 
 @pytest.mark.parametrize("v2r_latency_ms", [5, 250])
 def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
-    """Delivering a report batch from its arrays leaves every edge window,
-    stored report, role and task record as sending each report on its own
-    (``Engine.send`` to ``_edge_report``) does.  At 250 ms some vehicles
-    change RSU while their report is in flight."""
+    """Delivering a report batch from its arrays (``EdgeTwin.take_reports``)
+    leaves every edge window, held report, role and task record as sending
+    each report on its own (``Engine.send`` to ``EdgeTwin.receive``) does.
+    At 250 ms some vehicles change RSU while their report is in flight."""
     def run(batched):
         sim = _backlogged_two_rsu_sim(links={"v2r": {"base_latency_ms": v2r_latency_ms}})
         send_batch, lost = sim.engine.send_batch, []
@@ -194,15 +196,16 @@ def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
                 sim.engine.send(dst, payload(i), nbytes, link, rng, on_drop)
         sim.engine.send_batch = sending
         roles = []
-        fuse = sim._fuse_and_uplink
 
-        def recording_fuse(e, now):
-            fuse(e, now)
-            roles.append(sim._role_code.tolist())
-        sim._fuse_and_uplink = recording_fuse
+        def recording(fuse):
+            def recording_fuse(now):
+                fuse(now)
+                roles.append(sim.held.role.tolist())
+            return recording_fuse
+        for e in sim.edges:
+            e.fuse_and_uplink = recording(e.fuse_and_uplink)
         result = sim.run()
-        held = (sim._has_report.tolist(), sim._rep_cq.tolist(),
-                sim._rep_backlog.tolist())
+        held = (sim.held.has.tolist(), sim.held.cq.tolist(), sim.held.backlog.tolist())
         return result, roles, held, len(lost)
 
     (batched, roles_b, held_b, lost), (single, roles_s, held_s, _) = run(True), run(False)
@@ -227,12 +230,27 @@ def test_every_vehicle_covered_at_smallest_radius():
     update = sim._update_coverage
     ticks = 0
 
-    def checked_update(now):
+    def checked_update():
         nonlocal ticks
-        update(now)
-        assert (sim._d_cur_cache <= sim.rsu_radii[sim.current_rsu]).all()
+        moved, d_cur = update()
+        assert (d_cur <= sim.rsu_radii[sim.current_rsu]).all()
         ticks += 1
+        return moved, d_cur
 
     sim._update_coverage = checked_update
     sim.run()
     assert ticks == 310
+
+
+def test_one_endpoint_per_twin(monkeypatch):
+    """Edge ``r`` is endpoint ``r``, the cloud ``n_rsus`` and every vehicle
+    shares ``n_rsus + 1``: each a twin object's bound ``receive``."""
+    registered = {}
+    monkeypatch.setattr(Engine, "register",
+                        lambda eng, name, handler: registered.setdefault(name, handler))
+    sim = _backlogged_two_rsu_sim()
+    n_rsus = sim.cfg.n_rsus
+    assert sorted(registered) == list(range(n_rsus + 2))
+    owners = [*sim.edges, sim.cloud, sim.local]
+    assert [registered[i].__self__ for i in range(n_rsus + 2)] == owners
+    assert all(h.__func__.__name__ == "receive" for h in registered.values())

@@ -227,3 +227,41 @@ def test_at_least_one_vehicle_per_rsu():
     parse_scenario({"vehicles_per_rsu": 1})
     with pytest.raises(ConfigError, match="vehicles_per_rsu"):
         parse_scenario({"vehicles_per_rsu": 0})
+
+
+@pytest.mark.parametrize("data,path", [
+    # parsed, then Simulation raised TypeError (CLI exit 1)
+    ({"vehicles_per_rsu": 2.5}, r"vehicles_per_rsu"),
+    ({"grid": {"rows": 1.5}}, r"grid\.rows"),
+    # ran with a fractional retry budget
+    ({"links": {"v2r": {"max_attempts": 1.5}}}, r"links\.v2r\.max_attempts"),
+    # ran with the hotspot silently off: no current_rsu equals 0.5
+    ({"hotspot": {"region": 0.5}}, r"hotspot\.region"),
+    # ran on the seed label "1.5"
+    ({"seed": 1.5}, r"seed"),
+    # int() truncated it to vehicle 0
+    ({"scripted_tasks": [{"device": 0.7, "at_s": 1.0, "cost_cu": 2.0}]},
+     r"scripted_tasks\[0\]\.device"),
+    ({"workload": {"report_bytes": float("inf")}}, r"workload\.report_bytes"),
+])
+def test_fraction_where_integer_belongs_rejected(data, path):
+    with pytest.raises(ConfigError, match=rf"{path}: expected a whole number"):
+        parse_scenario(data)
+
+
+def test_whole_float_stored_as_int():
+    cfg = parse_scenario({"vehicles_per_rsu": 2.0, "grid": {"rows": 1.0, "cols": 1},
+                          "links": {"v2r": {"max_attempts": 2.0}}, "seed": 3.0,
+                          "hotspot": {"region": 0.0},
+                          "scripted_tasks": [{"device": 1.0, "at_s": 1, "cost_cu": 2}]})
+    values = (cfg.vehicles_per_rsu, cfg.grid.rows, cfg.links["v2r"].max_attempts,
+              cfg.seed, cfg.hotspot.region, cfg.scripted_tasks[0].device)
+    assert values == (2, 1, 2, 3, 0, 1)
+    assert all(type(v) is int for v in values)
+
+
+def test_cli_run_rejects_fractional_vehicle_count(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"vehicles_per_rsu": 2.5}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "vehicles_per_rsu: expected a whole number" in capsys.readouterr().err
