@@ -1,4 +1,4 @@
-"""Pinned artifact digests: short runs of four scenarios must reproduce these
+"""Pinned artifact digests: short runs of five scenarios must reproduce these
 sha256 values byte for byte.
 
 The determinism criterion only compares two reruns of the same code, so a
@@ -30,6 +30,10 @@ SCENARIOS = {
                     "policy": {"local_serve_threshold": 10},
                     "workload": {"task_rate_hz": 0.5},
                     "thresholds": {"handoff_gap_s": 0.25}},
+    # 5 s epochs: epochs 1-4 mutate each of the four policy parameters once,
+    # so epochs.jsonl pins the serialization of mutated blueprints
+    "evolution": {"seed": 4, "duration_s": 26, "vehicles_per_rsu": 50,
+                  "periods": {"epoch_s": 5}},
 }
 
 DIGESTS = {
@@ -53,6 +57,11 @@ DIGESTS = {
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
         "epochs.jsonl": "e47e74c022047c419d0f19ceeb2d58f0e1b99ef5e07ff2dfd288dab2c8f52da1",
     },
+    "evolution": {
+        "tasks.csv": "46b68d049475e964e1ebebe6ef2a4cd3fa020f09881642a3b4643f10f502e8cc",
+        "indices.csv": "eeaed92c71e10fb202ea792b13f2d399b125278e7e1a9ae593ec32958b163694",
+        "epochs.jsonl": "46256622bc505c3d90936a798c4f88996f2ad121ace06186da9b50bbd2b60573",
+    },
 }
 
 # final (sent, delivered, dropped) message counters, beacons included
@@ -61,6 +70,7 @@ MESSAGES = {
     "cloud_only": (2141486, 2036845, 103423),
     "hotspot": (2417065, 2299326, 116525),
     "v2v_handoff": (2129332, 2023891, 104237),
+    "evolution": (117052, 111368, 5383),
 }
 
 
