@@ -9,7 +9,7 @@ from twinsim.kernel import Engine, LinkSpec, link_latency, rng_stream
 
 # -- ordering ---------------------------------------------------------------
 
-eng = Engine(trace=True)
+eng = Engine()
 log = []
 eng.schedule(5_000, log.append, "timer at 5 ms")
 eng.schedule(2_000, log.append, "timer at 2 ms")

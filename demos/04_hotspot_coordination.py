@@ -34,8 +34,8 @@ print("\nregion 0 epoch log (median RT, decision, serve threshold):")
 for rec in hot:
     med = f"{rec.median_rt_us / 1000:8.1f} ms" if rec.median_rt_us else "     idle"
     print(f"  epoch {rec.epoch:>2}  {med}  {rec.decision:<8} "
-          f"theta_L={rec.blueprint.local_serve_threshold:.2f} "
-          f"phi={rec.blueprint.offload_fraction:.2f}")
+          f"theta_L={rec.blueprint.policy.local_serve_threshold:.2f} "
+          f"phi={rec.blueprint.policy.offload_fraction:.2f}")
 
 partner = sum(1 for r in res.records if r.tier == "PartnerEdge")
 print(f"\ntasks absorbed by partner edges: {partner}")

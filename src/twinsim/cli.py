@@ -15,12 +15,12 @@ from .runner import run_showcase
 from .scenario import ScenarioConfig, load_scenario, validate
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args, seed: int | None = None) -> ScenarioConfig:
     cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
     if args.mode:
         cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if seed is not None:
+        cfg.seed = seed
     if args.duration is not None:
         cfg.duration_s = args.duration
     validate(cfg)
@@ -41,7 +41,7 @@ def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.seed)
     result = run_showcase(cfg, outdir=args.out)
     stats = metrics.summarize(result.records)
     tail = None
@@ -89,9 +89,9 @@ def _parse_seed_range(text: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
+    cfg = _load(args)
     medians = []
     for seed in seeds:
-        cfg = _load(args)
         cfg.seed = seed
         outdir = Path(args.out) / f"seed{seed}" if args.out else None
         result = run_showcase(cfg, outdir=outdir)
@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario")
-    sweep_p = sub.add_parser("sweep", help="run one scenario across a seed range")
+    # without abbreviations, so --seed is not taken for --seeds
+    sweep_p = sub.add_parser("sweep", help="run one scenario across a seed range",
+                             allow_abbrev=False)
     for p in (run_p, sweep_p):
         p.add_argument("--scenario", help="scenario JSON file (defaults apply if omitted)")
         p.add_argument("--mode", choices=["layered", "cloud_only"])
@@ -118,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="directory for run artifacts")
     run_p.add_argument("--seed", type=int)
     run_p.set_defaults(fn=cmd_run)
-    sweep_p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     sweep_p.add_argument("--seeds", default="0..9", help="e.g. 0..9 or 0,2,5")
     sweep_p.set_defaults(fn=cmd_sweep)
 

@@ -1,6 +1,7 @@
 """Cloud twin: cross-regional knowledge graph of the latest region labels
 and utilization, (1+1)-style blueprint evolution with rollback, and
-overload/underload pairing directives.
+overload/underload pairing directives.  A blueprint is an ``edge.Policy``
+with its lineage: the target region, the epoch and the parent blueprint.
 
 ``CloudTwin``, the kernel endpoint after the last RSU, owns the cloud FIFO
 and the results it routes to a vehicle's current RSU, the uplink ingest,
@@ -9,9 +10,9 @@ each region's per-epoch completion tallies, and the epoch boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
-from .edge import PARAM_RANGES, clamp
+from .edge import PARAM_RANGES, Policy, UplinkPackage
 from .kernel import US_PER_S
 from .local import drop_task
 from .metrics import BELOW_CLOUD, median
@@ -25,35 +26,29 @@ MUTATION_ORDER = (
 )
 
 
+def clamp(x: float, lo: float, hi: float) -> float:
+    return min(hi, max(lo, x))
+
+
 @dataclass(frozen=True)
 class PolicyBlueprint:
     target: int | str                 # rsu id, or "global"
     epoch: int
     parent_id: str | None
-    local_serve_threshold: float
-    offload_fraction: float
-    congestion_speed_threshold: float
-    role_quotas: tuple[float, float, float]
+    policy: Policy
 
     @property
     def blueprint_id(self) -> str:
         return f"{self.target}:{self.epoch}"
 
-    def params(self) -> dict:
-        return {
-            "local_serve_threshold": self.local_serve_threshold,
-            "offload_fraction": self.offload_fraction,
-            "congestion_speed_threshold": self.congestion_speed_threshold,
-            "role_quotas": self.role_quotas,
-        }
-
 
 def blueprint_to_json(bp: PolicyBlueprint) -> str:
+    # json writes the role_quotas tuple as a list
     payload = {
         "target": bp.target,
         "epoch": bp.epoch,
         "parent": bp.parent_id,
-        "params": {**bp.params(), "role_quotas": list(bp.role_quotas)},
+        "params": asdict(bp.policy),
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -81,19 +76,12 @@ class KnowledgeGraph:
     def __init__(self, rsu_ids: list[int], adjacency: dict[int, list[int]]):
         self.nodes = {r: RegionNode(r) for r in rsu_ids}
         self.adjacency = adjacency
-        self.rejected = 0
 
-    def ingest(self, package) -> bool:
-        """Latch a package's labels and utilization on its region; malformed
-        or unknown packages are rejected/counted."""
-        rsu = getattr(package, "rsu_id", None)
-        if rsu not in self.nodes:
-            self.rejected += 1
-            return False
-        node = self.nodes[rsu]
-        node.labels = tuple(package.event_labels)
+    def ingest(self, package: UplinkPackage) -> None:
+        """Latch a package's labels and utilization on its region."""
+        node = self.nodes[package.rsu_id]
+        node.labels = package.event_labels
         node.utilization = package.utilization
-        return True
 
 
 def coordinate(graph: KnowledgeGraph, fractions: dict[int, float], epoch: int,
@@ -125,11 +113,10 @@ def mutate_blueprint(parent: PolicyBlueprint, epoch: int, rng) -> PolicyBlueprin
     """(1+1)-ES step: one parameter chosen round-robin per epoch, Gaussian
     perturbation with sigma = 10% of the parameter's range, clamped."""
     which = MUTATION_ORDER[(epoch - 1) % len(MUTATION_ORDER)]
-    child = parent.params()
     if which == "role_quotas":
         lo, hi = PARAM_RANGES["acquisition_quota"]
         sigma = 0.1  # 10% of the unit quota scale
-        acq, proc, coord = parent.role_quotas
+        acq, proc, coord = parent.policy.role_quotas
         new_acq = clamp(acq + rng.gauss(0.0, sigma), lo, hi)
         rest = 1.0 - new_acq
         old_rest = proc + coord
@@ -145,12 +132,13 @@ def mutate_blueprint(parent: PolicyBlueprint, epoch: int, rng) -> PolicyBlueprin
             proc -= 0.05 - coord
             coord = 0.05
         new_acq, proc = round(new_acq, 9), round(proc, 9)
-        child["role_quotas"] = (new_acq, proc, round(1.0 - new_acq - proc, 9))
+        value = (new_acq, proc, round(1.0 - new_acq - proc, 9))
     else:
         lo, hi = PARAM_RANGES[which]
         sigma = 0.1 * (hi - lo)
-        child[which] = clamp(child[which] + rng.gauss(0.0, sigma), lo, hi)
-    return PolicyBlueprint(parent.target, epoch, parent.blueprint_id, **child)
+        value = clamp(getattr(parent.policy, which) + rng.gauss(0.0, sigma), lo, hi)
+    return PolicyBlueprint(parent.target, epoch, parent.blueprint_id,
+                           replace(parent.policy, **{which: value}))
 
 
 def evaluate_epoch(prev_kept_median_us: float | None,
@@ -240,7 +228,7 @@ class CloudTwin:
         self.epoch_us = epoch_us
         regions = range(cfg.n_rsus)
         self.graph = KnowledgeGraph(list(regions), world.net.rsu_adjacency())
-        self.evolutions = {r: RegionEvolution(PolicyBlueprint(r, 0, None, **cfg.policy.params()))
+        self.evolutions = {r: RegionEvolution(PolicyBlueprint(r, 0, None, cfg.policy))
                            for r in regions}
         self.busy_until = 0
         # per region: response times and below-cloud completions this epoch
@@ -294,7 +282,7 @@ class CloudTwin:
         fractions = {}
         for r in sorted(self.evolutions):
             candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
-            fractions[r] = candidate.offload_fraction
+            fractions[r] = candidate.policy.offload_fraction
             self.engine.send(r, ("blueprint", candidate),
                              self.cfg.workload.blueprint_bytes, self.links["r2c"],
                              self.rng_loss)

@@ -4,10 +4,13 @@ scheduling (FIFO server, counter thinning to a partner edge, cloud
 overflow), results to vehicles, the uplink package, and the localization of
 the cloud's blueprints and directives.  An RSU's population is the vehicles
 it serves (``current_rsu[v] == rsu_id``).
+
+``Policy`` is the one policy type: the scenario's initial policy, the policy
+a cloud blueprint carries, and the edge's localized copy of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,11 +21,14 @@ ROLES = ("acquisition", "processing", "coordination")
 
 
 @dataclass(frozen=True)
-class LocalPolicy:
-    local_serve_threshold: float       # CU, in [0, 10]
-    offload_fraction: float            # [0, 1]
-    congestion_speed_threshold: float  # m/s, [3, 10]
-    role_quotas: tuple[float, float, float]
+class Policy:
+    """Checked once, by ``scenario.validate``: each scalar within
+    ``PARAM_RANGES``, the quotas three non-negative fractions summing to 1.
+    Mutation and localization keep it so, and nothing checks it again."""
+    local_serve_threshold: float = 2.0       # CU, in [0, 10]
+    offload_fraction: float = 0.2            # [0, 1]
+    congestion_speed_threshold: float = 6.0  # m/s, [3, 10]
+    role_quotas: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
 
 PARAM_RANGES = {
@@ -31,10 +37,6 @@ PARAM_RANGES = {
     "congestion_speed_threshold": (3.0, 10.0),
     "acquisition_quota": (0.05, 0.9),
 }
-
-
-def clamp(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
 
 
 @dataclass
@@ -101,28 +103,15 @@ def fuse_labels(mean_speed: float, utilization: float, congestion_speed: float,
     return tuple(labels)
 
 
-def localize_policy(blueprint_params: dict, congestion_active: bool) -> LocalPolicy:
-    """Clamp blueprint parameters into their declared ranges and apply the
-    edge's contextual refinement: under congestion the acquisition quota is
-    raised by 0.1 at the expense of coordination (floor 0.05).
-
-    Raises ValueError on a malformed blueprint (caller keeps the old policy).
-    """
-    scalars = ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold")
-    if (not isinstance(blueprint_params, dict)
-            or not {*scalars, "role_quotas"}.issubset(blueprint_params)):
-        raise ValueError("malformed blueprint: missing parameters")
-    quotas = blueprint_params["role_quotas"]
-    if len(quotas) != 3 or any(q < 0 for q in quotas) or abs(sum(quotas) - 1.0) > 1e-6:
-        raise ValueError("malformed blueprint: bad role quotas")
-    acq, proc, coord = (float(q) for q in quotas)
-    if congestion_active:
-        shift = min(0.1, coord - 0.05)
-        if shift > 0:
-            acq += shift
-            coord -= shift
-    return LocalPolicy(**{k: clamp(float(blueprint_params[k]), *PARAM_RANGES[k]) for k in scalars},
-                       role_quotas=(acq, proc, coord))
+def localize_policy(policy: Policy, congestion_active: bool) -> Policy:
+    """The edge's contextual refinement of a blueprint's policy: under
+    congestion the acquisition quota is raised by 0.1 at the expense of
+    coordination (floor 0.05)."""
+    acq, proc, coord = policy.role_quotas
+    shift = min(0.1, coord - 0.05)
+    if not congestion_active or shift <= 0:
+        return policy
+    return replace(policy, role_quotas=(acq + shift, proc, coord - shift))
 
 
 class ThinningCounter:
@@ -212,14 +201,13 @@ class EdgeTwin:
         self._window_cu = cfg.capacity.edge_cu_s * window_us / US_PER_S
         self.server = EdgeServer(cfg.capacity.edge_cu_s)
         self.thinning = ThinningCounter()
-        self.policy = LocalPolicy(**cfg.policy.params())
+        self.policy = cfg.policy
         self.pending_blueprint = None  # a cloud PolicyBlueprint, applied at fusion
         self.directive = None          # the cloud's latest OffloadDirective
         self.window = FusionWindow()
         self.labels: tuple = ("Normal",)
         self.last_utilization = 0.0
         self.last_mean_speed: float | None = None
-        self.rejected_blueprints = 0
 
     def receive(self, payload) -> None:
         kind = payload[0]
@@ -310,13 +298,9 @@ class EdgeTwin:
         cfg = self.cfg
         # policy descent takes effect only at window boundaries
         if self.pending_blueprint is not None:
-            bp = self.pending_blueprint
+            self.policy = localize_policy(self.pending_blueprint.policy,
+                                          congestion_active="Congestion" in self.labels)
             self.pending_blueprint = None
-            try:
-                self.policy = localize_policy(bp.params(),
-                                              congestion_active="Congestion" in self.labels)
-            except ValueError:
-                self.rejected_blueprints += 1
         w = self.window
         utilization = min(1.0, w.processed_cu / self._window_cu)
         if w.speed_count:

@@ -70,15 +70,6 @@ def link_latency(link: LinkSpec, payload_bytes: int) -> int:
     return link.base_latency_us + round(payload_bytes * US_PER_S / link.bandwidth_bps)
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled occurrence; (fire_at, seq) is a strict total order."""
-
-    fire_at: int
-    seq: int
-    kind: str = "timer"
-
-
 @dataclass
 class MessageCounters:
     sent: int = 0
@@ -94,11 +85,10 @@ class Engine:
     """Single-threaded event loop. One instance per simulation run; seed
     sweeps run isolated instances with no shared state."""
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now: int = 0
         self._seq: int = 0
         self._heap: list = []
-        self.trace: list[Event] | None = [] if trace else None
         self._endpoints: dict = {}
         self.messages = MessageCounters()
 
@@ -119,10 +109,8 @@ class Engine:
         processed = 0
         heap = self._heap
         while heap and heap[0][0] <= t_end_us:
-            fire_at, seq, kind, fn, args = heapq.heappop(heap)
+            fire_at, _, _, fn, args = heapq.heappop(heap)
             self.now = fire_at
-            if self.trace is not None:
-                self.trace.append(Event(fire_at, seq, kind))
             fn(*args)
             processed += 1
         self.now = t_end_us

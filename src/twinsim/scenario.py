@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
+from .edge import PARAM_RANGES, Policy
 from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
 
@@ -91,18 +92,6 @@ class PeriodConfig:
 
 
 @dataclass
-class PolicyConfig:
-    local_serve_threshold: float = 2.0
-    offload_fraction: float = 0.2
-    congestion_speed_threshold: float = 6.0
-    role_quotas: tuple = (0.4, 0.4, 0.2)
-
-    def params(self) -> dict:
-        """The initial policy, as the parameters of a blueprint."""
-        return {**vars(self), "role_quotas": tuple(self.role_quotas)}
-
-
-@dataclass
 class HotspotConfig:
     region: int = 0
     rate_multiplier: float = 12.0
@@ -127,7 +116,7 @@ class ScenarioConfig:
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     periods: PeriodConfig = field(default_factory=PeriodConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    policy: Policy = field(default_factory=Policy)
     mode: str = "layered"
     duration_s: float = 300.0
     seed: int = 0
@@ -162,25 +151,32 @@ def _number(value, name: str, whole: bool = False):
     return int(value) if whole else value
 
 
-def _fill(obj, data: dict, path: str):
-    known = set(obj.__dataclass_fields__)
+_COUNT_WORDS = {2: "two", 3: "three"}
+
+
+def _fill(obj, data, name: str = ""):
+    """A copy of dataclass ``obj`` with the keys of JSON object ``data``
+    filled in; ``name`` is ``obj``'s path in the scenario, for errors.  A
+    tuple default takes a list of as many numbers."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: expected an object")
+    prefix = f"{name}." if name else ""
+    changes = {}
     for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown key: {path}{key}")
+        if key not in obj.__dataclass_fields__:
+            raise ConfigError(f"unknown key: {prefix}{key}")
         current = getattr(obj, key)
-        name = f"{path}{key}"
+        path = prefix + key
         if is_dataclass(current):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name}: expected an object")
-            _fill(current, value, f"{name}.")
+            value = _fill(current, value, path)
         elif isinstance(current, tuple):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name}: expected a list of numbers")
-            setattr(obj, key, tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value)))
+            if not isinstance(value, (list, tuple)) or len(value) != len(current):
+                raise ConfigError(f"{path}: expected {_COUNT_WORDS[len(current)]} numbers")
+            value = tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(value))
         elif _is_number(current):
-            setattr(obj, key, _number(value, name, whole=isinstance(current, int)))
-        else:
-            setattr(obj, key, value)
+            value = _number(value, path, whole=isinstance(current, int))
+        changes[key] = value
+    return replace(obj, **changes)
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
@@ -193,18 +189,17 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         for name, spec in links.items():
             if name not in cfg.links:
                 raise ConfigError(f"unknown key: links.{name}")
-            if not isinstance(spec, dict):
-                raise ConfigError(f"links.{name}: expected an object")
-            _fill(cfg.links[name], spec, f"links.{name}.")
+            cfg.links[name] = _fill(cfg.links[name], spec, f"links.{name}")
     if "hotspot" in data:
         hs = data.pop("hotspot")
-        if hs is not None:
-            cfg.hotspot = HotspotConfig()
-            _fill(cfg.hotspot, hs, "hotspot.")
+        cfg.hotspot = None if hs is None else _fill(HotspotConfig(), hs, "hotspot")
     if "scripted_tasks" in data:
         st = data.pop("scripted_tasks")
-        cfg.scripted_tasks = []
+        if st is not None and not isinstance(st, list):
+            raise ConfigError("scripted_tasks: expected a list")
         for i, entry in enumerate(st or []):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"scripted_tasks[{i}]: expected an object")
             extra = set(entry) - {"device", "at_s", "cost_cu"}
             if extra:
                 raise ConfigError(f"unknown key: scripted_tasks[{i}].{extra.pop()}")
@@ -212,7 +207,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                                              whole=k == "device")
                                      for k in ("device", "at_s", "cost_cu"))
             cfg.scripted_tasks.append(ScriptedTask(device, float(at_s), float(cost_cu)))
-    _fill(cfg, data, "")
+    cfg = _fill(cfg, data)
     validate(cfg)
     return cfg
 
@@ -257,11 +252,14 @@ def validate(cfg: ScenarioConfig) -> None:
         ticks = round(value * US_PER_S / sense_us) if 0 < value < math.inf else 0
         check(ticks >= 1 and math.isclose(value * US_PER_S, ticks * sense_us), f"periods.{key}",
               "must be a positive integer multiple of periods.sense_ms")
+    # the one check of the policy: blueprints and edges trust it from here on
     p = cfg.policy
-    check(0 <= p.local_serve_threshold <= 10, "policy.local_serve_threshold", "must be in [0, 10]")
-    check(0 <= p.offload_fraction <= 1, "policy.offload_fraction", "must be in [0, 1]")
-    check(len(p.role_quotas) == 3 and abs(sum(p.role_quotas) - 1) < 1e-9,
-          "policy.role_quotas", "three fractions summing to 1")
+    for key in ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold"):
+        lo, hi = PARAM_RANGES[key]
+        check(lo <= getattr(p, key) <= hi, f"policy.{key}", f"must be in [{lo:g}, {hi:g}]")
+    check(len(p.role_quotas) == 3 and min(p.role_quotas) >= 0
+          and abs(sum(p.role_quotas) - 1) < 1e-9,
+          "policy.role_quotas", "three non-negative fractions summing to 1")
     check(cfg.mode in ("layered", "cloud_only"), "mode", "must be layered or cloud_only")
     check(cfg.duration_s > cfg.periods.epoch_s, "duration_s", "must exceed one epoch")
     if cfg.hotspot is not None:

@@ -8,7 +8,7 @@ import hashlib
 import random
 
 from twinsim.cloud import PolicyBlueprint, RegionEvolution
-from twinsim.edge import ThinningCounter, largest_remainder_seats
+from twinsim.edge import Policy, ThinningCounter, largest_remainder_seats
 from twinsim.kernel import Engine
 from twinsim.mobility import build_grid
 from twinsim.runner import run_showcase
@@ -158,19 +158,19 @@ def test_criterion_6_property_invariants(capsys):
     c = ThinningCounter()
     checks.append(sum(c.take(0.3) for _ in range(1000)) == 300)
 
-    parent = PolicyBlueprint(0, 0, None, 2.0, 0.2, 6.0, (0.4, 0.4, 0.2))
+    parent = PolicyBlueprint(0, 0, None, Policy(2.0, 0.2, 6.0, (0.4, 0.4, 0.2)))
     evo = RegionEvolution(parent)
     evo.close_epoch(30_000.0)
     evo.open_epoch(1, random.Random(0))
     _, active = evo.close_epoch(1e9)
     checks.append(active is parent)
 
-    eng = Engine(trace=True)
-    for t in [5, 3, 5, 1]:
-        eng.schedule(t, lambda: None)
+    eng = Engine()
+    fired = []
+    for seq, t in enumerate([5, 3, 5, 1]):  # a fresh engine's event ids
+        eng.schedule(t, lambda seq: fired.append((eng.now, seq)), seq)
     eng.run_until(10)
-    fired = [(e.fire_at, e.seq) for e in eng.trace]
-    checks.append(fired == sorted(fired))
+    checks.append(fired == sorted(fired) and len(fired) == 4)
 
     ok = all(checks)
     _report(capsys, "criterion 6", "property invariants", ok,

@@ -6,21 +6,16 @@ import pytest
 from twinsim.cloud import (EpochRecord, KnowledgeGraph, PolicyBlueprint,
                            RegionEvolution, blueprint_to_json, coordinate,
                            evaluate_epoch, mutate_blueprint)
-from twinsim.edge import PARAM_RANGES
+from twinsim.edge import PARAM_RANGES, Policy, UplinkPackage
 
 
 def bp(target=0, epoch=0, **overrides):
-    params = dict(local_serve_threshold=2.0, offload_fraction=0.2,
-                  congestion_speed_threshold=6.0, role_quotas=(0.4, 0.4, 0.2))
-    params.update(overrides)
-    return PolicyBlueprint(target=target, epoch=epoch, parent_id=None, **params)
+    return PolicyBlueprint(target=target, epoch=epoch, parent_id=None,
+                           policy=Policy(**overrides))
 
 
-class Package:
-    def __init__(self, rsu_id, labels=("Normal",), utilization=0.2):
-        self.rsu_id = rsu_id
-        self.event_labels = labels
-        self.utilization = utilization
+def package(rsu_id, labels=("Normal",), utilization=0.2):
+    return UplinkPackage(rsu_id, labels, utilization)
 
 
 def lattice_graph():
@@ -30,27 +25,19 @@ def lattice_graph():
     return KnowledgeGraph(list(range(6)), adjacency)
 
 
-def test_ingest_rejects_unknown_region():
-    graph = lattice_graph()
-    assert not graph.ingest(Package(99))
-    assert graph.rejected == 1
-    assert not graph.ingest(object())
-    assert graph.rejected == 2
-
-
 def test_ingest_latches_labels():
     graph = lattice_graph()
-    graph.ingest(Package(2, labels=("Overload",), utilization=0.95))
+    graph.ingest(package(2, labels=("Overload",), utilization=0.95))
     assert graph.nodes[2].labels == ("Overload",)
     assert graph.nodes[2].utilization == pytest.approx(0.95)
 
 
 def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
     graph = lattice_graph()
-    graph.ingest(Package(1, labels=("Overload",), utilization=0.95))
-    graph.ingest(Package(0, labels=("Underload",), utilization=0.30))
-    graph.ingest(Package(2, labels=("Underload",), utilization=0.10))
-    graph.ingest(Package(4, labels=("Normal",), utilization=0.60))
+    graph.ingest(package(1, labels=("Overload",), utilization=0.95))
+    graph.ingest(package(0, labels=("Underload",), utilization=0.30))
+    graph.ingest(package(2, labels=("Underload",), utilization=0.10))
+    graph.ingest(package(4, labels=("Normal",), utilization=0.60))
     directives = coordinate(graph, {1: 0.25}, epoch=3, expires_at_us=90_000_000)
     assert len(directives) == 1
     d = directives[0]
@@ -63,9 +50,9 @@ def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
 def test_coordinate_exclusive_partners():
     graph = lattice_graph()
     # 0 and 2 both overloaded; only shared underloaded neighbor is 1
-    graph.ingest(Package(0, labels=("Overload",), utilization=0.9))
-    graph.ingest(Package(2, labels=("Overload",), utilization=0.9))
-    graph.ingest(Package(1, labels=("Underload",), utilization=0.2))
+    graph.ingest(package(0, labels=("Overload",), utilization=0.9))
+    graph.ingest(package(2, labels=("Overload",), utilization=0.9))
+    graph.ingest(package(1, labels=("Underload",), utilization=0.2))
     directives = coordinate(graph, {0: 0.2, 2: 0.2}, 1, 0)
     # lower rsu id claims the partner first
     assert [(d.from_rsu, d.to_rsu) for d in directives] == [(0, 1)]
@@ -73,7 +60,7 @@ def test_coordinate_exclusive_partners():
 
 def test_coordinate_no_eligible_partner():
     graph = lattice_graph()
-    graph.ingest(Package(0, labels=("Overload",), utilization=0.9))
+    graph.ingest(package(0, labels=("Overload",), utilization=0.9))
     assert coordinate(graph, {0: 0.2}, 1, 0) == []
 
 
@@ -93,7 +80,7 @@ def test_mutation_round_robin_order():
         child = mutate_blueprint(parent, epoch, rng)
         diffs = [k for k in ("local_serve_threshold", "offload_fraction",
                              "congestion_speed_threshold", "role_quotas")
-                 if getattr(child, k) != getattr(parent, k)]
+                 if getattr(child.policy, k) != getattr(parent.policy, k)]
         touched.append(diffs)
     assert touched == [["local_serve_threshold"], ["offload_fraction"],
                        ["congestion_speed_threshold"], ["role_quotas"]]
@@ -105,9 +92,9 @@ def test_mutation_respects_ranges_and_quota_sum():
     for epoch in range(1, 101):
         child = mutate_blueprint(parent, epoch, rng)
         lo, hi = PARAM_RANGES["local_serve_threshold"]
-        assert lo <= child.local_serve_threshold <= hi
-        assert 0.0 <= child.offload_fraction <= 1.0
-        q = child.role_quotas
+        assert lo <= child.policy.local_serve_threshold <= hi
+        assert 0.0 <= child.policy.offload_fraction <= 1.0
+        q = child.policy.role_quotas
         assert sum(q) == pytest.approx(1.0, abs=1e-9)
         assert all(x >= 0.05 - 1e-9 for x in q)
         parent = child

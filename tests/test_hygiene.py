@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every name a module under
 src/twinsim imports is referenced in that module, every function, class
-and method defined under src/twinsim is referenced somewhere in it, and the
-runner sends no message, because message traffic belongs to a twin
-layer."""
+and method defined under src/twinsim is referenced somewhere in it, every
+attribute assigned there is read there, and the runner sends no message,
+because message traffic belongs to a twin layer."""
 import ast
 from pathlib import Path
 
@@ -93,6 +93,40 @@ def test_unreferenced_definition_is_caught():
                                "def lonely(): pass\n"),
              "b.py": ast.parse("from a import called\ncalled()\n")}
     assert set(unreferenced(trees)) == {"a.py:orphan", "a.py:lonely"}
+
+
+def write_only(trees: dict[str, ast.Module]) -> dict[str, str]:
+    """Attributes that some module of ``trees`` assigns (``x.a = ...``,
+    ``x.a += ...``) and none reads as an attribute, as ``"file:line" ->
+    name`` of the first assignment.  ``x.a[i] = ...`` reads ``x.a``."""
+    assigned, read = {}, set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    assigned.setdefault(node.attr, f"{name}:{node.lineno}")
+                else:
+                    read.add(node.attr)
+    return {where: attr for attr, where in assigned.items() if attr not in read}
+
+
+def test_no_write_only_attributes():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    found = write_only(trees)
+    assert found == {}, f"assigned under src/twinsim but never read there: {found}"
+
+
+def test_write_only_attribute_is_caught():
+    trees = {"a.py": ast.parse("class A:\n"
+                               "    def __init__(self):\n"
+                               "        self.count = 0\n"
+                               "        self.seen = 0\n"
+                               "        self.table = {}\n"
+                               "    def bump(self):\n"
+                               "        self.count += 1\n"
+                               "        self.table[1] = 2\n"),
+             "b.py": ast.parse("def show(a):\n    return a.seen\n")}
+    assert write_only(trees) == {"a.py:3": "count"}
 
 
 MESSAGE_CALLS = {"send", "send_batch", "account_batch"}

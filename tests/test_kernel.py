@@ -147,12 +147,28 @@ def test_message_conservation_under_loss():
 
 
 def test_trace_records_fire_order():
-    eng = Engine(trace=True)
-    eng.schedule(5, lambda: None, kind="a")
-    eng.schedule(3, lambda: None, kind="b")
+    eng = Engine()
+    fired = []
+    eng.schedule(5, lambda: fired.append((eng.now, "a")))
+    eng.schedule(3, lambda: fired.append((eng.now, "b")))
     eng.run_until(10)
-    fired = [(e.fire_at, e.kind) for e in eng.trace]
     assert fired == [(3, "b"), (5, "a")]
+
+
+def record_kinds(eng) -> list:
+    """``(fire time, kind)`` of each event ``eng`` fires from now on, in
+    firing order, recorded by wrapping its ``schedule``."""
+    fired = []
+    schedule = eng.schedule
+
+    def recording_schedule(at_us, fn, *args, kind="timer"):
+        def fire(*a):
+            fired.append((eng.now, kind))
+            fn(*a)
+        return schedule(at_us, fire, *args, kind=kind)
+
+    eng.schedule = recording_schedule
+    return fired
 
 
 def _loss_oracle_run(batched):
@@ -162,7 +178,8 @@ def _loss_oracle_run(batched):
     again, which exhausts max_attempts=2 and drops it."""
     link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000, max_attempts=2)
     rng = ScriptedRng([0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6])
-    eng = Engine(trace=True)
+    eng = Engine()
+    fired = record_kinds(eng)
     calls, drops = [], []
     for name in ("a", "b"):
         eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
@@ -180,8 +197,8 @@ def _loss_oracle_run(batched):
         for dst, payload in msgs:
             eng.send(dst, payload, 2000, link, rng, on_drop=on_drop)
     eng.run_until(1_000_000)
-    retx = [e.fire_at for e in eng.trace if e.kind == "retx"]
-    n_delivery_events = sum(e.kind == "delivery" for e in eng.trace)
+    retx = [t for t, kind in fired if kind == "retx"]
+    n_delivery_events = sum(kind == "delivery" for _, kind in fired)
     return calls, retx, drops, eng.messages, rng.values, n_delivery_events
 
 

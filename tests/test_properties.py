@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsim.cloud import KnowledgeGraph, PolicyBlueprint, RegionEvolution, coordinate
-from twinsim.edge import ThinningCounter, largest_remainder_seats
+from twinsim.edge import PARAM_RANGES, Policy, ThinningCounter, largest_remainder_seats
 from twinsim.kernel import Engine
 from twinsim.mobility import build_grid, serving_rsu
+from twinsim.scenario import parse_scenario
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,17 +66,55 @@ def test_thinning_exactness(fraction, k):
     st.integers(0, 2**32 - 1),
 )
 def test_rollback_restores_parent_bit_exact(theta, phi, vc, seed):
-    parent = PolicyBlueprint(
-        target=0, epoch=0, parent_id=None,
-        local_serve_threshold=theta, offload_fraction=phi,
-        congestion_speed_threshold=vc, role_quotas=(0.4, 0.4, 0.2))
+    policy = Policy(theta, phi, vc, (0.4, 0.4, 0.2))
+    parent = PolicyBlueprint(target=0, epoch=0, parent_id=None, policy=policy)
     evo = RegionEvolution(parent)
     evo.close_epoch(30_000.0)
     evo.open_epoch(1, random.Random(seed))
     decision, active = evo.close_epoch(1e9)  # force rollback
     assert decision == "rollback"
     assert active is parent
-    assert active.params() == parent.params()
+    assert active.policy == Policy(theta, phi, vc, (0.4, 0.4, 0.2))
+
+
+def policies_validate_accepts():
+    """Policies that ``validate`` accepts: every scalar across its range,
+    range endpoints and zero quotas included."""
+    def scalar(key):
+        lo, hi = PARAM_RANGES[key]
+        return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3)
+    return st.builds(
+        Policy, scalar("local_serve_threshold"), scalar("offload_fraction"),
+        scalar("congestion_speed_threshold"),
+        weights.filter(lambda w: sum(w) > 0).map(lambda w: tuple(x / sum(w) for x in w)))
+
+
+def assert_in_range(policy):
+    for key in ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold"):
+        lo, hi = PARAM_RANGES[key]
+        assert lo <= getattr(policy, key) <= hi
+    assert len(policy.role_quotas) == 3
+    assert min(policy.role_quotas) >= 0
+    assert abs(sum(policy.role_quotas) - 1) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(policies_validate_accepts(), st.lists(st.booleans(), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_evolution_keeps_policies_in_range(policy, keeps, seed):
+    """Chained keep and rollback epochs, from any policy the scenario
+    parser accepts, keep every policy in range: this is why no layer after
+    the parser checks a blueprint again."""
+    assert parse_scenario({"policy": vars(policy)}).policy == policy
+    rng = random.Random(seed)
+    evo = RegionEvolution(PolicyBlueprint(0, 0, None, policy))
+    evo.close_epoch(30_000.0)
+    for epoch, keep in enumerate(keeps, start=1):
+        assert_in_range(evo.open_epoch(epoch, rng).policy)
+        _, active = evo.close_epoch(30_000.0 if keep else 1e9)
+        assert_in_range(active.policy)
 
 
 label_sets = st.sampled_from(
@@ -106,10 +145,11 @@ def test_directive_legality_and_exclusivity(labels):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=200))
 def test_event_order_non_inversion(times):
-    eng = Engine(trace=True)
-    for t in times:
-        eng.schedule(t, lambda: None)
+    eng = Engine()
+    fired = []
+    for i, t in enumerate(times):
+        # a fresh engine issues event ids 0, 1, 2, ...
+        assert eng.schedule(t, lambda seq: fired.append((eng.now, seq)), i) == i
     eng.run_until(10_000)
-    fired = [(e.fire_at, e.seq) for e in eng.trace]
     assert fired == sorted(fired)
     assert len(fired) == len(times)

@@ -265,3 +265,49 @@ def test_cli_run_rejects_fractional_vehicle_count(tmp_path, capsys):
     path.write_text(json.dumps({"vehicles_per_rsu": 2.5}))
     assert main(["run", "--scenario", str(path)]) == 2
     assert "vehicles_per_rsu: expected a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,message", [
+    # AttributeError
+    ({"hotspot": 5}, r"hotspot: expected an object"),
+    # TypeError
+    ({"scripted_tasks": 5}, r"scripted_tasks: expected a list"),
+    ({"scripted_tasks": [5]}, r"scripted_tasks\[0\]: expected an object"),
+    # IndexError in validate
+    ({"speed_range_mps": [5]}, r"speed_range_mps: expected two numbers"),
+    ({"workload": {"cost_range_cu": [1]}}, r"workload\.cost_range_cu: expected two numbers"),
+    # parsed, and the third number was ignored
+    ({"speed_range_mps": [5, 6, 7]}, r"speed_range_mps: expected two numbers"),
+    ({"policy": {"role_quotas": [0.5, 0.5]}}, r"policy\.role_quotas: expected three numbers"),
+])
+def test_wrong_shape_rejected_with_path(data, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario(data)
+
+
+def test_cli_run_rejects_wrong_shape(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"speed_range_mps": [5]}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "speed_range_mps: expected two numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,lo,hi", [("local_serve_threshold", 0, 10),
+                                       ("offload_fraction", 0, 1),
+                                       ("congestion_speed_threshold", 3, 10)])
+def test_policy_scalars_in_range(key, lo, hi):
+    # the parser is the one check of the policy; 50 m/s used to run until
+    # the first blueprint clamped it to 10
+    for value in (lo, hi):
+        assert getattr(parse_scenario({"policy": {key: value}}).policy, key) == value
+    for value in (lo - 0.5, hi + 0.5, 50, float("nan")):
+        with pytest.raises(ConfigError, match=rf"policy\.{key}: must be in \[{lo}, {hi}\]"):
+            parse_scenario({"policy": {key: value}})
+
+
+def test_role_quotas_non_negative():
+    # ran with every vehicle in the acquisition role
+    parse_scenario({"policy": {"role_quotas": [1, 0, 0]}})
+    for quotas in ([1.2, -0.1, -0.1], [0.5, 0.6, 0.1]):
+        with pytest.raises(ConfigError, match=r"policy\.role_quotas"):
+            parse_scenario({"policy": {"role_quotas": quotas}})
