@@ -80,18 +80,22 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+def _seed_range(text: str):
+    """``--seeds`` as ``lo..hi`` (inclusive) or ``a,b,c``; else a usage error."""
+    try:
+        lo, _, hi = text.partition("..")
+        seeds = range(int(lo), int(hi) + 1) if hi else [int(s) for s in text.split(",")]
+        if not seeds:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a non-empty seed range: {text!r}") from None
+    return seeds
 
 
 def cmd_sweep(args) -> int:
-    seeds = _parse_seed_range(args.seeds)
     cfg = _load(args)
     medians = []
-    for seed in seeds:
+    for seed in args.seeds:
         cfg.seed = seed
         outdir = Path(args.out) / f"seed{seed}" if args.out else None
         result = run_showcase(cfg, outdir=outdir)
@@ -100,8 +104,7 @@ def cmd_sweep(args) -> int:
         print(f"seed={seed} completed={stats['n_completed']} "
               f"median_rt_ms={stats['median_us'] / 1000:.3f} "
               f"drop_rate={stats['drop_rate']:.6f}")
-    if medians:
-        print(f"median_of_medians_ms {metrics.median(medians) / 1000:.3f}")
+    print(f"median_of_medians_ms {metrics.median(medians) / 1000:.3f}")
     return 0
 
 
@@ -120,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="directory for run artifacts")
     run_p.add_argument("--seed", type=int)
     run_p.set_defaults(fn=cmd_run)
-    sweep_p.add_argument("--seeds", default="0..9", help="e.g. 0..9 or 0,2,5")
+    sweep_p.add_argument("--seeds", type=_seed_range, default="0..9",
+                         help="e.g. 0..9 or 0,2,5")
     sweep_p.set_defaults(fn=cmd_sweep)
 
     sum_p = sub.add_parser("summarize", help="summarize a finished run directory")

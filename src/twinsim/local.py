@@ -51,45 +51,61 @@ class BeaconSnapshot:
 
     ``ok[i]`` belongs to the ``i``-th directed beacon of the pairs in
     ``(p0, p1)`` order: the first half are the beacons ``p0 -> p1``, the
-    second half ``p1 -> p0``.  The per-receiver sender index is built on the
-    first ``senders`` call, so a pass that no handoff reads sorts nothing.
+    second half ``p1 -> p0``.  The first ``senders`` or ``bound`` call builds
+    the index that replaces these raw arrays, so a pass that no handoff
+    reads sorts nothing: each receiver's senders in two ascending runs
+    (below it, above it), and per receiver the bound of a handoff query.
     """
 
-    __slots__ = ("t_send", "heard_at", "pairs", "ok", "busy", "role", "_src", "_indptr")
+    __slots__ = ("t_send", "heard_at", "raw", "cap", "adv", "key", "low_s", "low_src", "_runs")
 
     def __init__(self, t_send: int, heard_at: int, pairs: np.ndarray, ok: np.ndarray,
-                 busy: np.ndarray, role: np.ndarray):
+                 busy: np.ndarray, role: np.ndarray, cap: float):
         self.t_send = t_send
         self.heard_at = heard_at
-        self.pairs = pairs
-        self.ok = ok
-        self.busy = busy
-        self.role = role
-        self._src: np.ndarray | None = None
-        self._indptr: np.ndarray | None = None
+        self.raw = (pairs, ok, busy, role)
+        self.cap = cap
 
     def senders(self, v: int) -> np.ndarray:
         """Senders of the delivered beacons vehicle ``v`` heard, ascending."""
-        if self._indptr is None:
+        if self.raw is not None:
             self._build_index()
-        return self._src[self._indptr[v]:self._indptr[v + 1]]
+        (below, bp), (above, ap) = self._runs
+        return np.concatenate((below[bp[v]:bp[v + 1]], above[ap[v]:ap[v + 1]]))
+
+    def bound(self, v: int) -> tuple:
+        """Least backlog (s) and ranking key ``(backlog_s * cap, sender)``
+        of the Processing-role senders ``v`` heard; inf if there are none."""
+        if self.raw is not None:
+            self._build_index()
+        s = self.low_src[v]
+        return self.low_s[v], self.key[s], s
 
     def _build_index(self) -> None:
-        n = len(self.busy)
-        pairs = self.pairs
-        # pairs are unique, so one key gives the (p0, p1) order
-        pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])[self.ok]
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[self.ok]
-        # a stable sort on the receiver keeps each receiver's senders
-        # ascending (first half: senders below it, second half: above it);
-        # on the narrowest integer type that holds a vehicle id it is a
-        # radix sort
-        by_dst = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
-        self._src = src[by_dst]
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
-        self._indptr = indptr
+        pairs, ok, busy, role = self.raw
+        n, m = len(busy), len(pairs)
+        # per vehicle: its backlog as a Processing-role sender (else inf),
+        # ranking key and rank in (key, id) order; n stands for no sender
+        self.adv = adv = np.where(role == 1, np.maximum(busy - self.t_send, 0) / US_PER_S, np.inf)
+        self.key = np.append(adv * self.cap, np.inf)
+        by_key = np.append(np.argsort(self.key[:-1], kind="stable"), n)
+        rank = np.argsort(by_key[:-1])
+        # unique pair keys p0 * n + p1, in the narrowest unsigned type
+        pairs = pairs.astype(np.min_scalar_type(n * n - 1))
+        key = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        p0 = key // n
+        self.low_s, low_rank, self._runs = np.full(n, np.inf), np.full(n, n), []
+        # runs: p0 -> p1 sorted by (receiver, sender), p1 -> p0 in pair order
+        for run in (np.sort(((key - p0 * n) * n + p0)[ok[:m]]), key[ok[m:]]):
+            dst = (run // n).astype(np.intp)
+            src = run - dst * n
+            indptr = np.searchsorted(dst, np.arange(n + 1))
+            got = np.flatnonzero(np.diff(indptr))  # receivers with a sender here
+            for low, per_src in ((self.low_s, adv), (low_rank, rank)):
+                low[got] = np.minimum(low[got], np.minimum.reduceat(per_src[src], indptr[got]))
+            self._runs.append((src, indptr))
+        self.low_src = by_key[low_rank]
+        self.raw = None
 
 
 class LocalTwins:
@@ -296,7 +312,8 @@ class LocalTwins:
             delivered = int(np.count_nonzero(ok))
             latency = link_latency(v2v, self.cfg.workload.beacon_bytes)
             self.beacon_snapshots.append(BeaconSnapshot(
-                now, now + latency, pairs, ok, self.busy_until.copy(), self.role.copy()))
+                now, now + latency, pairs, ok, self.busy_until.copy(), self.role.copy(),
+                self.cfg.capacity.local_cu_s))
         snapshots = self.beacon_snapshots
         while snapshots and now - snapshots[0].heard_at > self.neighbor_expiry_us:
             snapshots.pop(0)
@@ -305,26 +322,31 @@ class LocalTwins:
     def handoff_candidate(self, v: int, now: int, own_backlog_cu: float) -> int | None:
         """Processing-role neighbor whose advertised backlog trails ours by
         more than the handoff gap; lowest backlog wins, ties by id.  Uses the
-        most recent unexpired beacon per neighbor; each snapshot it reads
-        builds its neighbour index on the first such read."""
+        most recent unexpired beacon per neighbor.
+
+        Newest first, a snapshot whose bound misses the gap or is not below
+        the best so far is skipped; else its bound's sender wins if it has
+        the least backlog and no newer snapshot heard it, or else the best
+        sender that no newer snapshot heard."""
         cap = self.cfg.capacity.local_cu_s
         need = own_backlog_cu / cap - self.cfg.thresholds.handoff_gap_s
-        seen: set[int] = set()
-        best: tuple[float, int] | None = None
+        best = None
+        newer: list[BeaconSnapshot] = []
         for snap in reversed(self.beacon_snapshots):
-            heard_at = snap.heard_at
-            if heard_at > now or now - heard_at > self.neighbor_expiry_us:
+            if not 0 <= now - snap.heard_at <= self.neighbor_expiry_us:
                 continue
-            t_send, busy, role = snap.t_send, snap.busy, snap.role
-            for s in snap.senders(v).tolist():
-                if s in seen:
-                    continue
-                seen.add(s)
-                if role[s] != 1:
-                    continue
-                backlog_s = max(0, int(busy[s]) - t_send) / US_PER_S
-                if backlog_s < need:
-                    key = (backlog_s * cap, s)
-                    if best is None or key < best:
-                        best = key
-        return best[1] if best is not None else None
+            low_s, key, s = snap.bound(v)
+            if low_s < need and (best is None or (key, s) < best):
+                shadow = np.zeros(len(snap.adv), dtype=bool)
+                for newer_snap in newer:
+                    shadow[newer_snap.senders(v)] = True
+                if snap.adv[s] == low_s and not shadow[s]:
+                    best = (key, s)
+                else:
+                    c = snap.senders(v)
+                    keys = np.where(shadow[c] | (snap.adv[c] >= need), np.inf, snap.key[c])
+                    i = keys.argmin()  # senders ascend: the first least key has the lowest id
+                    if keys[i] < np.inf and (best is None or (keys[i], c[i]) < best):
+                        best = (keys[i], c[i])
+            newer.append(snap)
+        return None if best is None else int(best[1])

@@ -15,6 +15,12 @@ from .edge import PARAM_RANGES, Policy
 from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
 
+# Fleet bounds, checked before anything is built; the last caps the vehicle
+# x RSU distance matrix that every 100 ms tick computes.
+MAX_GRID_SIDE = 1_000
+MAX_VEHICLES_PER_RSU = 100_000
+MAX_DISTANCE_CELLS = 10_000_000
+
 
 @dataclass
 class GridConfig:
@@ -217,11 +223,15 @@ def validate(cfg: ScenarioConfig) -> None:
         if not cond:
             raise ConfigError(f"{name}: {msg}")
 
-    check(cfg.grid.rows >= 1 and cfg.grid.cols >= 1, "grid.rows/cols", "must be >= 1")
+    for name, value, hi in (("grid.rows", cfg.grid.rows, MAX_GRID_SIDE),
+                            ("grid.cols", cfg.grid.cols, MAX_GRID_SIDE),
+                            ("vehicles_per_rsu", cfg.vehicles_per_rsu, MAX_VEHICLES_PER_RSU)):
+        check(1 <= value <= hi, name, f"must be in [1, {hi:,}]")
+    check(cfg.n_vehicles * cfg.n_rsus <= MAX_DISTANCE_CELLS, "vehicles_per_rsu",
+          f"vehicles x RSUs must be <= {MAX_DISTANCE_CELLS:,}")
     check(cfg.grid.spacing_m > 0, "grid.spacing_m", "must be > 0")
     check(cfg.grid.rsu_radius_m > 0, "grid.rsu_radius_m", "must be > 0")
     check(cfg.grid.hysteresis_m >= 0, "grid.hysteresis_m", "must be >= 0")
-    check(cfg.vehicles_per_rsu >= 1, "vehicles_per_rsu", "must be >= 1")
     check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1], "speed_range_mps", "invalid range")
     for name, link in cfg.links.items():
         check(link.bandwidth_bps > 0, f"links.{name}.bandwidth_bps", "must be > 0")
@@ -261,7 +271,11 @@ def validate(cfg: ScenarioConfig) -> None:
           and abs(sum(p.role_quotas) - 1) < 1e-9,
           "policy.role_quotas", "three non-negative fractions summing to 1")
     check(cfg.mode in ("layered", "cloud_only"), "mode", "must be layered or cloud_only")
-    check(cfg.duration_s > cfg.periods.epoch_s, "duration_s", "must exceed one epoch")
+    check(cfg.periods.epoch_s < cfg.duration_s < math.inf, "duration_s",
+          "must be finite and exceed one epoch")
+    window_us = periods.index_window_s * US_PER_S
+    check(0 < periods.index_window_s <= cfg.duration_s and math.isclose(window_us, round(window_us)),
+          "periods.index_window_s", "must be a whole number of microseconds in (0, duration_s]")
     if cfg.hotspot is not None:
         check(0 <= cfg.hotspot.region < cfg.n_rsus, "hotspot.region", "not a valid RSU index")
         check(cfg.hotspot.rate_multiplier >= 0, "hotspot.rate_multiplier", "must be >= 0")

@@ -1,7 +1,10 @@
 import copy
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinsim.edge import ROLES
 from twinsim.local import BeaconSnapshot, decide_local
@@ -90,6 +93,25 @@ def v2v_handoff_sim():
     return Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
 
 
+def capture_passes(local):
+    """Wrap ``local.beacon_pass`` so that every new snapshot's raw pairs,
+    loss draws and sender state are kept as they are at pass time (the index
+    build drops them from the snapshot).  Returns the list it fills with
+    ``(snapshot, pairs, ok, busy, role)``."""
+    beacon_pass = local.beacon_pass
+    passes = []
+
+    def recorded(now, pairs):
+        before = local.beacon_snapshots[-1] if local.beacon_snapshots else None
+        beacon_pass(now, pairs)
+        if local.beacon_snapshots and local.beacon_snapshots[-1] is not before:
+            snap = local.beacon_snapshots[-1]
+            passes.append((snap, *snap.raw))
+
+    local.beacon_pass = recorded
+    return passes
+
+
 def test_neighbor_table_matches_local_handoff_candidate():
     """On every handoff query of the v2v_handoff digest scenario, the local
     twins' answer from their beacon snapshots equals that of a NeighborTable
@@ -101,23 +123,24 @@ def test_neighbor_table_matches_local_handoff_candidate():
     cap = sim.cfg.capacity.local_cu_s
     gap = sim.cfg.thresholds.handoff_gap_s
     runtime = local.handoff_candidate
-    eager = {}  # id(snapshot) -> (snapshot, dst, src)
+    passes = capture_passes(local)
+    eager = {}  # id(snapshot) -> (snapshot, dst, src, busy, role)
     answers, mismatches = [], []
 
     def checked(v, now, own_backlog_cu):
+        for snap, pairs, ok, busy, role in passes[len(eager):]:
+            eager[id(snap)] = (snap, *eager_beacons(pairs, ok, n), busy, role)
         got = runtime(v, now, own_backlog_cu)
         table = NeighborTable(local.neighbor_expiry_us)
         for snap in local.beacon_snapshots:
             if snap.heard_at > now:
                 continue
-            if id(snap) not in eager:
-                eager[id(snap)] = (snap, *eager_beacons(snap.pairs, snap.ok, n))
-            _, dst, src = eager[id(snap)]
+            _, dst, src, busy, role = eager[id(snap)]
             for s in src[dst == v].tolist():
-                backlog_cu = max(0, int(snap.busy[s]) - snap.t_send) / US * cap
+                backlog_cu = max(0, int(busy[s]) - snap.t_send) / US * cap
                 # position and speed are not part of the handoff rule
                 table.observe(s, NeighborEntry(snap.heard_at, (0.0, 0.0), 0.0,
-                                               ROLES[snap.role[s]], backlog_cu))
+                                               ROLES[role[s]], backlog_cu))
         want = table.handoff_candidate(now, own_backlog_cu, cap, gap)
         if got != want:
             mismatches.append((v, now, got, want))
@@ -135,26 +158,117 @@ def test_lazy_beacon_index_matches_eager_pass():
     receiver's senders from the lazily built index equal the eager oracle's,
     whether a handoff query built the index during the run or not."""
     sim = v2v_handoff_sim()
-    local = sim.local
     n = sim.cfg.n_vehicles
-    beacon_pass = local.beacon_pass
-    snapshots = []
-
-    def recorded(now, pairs):
-        before = local.beacon_snapshots[-1] if local.beacon_snapshots else None
-        beacon_pass(now, pairs)
-        if local.beacon_snapshots and local.beacon_snapshots[-1] is not before:
-            snapshots.append(local.beacon_snapshots[-1])
-
-    local.beacon_pass = recorded
+    passes = capture_passes(sim.local)
     sim.run()
-    assert len(snapshots) == 31
-    for snap in snapshots:
-        dst, src = eager_beacons(snap.pairs, snap.ok, n)
-        assert len(src) == int(snap.ok.sum()) > 0
+    assert len(passes) == 31
+    for snap, pairs, ok, _, _ in passes:
+        dst, src = eager_beacons(pairs, ok, n)
+        assert len(src) == int(ok.sum()) > 0
         indptr = np.searchsorted(dst, np.arange(n + 1))
         for v in range(n):
             assert np.array_equal(snap.senders(v), src[indptr[v]:indptr[v + 1]])
+
+
+# The property test's LocalTwins: 10 CU/s on board and a 0.25 s handoff gap,
+# as in the v2v_handoff digest scenario, and 3 s neighbour expiry.
+CAP, GAP, EXPIRY = 10.0, 0.25, 3 * US
+LATENCY = 400  # us from a beacon pass to its receipt
+# Backlogs of k / 64 s (k * 15,625 us) are exact in binary, so a query's
+# need can sit exactly at one.  Near 6.9e9 s, consecutive microseconds of
+# backlog stay distinct but share a ranking key at 10 CU/s.
+UNIT, HUGE = 15_625, 6_900_000_000_000_000
+
+
+@functools.lru_cache(maxsize=None)
+def property_twins():
+    return Simulation(parse_scenario({
+        "grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 3, "duration_s": 31,
+        "capacity": {"local_cu_s": CAP}, "thresholds": {"handoff_gap_s": GAP,
+                                                        "neighbor_expiry_s": EXPIRY / US}},
+    )).local
+
+
+def beacon_pass(i, pairs, ok, backlog, role, huge=False):
+    """Raw pass ``i`` (sent at i s): ``backlog[s]`` is sender ``s``'s queue
+    in steps of UNIT us, or in us above HUGE; a negative one is an idle
+    queue that emptied before the pass."""
+    t_send = i * US
+    busy = [t_send + (HUGE + b if huge else b * UNIT) for b in backlog]
+    return (t_send, t_send + LATENCY, np.array(pairs, dtype=np.intp).reshape(-1, 2),
+            np.array(ok, dtype=bool), np.array(busy, dtype=np.int64),
+            np.array(role, dtype=np.int8))
+
+
+def own_at(k):
+    """Own backlog (CU) whose handoff need is exactly k / 64 s."""
+    return (k / 64 + GAP) * CAP
+
+
+@st.composite
+def handoff_worlds(draw):
+    """A few vehicles and 1-5 raw beacon passes, 1 s apart, a query time
+    around some pass's receipt or expiry, and an own backlog."""
+    n = draw(st.integers(2, 6))
+    huge = draw(st.booleans())
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    passes = []
+    for i in range(draw(st.integers(1, 5))):
+        chosen = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+        m = len(chosen)
+        passes.append(beacon_pass(
+            i, draw(st.permutations(chosen)),
+            draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m)),
+            draw(st.lists(st.integers(-2, 12), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, len(ROLES) - 1), min_size=n, max_size=n)), huge))
+    edges = [p[1] + d for p in passes for d in (-1, 0, 1, EXPIRY, EXPIRY + 1)]
+    now = draw(st.one_of(st.sampled_from(edges), st.integers(0, 9 * US)))
+    if huge:
+        own = draw(st.sampled_from([0.0, 1e12]))
+    else:
+        own = draw(st.one_of(st.integers(0, 12).map(own_at), st.floats(0, 2 * CAP)))
+    return passes, now, own
+
+
+@settings(max_examples=300, deadline=None)
+@given(handoff_worlds())
+# vehicle 1 advertised an idle Processing role at 0 s, but at 1 s it relays
+@example(([beacon_pass(0, [(0, 1)], [1, 1], [0, 0], [1, 1]),
+           beacon_pass(1, [(0, 1)], [1, 1], [0, 0], [1, 2])], US + LATENCY, own_at(12)))
+# ... or it is busy by then
+@example(([beacon_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 0, 3], [1, 1, 1]),
+           beacon_pass(1, [(0, 1)], [1, 1], [0, 5, 0], [1, 1, 1])], US + LATENCY, own_at(12)))
+# equal ranking keys within a pass and across passes: the lowest id wins
+@example(([beacon_pass(0, [(0, 2), (0, 1), (1, 2)], [1] * 6, [0, 4, 4], [1, 1, 1])],
+          LATENCY, own_at(12)))
+@example(([beacon_pass(0, [(0, 1), (0, 3)], [1] * 4, [0, 4, 0, 4], [1, 1, 1, 1]),
+           beacon_pass(1, [(0, 3)], [1, 1], [0, 0, 0, 4], [1, 1, 1, 1])], US + LATENCY, own_at(12)))
+# need exactly at the only backlog on offer
+@example(([beacon_pass(0, [(0, 1)], [1, 1], [0, 4], [1, 1])], LATENCY, own_at(4)))
+# distinct backlogs that share a ranking key: the lower id wins, not the
+# smaller backlog
+@example(([beacon_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 2, 1], [1, 1, 1], huge=True)],
+          LATENCY, 1e12))
+def test_handoff_candidate_matches_neighbor_table(world):
+    """On small random worlds, every vehicle's handoff answer from the
+    bounded query over beacon snapshots (some not yet heard, some expired)
+    equals a NeighborTable fed, oldest first, every beacon it has heard."""
+    passes, now, own = world
+    local = property_twins()
+    local.beacon_snapshots = [BeaconSnapshot(*p, CAP) for p in passes]
+    n = len(passes[0][4])
+    for v in range(n):
+        table = NeighborTable(EXPIRY)
+        for t_send, heard_at, pairs, ok, busy, role in passes:
+            if heard_at > now:
+                continue
+            dst, src = eager_beacons(pairs, ok, n)
+            for s in src[dst == v].tolist():
+                backlog_cu = max(0, int(busy[s]) - t_send) / US * CAP
+                table.observe(s, NeighborEntry(heard_at, (0.0, 0.0), 0.0,
+                                               ROLES[role[s]], backlog_cu))
+        assert local.handoff_candidate(v, now, own) == table.handoff_candidate(
+            now, own, CAP, GAP)
 
 
 def test_beacon_index_not_built_without_handoff_query(monkeypatch):

@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
-from twinsim.scenario import (ScenarioConfig, default_hotspot_scenario,
-                              load_scenario, parse_scenario, validate)
+from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_GRID_SIDE, MAX_VEHICLES_PER_RSU,
+                              ScenarioConfig, default_hotspot_scenario, load_scenario,
+                              parse_scenario, validate)
 
 
 def test_defaults():
@@ -311,3 +313,44 @@ def test_role_quotas_non_negative():
     for quotas in ([1.2, -0.1, -0.1], [0.5, 0.6, 0.1]):
         with pytest.raises(ConfigError, match=r"policy\.role_quotas"):
             parse_scenario({"policy": {"role_quotas": quotas}})
+
+
+@pytest.mark.parametrize("data,path", [
+    # parsed, then Simulation(cfg) was still building the grid after 20 s
+    ({"grid": {"rows": 1e300}}, r"grid\.rows"),
+    ({"grid": {"cols": 10**9}}, r"grid\.cols"),
+    ({"vehicles_per_rsu": 10**12}, r"vehicles_per_rsu"),
+    # each bound alone holds, the per-tick distance matrix does not
+    ({"grid": {"rows": 100, "cols": 100}, "vehicles_per_rsu": 1000}, r"vehicles_per_rsu"),
+])
+def test_fleet_size_bounded_at_parse_time(data, path):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=rf"^{path}: "):
+        parse_scenario(data)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_fleet_bounds_admit_their_limits():
+    cfg = parse_scenario({"grid": {"rows": MAX_GRID_SIDE, "cols": 1}, "vehicles_per_rsu": 10})
+    assert cfg.n_vehicles * cfg.n_rsus == MAX_DISTANCE_CELLS
+    parse_scenario({"grid": {"rows": 1, "cols": 1}, "vehicles_per_rsu": MAX_VEHICLES_PER_RSU})
+
+
+@pytest.mark.parametrize("window", [0, -10.0, 1e-7, 10.0000005, 300.5, float("nan"),
+                                    float("inf")])
+def test_index_window_is_whole_microseconds_within_the_run(window):
+    # 0 divided by zero in build_index_series after the whole run
+    with pytest.raises(ConfigError, match=r"periods\.index_window_s"):
+        parse_scenario({"periods": {"index_window_s": window}})
+    cfg = parse_scenario({"periods": {"index_window_s": 300}})
+    assert cfg.periods.index_window_s == 300
+
+
+def test_cli_run_rejects_run_shorter_than_index_window(tmp_path, capsys):
+    # parsed, then build_index_series raised IndexError after the whole run
+    # (CLI exit 1)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 20,
+                                "duration_s": 6, "periods": {"epoch_s": 5}}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "periods.index_window_s" in capsys.readouterr().err
