@@ -189,10 +189,10 @@ def property_twins():
     )).local
 
 
-def beacon_pass(i, pairs, ok, backlog, role, huge=False):
+def raw_pass(i, pairs, ok, backlog, role, huge=False):
     """Raw pass ``i`` (sent at i s): ``backlog[s]`` is sender ``s``'s queue
-    in steps of UNIT us, or in us above HUGE; a negative one is an idle
-    queue that emptied before the pass."""
+    in steps of UNIT us (a negative one emptied before the pass), or with
+    ``huge`` in us above HUGE."""
     t_send = i * US
     busy = [t_send + (HUGE + b if huge else b * UNIT) for b in backlog]
     return (t_send, t_send + LATENCY, np.array(pairs, dtype=np.intp).reshape(-1, 2),
@@ -216,7 +216,7 @@ def handoff_worlds(draw):
     for i in range(draw(st.integers(1, 5))):
         chosen = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
         m = len(chosen)
-        passes.append(beacon_pass(
+        passes.append(raw_pass(
             i, draw(st.permutations(chosen)),
             draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m)),
             draw(st.lists(st.integers(-2, 12), min_size=n, max_size=n)),
@@ -233,21 +233,21 @@ def handoff_worlds(draw):
 @settings(max_examples=300, deadline=None)
 @given(handoff_worlds())
 # vehicle 1 advertised an idle Processing role at 0 s, but at 1 s it relays
-@example(([beacon_pass(0, [(0, 1)], [1, 1], [0, 0], [1, 1]),
-           beacon_pass(1, [(0, 1)], [1, 1], [0, 0], [1, 2])], US + LATENCY, own_at(12)))
+@example(([raw_pass(0, [(0, 1)], [1, 1], [0, 0], [1, 1]),
+           raw_pass(1, [(0, 1)], [1, 1], [0, 0], [1, 2])], US + LATENCY, own_at(12)))
 # ... or it is busy by then
-@example(([beacon_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 0, 3], [1, 1, 1]),
-           beacon_pass(1, [(0, 1)], [1, 1], [0, 5, 0], [1, 1, 1])], US + LATENCY, own_at(12)))
+@example(([raw_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 0, 3], [1, 1, 1]),
+           raw_pass(1, [(0, 1)], [1, 1], [0, 5, 0], [1, 1, 1])], US + LATENCY, own_at(12)))
 # equal ranking keys within a pass and across passes: the lowest id wins
-@example(([beacon_pass(0, [(0, 2), (0, 1), (1, 2)], [1] * 6, [0, 4, 4], [1, 1, 1])],
+@example(([raw_pass(0, [(0, 2), (0, 1), (1, 2)], [1] * 6, [0, 4, 4], [1, 1, 1])],
           LATENCY, own_at(12)))
-@example(([beacon_pass(0, [(0, 1), (0, 3)], [1] * 4, [0, 4, 0, 4], [1, 1, 1, 1]),
-           beacon_pass(1, [(0, 3)], [1, 1], [0, 0, 0, 4], [1, 1, 1, 1])], US + LATENCY, own_at(12)))
+@example(([raw_pass(0, [(0, 1), (0, 3)], [1] * 4, [0, 4, 0, 4], [1, 1, 1, 1]),
+           raw_pass(1, [(0, 3)], [1, 1], [0, 0, 0, 4], [1, 1, 1, 1])], US + LATENCY, own_at(12)))
 # need exactly at the only backlog on offer
-@example(([beacon_pass(0, [(0, 1)], [1, 1], [0, 4], [1, 1])], LATENCY, own_at(4)))
+@example(([raw_pass(0, [(0, 1)], [1, 1], [0, 4], [1, 1])], LATENCY, own_at(4)))
 # distinct backlogs that share a ranking key: the lower id wins, not the
 # smaller backlog
-@example(([beacon_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 2, 1], [1, 1, 1], huge=True)],
+@example(([raw_pass(0, [(0, 1), (0, 2)], [1] * 4, [0, 2, 1], [1, 1, 1], huge=True)],
           LATENCY, 1e12))
 def test_handoff_candidate_matches_neighbor_table(world):
     """On small random worlds, every vehicle's handoff answer from the
