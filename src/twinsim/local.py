@@ -97,8 +97,7 @@ class BeaconSnapshot:
         self.low_s, low_rank, self._runs = np.full(n, np.inf), np.full(n, n), []
         # runs: p0 -> p1 sorted by (receiver, sender), p1 -> p0 in pair order
         for run in (np.sort(((key - p0 * n) * n + p0)[ok[:m]]), key[ok[m:]]):
-            dst = (run // n).astype(np.intp)
-            src = run - dst * n
+            dst, src = (a.astype(np.intp) for a in np.divmod(run, n))
             indptr = np.searchsorted(dst, np.arange(n + 1))
             got = np.flatnonzero(np.diff(indptr))  # receivers with a sender here
             for low, per_src in ((self.low_s, adv), (low_rank, rank)):
@@ -331,22 +330,19 @@ class LocalTwins:
         cap = self.cfg.capacity.local_cu_s
         need = own_backlog_cu / cap - self.cfg.thresholds.handoff_gap_s
         best = None
-        newer: list[BeaconSnapshot] = []
+        shadow = np.zeros(self.cfg.n_vehicles, dtype=bool)  # heard in a newer snapshot
         for snap in reversed(self.beacon_snapshots):
             if not 0 <= now - snap.heard_at <= self.neighbor_expiry_us:
                 continue
             low_s, key, s = snap.bound(v)
+            c = snap.senders(v)
             if low_s < need and (best is None or (key, s) < best):
-                shadow = np.zeros(len(snap.adv), dtype=bool)
-                for newer_snap in newer:
-                    shadow[newer_snap.senders(v)] = True
                 if snap.adv[s] == low_s and not shadow[s]:
                     best = (key, s)
                 else:
-                    c = snap.senders(v)
                     keys = np.where(shadow[c] | (snap.adv[c] >= need), np.inf, snap.key[c])
                     i = keys.argmin()  # senders ascend: the first least key has the lowest id
                     if keys[i] < np.inf and (best is None or (keys[i], c[i]) < best):
                         best = (keys[i], c[i])
-            newer.append(snap)
+            shadow[c] = True
         return None if best is None else int(best[1])

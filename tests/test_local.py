@@ -170,6 +170,29 @@ def test_lazy_beacon_index_matches_eager_pass():
             assert np.array_equal(snap.senders(v), src[indptr[v]:indptr[v + 1]])
 
 
+def test_beacon_index_of_a_fleet_beyond_32_bit_pair_keys():
+    """From 65,537 vehicles the packed pair keys need 64 bits; the index
+    still gives integer sender ids, the eager senders and the bounds."""
+    n = 70_000
+    pairs = np.array([(0, 69_999), (65_536, 69_999), (3, 65_537), (12, 40_000), (3, 69_999)])
+    ok = np.array([1, 1, 0, 1, 1, 1, 1, 0, 1, 1], dtype=bool)
+    busy = np.zeros(n, dtype=np.int64)
+    busy[[0, 3, 12, 65_536, 69_999]] = [4 * US, US, US, 2 * US, 3 * US]
+    role = np.ones(n, dtype=np.int8)
+    role[[12, 65_537]] = 0
+    snap = BeaconSnapshot(0, 400, pairs, ok, busy, role, 10.0)
+    dst, src = eager_beacons(pairs, ok, n)
+    adv = np.where(role == 1, busy / US, np.inf)
+    for v in [*np.unique(pairs).tolist(), 1, n - 2]:
+        heard = src[dst == v]
+        got = snap.senders(v)
+        assert got.dtype.kind == "i" and np.array_equal(got, heard)
+        low_s, key, s = snap.bound(v)
+        assert low_s == min(adv[heard].tolist(), default=np.inf)
+        if low_s < np.inf:
+            assert (key, s) == min((adv[h] * 10.0, h) for h in heard.tolist())
+
+
 # The property test's LocalTwins: 10 CU/s on board and a 0.25 s handoff gap,
 # as in the v2v_handoff digest scenario, and 3 s neighbour expiry.
 CAP, GAP, EXPIRY = 10.0, 0.25, 3 * US

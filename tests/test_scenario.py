@@ -1,8 +1,9 @@
 import json
-import time
+import re
 
 import pytest
 
+from twinsim import runner
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_GRID_SIDE, MAX_VEHICLES_PER_RSU,
@@ -323,11 +324,15 @@ def test_role_quotas_non_negative():
     # each bound alone holds, the per-tick distance matrix does not
     ({"grid": {"rows": 100, "cols": 100}, "vehicles_per_rsu": 1000}, r"vehicles_per_rsu"),
 ])
-def test_fleet_size_bounded_at_parse_time(data, path):
-    start = time.perf_counter()
+def test_fleet_size_bounded_at_parse_time(data, path, tmp_path, capsys, monkeypatch):
+    # rejected before anything is built: the CLI never reaches the grid
+    monkeypatch.setattr(runner, "build_grid", lambda *a, **k: pytest.fail("grid built"))
     with pytest.raises(ConfigError, match=rf"^{path}: "):
         parse_scenario(data)
-    assert time.perf_counter() - start < 0.1
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert re.search(rf"{path}: ", capsys.readouterr().err)
 
 
 def test_fleet_bounds_admit_their_limits():
