@@ -3,9 +3,9 @@
 The default world is a 2x3 lattice with 1000 m spacing, one RSU of 600 m
 radius per intersection: the smallest layout with six RSUs, guaranteed
 coverage and genuine handovers.  Vehicles follow random waypoints over
-intersections.  Fleet and serving_rsu are the vectorized paths; their
-scalar reference models live in tests/oracles.py, and the tests check each
-pair for equal results.
+intersections.  Fleet, serving_rsu and pairs_within (the vehicle pairs in
+V2V range) are the vectorized paths; their reference models live in
+tests/oracles.py, and the tests check each pair for equal results.
 """
 from __future__ import annotations
 
@@ -190,3 +190,47 @@ class Fleet:
             norm = np.linalg.norm(direction)
             if norm > 0:
                 self.heading[i] = direction / norm
+
+
+
+
+K = 3  # grid cells per query radius
+
+
+def pairs_within(pos: np.ndarray, r: float) -> np.ndarray:
+    """Every pair ``(i, j)``, ``i < j``, of the points ``pos`` (n, 2) with
+    ``dx*dx + dy*dy <= r*r`` (scipy's ``cKDTree.query_pairs`` set) as an (m, 2)
+    ``intp`` array, on a grid (Bentley, Stanat & Williams, IPL 6(6), 1977) of
+    occupied cells wider than span / 2**20 (ids fit int64) and than reach / K,
+    reach being the farthest any pair that passes can be, so none is K + 1 apart."""
+    n = len(pos)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    x, y = pos[:, 0], pos[:, 1]
+    x0, y0 = x.min(), y.min()
+    reach = np.inf if r * r == np.inf else max(r, 1e-150) * (1 + 2**-20)
+    side = max(reach / K, max(x.max() - x0, y.max() - y0) / 2**20)
+    cx = ((x - x0) / side).astype(np.int64)
+    width = int(cx.max()) + K + 1  # a run left of column 0 starts in empty cells
+    ids = ((y - y0) / side).astype(np.int64) * width + cx
+    order = np.argsort(ids)
+    ids, x, y = ids[order], x[order], y[order]
+    new = np.concatenate(([True], ids[1:] != ids[:-1]))
+    # runs: the rest of the own cell, K cells on, 2K + 1 in each of K rows ahead
+    rows = ids[new][:, None] + np.arange(K + 1) * width
+    cell = np.cumsum(new) - 1
+    starts = np.searchsorted(ids, rows - K)[cell]
+    starts[:, 0] = np.arange(1, n + 1)
+    count = (np.searchsorted(ids, rows + K, "right")[cell] - starts).ravel()
+    per = count.reshape(n, K + 1).sum(axis=1)
+    j = np.repeat(starts.ravel() - (np.cumsum(count) - count), count)
+    j += np.arange(len(j))
+    dx, dy = np.repeat(x, per), np.repeat(y, per)
+    dx -= x[j]
+    dy -= y[j]
+    keep = np.flatnonzero(np.square(dx, out=dx) + np.square(dy, out=dy) <= r * r)
+    a, b = np.repeat(order, per)[keep], order[j[keep]]
+    out = np.empty((len(keep), 2), dtype=np.intp)
+    np.minimum(a, b, out=out[:, 0])
+    np.maximum(a, b, out=out[:, 1])
+    return out

@@ -7,8 +7,8 @@ The ``Simulation`` builds the world (grid, fleet, links, RNG streams and
 view the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
 ``CloudTwin`` and one ``LocalTwins`` for the fleet and registers each
 one's ``receive`` as a kernel endpoint: edge ``r`` is ``r``, the cloud
-``n_rsus`` and every vehicle ``n_rsus + 1``.  Each tick moves the fleet,
-updates coverage and the V2V pairs in range, and calls into the layers.
+``n_rsus`` and every vehicle ``n_rsus + 1``.  Each tick moves the fleet, updates
+coverage and the V2V pairs in range (``pairs_within``) and calls into the layers.
 
 Modes: "layered" runs the full pyramid; "cloud_only" is the centralised
 baseline (local serving off, edge compute disabled, everything relayed to
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernel, metrics
 from .cloud import CloudTwin, DirectiveLogEntry, EpochRecord
@@ -29,7 +28,7 @@ from .edge import EdgeTwin, HeldReports, LabelLogEntry
 from .kernel import US_PER_S, Engine, rng_stream, numpy_stream
 from .local import LocalTwins
 from .metrics import TaskRecord, build_index_series
-from .mobility import Fleet, build_grid, serving_rsu
+from .mobility import Fleet, build_grid, pairs_within, serving_rsu
 from .scenario import ScenarioConfig
 
 
@@ -121,9 +120,7 @@ class Simulation:
         local.handover(moved)
         local.sense(tick, d_cur / self.rsu_radii[self.current_rsu])
         if tick % local.sense_slots == 0:
-            pairs = cKDTree(self.fleet.pos).query_pairs(self.cfg.thresholds.v2v_range_m,
-                                                        output_type="ndarray")
-            local.beacon_pass(now, pairs)
+            local.beacon_pass(now, pairs_within(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
             local.emit_reports(now)
         if tick % self._fusion_ticks == 0:
             for e in self.edges:

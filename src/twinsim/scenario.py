@@ -15,11 +15,13 @@ from .edge import PARAM_RANGES, Policy
 from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
 
-# Fleet bounds, checked before anything is built; the last caps the vehicle
-# x RSU distance matrix that every 100 ms tick computes.
+# Fleet and run-length bounds, checked before anything is built; the cells cap
+# the vehicle x RSU distance matrix of every tick, the windows the index series.
 MAX_GRID_SIDE = 1_000
 MAX_VEHICLES_PER_RSU = 100_000
 MAX_DISTANCE_CELLS = 10_000_000
+MAX_DURATION_S = 86_400
+MAX_INDEX_WINDOWS = 100_000
 
 
 @dataclass
@@ -271,11 +273,13 @@ def validate(cfg: ScenarioConfig) -> None:
           and abs(sum(p.role_quotas) - 1) < 1e-9,
           "policy.role_quotas", "three non-negative fractions summing to 1")
     check(cfg.mode in ("layered", "cloud_only"), "mode", "must be layered or cloud_only")
-    check(cfg.periods.epoch_s < cfg.duration_s < math.inf, "duration_s",
-          "must be finite and exceed one epoch")
+    check(cfg.periods.epoch_s < cfg.duration_s <= MAX_DURATION_S, "duration_s",
+          f"must exceed one epoch and be at most {MAX_DURATION_S:,} s")
     window_us = periods.index_window_s * US_PER_S
     check(0 < periods.index_window_s <= cfg.duration_s and math.isclose(window_us, round(window_us)),
           "periods.index_window_s", "must be a whole number of microseconds in (0, duration_s]")
+    check(cfg.duration_s / periods.index_window_s <= MAX_INDEX_WINDOWS, "periods.index_window_s",
+          f"duration_s / index_window_s must be <= {MAX_INDEX_WINDOWS:,}")
     if cfg.hotspot is not None:
         check(0 <= cfg.hotspot.region < cfg.n_rsus, "hotspot.region", "not a valid RSU index")
         check(cfg.hotspot.rate_multiplier >= 0, "hotspot.rate_multiplier", "must be >= 0")

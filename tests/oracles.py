@@ -5,6 +5,8 @@ evaluates in bulk; the tests check the runtime code against it:
 
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
+- ``pairs_within``: ``mobility.pairs_within``, the vehicle pairs in V2V
+  range;
 - ``NeighborEntry``/``NeighborTable``: ``LocalTwins.handoff_candidate``
   over the batched beacon snapshots;
 - ``eager_beacons``: the per-receiver sender index that
@@ -83,6 +85,21 @@ def covering_rsu(
         return None
     d_masked = np.where(covered, d, np.inf)
     return int(np.argmin(d_masked))
+
+
+def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:
+    """Every pair ``(i, j)``, ``i < j``, of the points ``pos`` with
+    ``dx*dx + dy*dy <= r*r``, by checking each pair.  That is the keep test
+    of scipy's ``cKDTree.query_pairs``; ``hypot(dx, dy) <= r`` is not, as
+    it rounds some distances just above r down to r."""
+    pts = [(float(x), float(y)) for x, y in pos]
+    found = set()
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            dx, dy = xi - pts[j][0], yi - pts[j][1]
+            if dx * dx + dy * dy <= r * r:
+                found.add((i, j))
+    return found
 
 
 def channel_quality(distance_m: float, radius_m: float) -> float:

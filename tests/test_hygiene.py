@@ -1,9 +1,13 @@
 """Source hygiene checks that need no linter: every name a module under
-src/twinsim imports is referenced in that module, every function, class
-and method defined under src/twinsim is referenced somewhere in it, every
+src/twinsim imports is referenced in that module, no module there imports
+scipy (numpy is the one runtime dependency), every function, class and
+method defined under src/twinsim is referenced somewhere in it, every
 attribute assigned there is read there, and the runner sends no message,
 because message traffic belongs to a twin layer."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +53,49 @@ def test_unused_import_is_caught():
                      "import os.path\nfrom json import dumps, loads as load\n"
                      "__all__ = ['dumps']\n")
     assert set(imported_names(tree)) - referenced_names(tree) == {"os", "load"}
+
+
+def imported_modules(tree: ast.Module) -> dict[str, int]:
+    """Top-level package of each absolute import -> line number."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules[node.module.split(".")[0]] = node.lineno
+    return modules
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = imported_modules(tree).get("scipy")
+    assert found is None, f"{path.name}:{found} imports scipy; the runtime needs numpy only"
+
+
+def test_scipy_import_is_caught():
+    tree = ast.parse("import numpy as np\nfrom . import kernel\n"
+                     "def f():\n    from scipy.spatial import cKDTree\n")
+    assert imported_modules(tree) == {"numpy": 1, "scipy": 4}
+
+
+def test_run_leaves_scipy_spatial_unimported():
+    # scipy.spatial alone added about 36 MB to a run's peak RSS
+    code = ("import sys\n"
+            "import twinsim.cli, twinsim.runner\n"
+            "from twinsim.scenario import parse_scenario\n"
+            "cfg = parse_scenario({'duration_s': 2, 'vehicles_per_rsu': 20,\n"
+            "                      'periods': {'epoch_s': 1, 'index_window_s': 1}})\n"
+            "assert twinsim.runner.Simulation(cfg).run().generated > 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+    src = str(Path(twinsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def defined_names(tree: ast.Module) -> dict[str, int]:

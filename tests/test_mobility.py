@@ -1,9 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinsim import runner
 from twinsim.kernel import numpy_stream
-from twinsim.mobility import ConfigError, Fleet, build_grid, serving_rsu
+from twinsim.mobility import ConfigError, Fleet, build_grid, pairs_within, serving_rsu
+from twinsim.scenario import ScenarioConfig
 
+import oracles
 from oracles import VehicleState, covering_rsu, step_vehicle
 
 
@@ -142,3 +150,113 @@ def test_fleet_spawns_on_region_segments(grid):
             u = np.dot(fleet.pos[i] - pa, pb - pa) / np.dot(pb - pa, pb - pa)
             on_segment.append(0 <= u <= 1 and np.allclose(pa + u * (pb - pa), fleet.pos[i]))
         assert any(on_segment)
+
+
+def pair_set(pairs: np.ndarray) -> set[tuple[int, int]]:
+    """``pairs_within``'s result as a set, after checking its form."""
+    assert pairs.dtype == np.intp and pairs.shape == (len(pairs), 2)
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == len(pairs)
+    return found
+
+
+# whole multiples of 50 m put points on shared cells, cell edges and exact
+# distances; the floats put them anywhere
+COORD = st.one_of(st.integers(-6, 6).map(lambda k: k * 50.0), st.floats(-400, 400))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(COORD, COORD), max_size=30),
+       st.one_of(st.sampled_from([0.0, 50.0, 150.0]), st.floats(0, 1000)))
+def test_pairs_within_matches_brute_force(points, r):
+    pos = np.array(points, dtype=float).reshape(-1, 2)
+    assert pair_set(pairs_within(pos, r)) == oracles.pairs_within(pos, r)
+
+
+def test_pairs_within_boundary_is_squared_distance():
+    # 90^2 + 120^2 == 150^2 exactly; one float past 120 the squared
+    # distance is above 150^2, but hypot still rounds it to 150
+    past = np.nextafter(120.0, np.inf)
+    assert np.hypot(90.0, past) == 150.0
+    assert pair_set(pairs_within(np.array([[0.0, 0.0], [90.0, 120.0]]), 150.0)) == {(0, 1)}
+    assert pair_set(pairs_within(np.array([[0.0, 0.0], [90.0, past]]), 150.0)) == set()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_pairs_within_reaches_k_cells_ahead(axis):
+    # 40 m and 190 m lie three cells of r / 3 apart, at distance exactly r
+    pos = np.zeros((3, 2))
+    pos[:, axis] = [0.0, 40.0, 190.0]
+    assert pair_set(pairs_within(pos, 150.0)) == {(0, 1), (1, 2)}
+
+
+def test_pairs_within_coincident_points_and_zero_range():
+    # vehicles waiting at one intersection are V2V neighbours at any range
+    pos = np.array([[500.0, 0.0]] * 4 + [[500.0, 1e-9], [0.0, 0.0]])
+    same = {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    assert pair_set(pairs_within(pos, 0.0)) == same
+    assert pair_set(pairs_within(pos, 1e-9)) == same | {(i, 4) for i in range(4)}
+    assert pair_set(pairs_within(np.zeros((3, 2)), 0.0)) == {(0, 1), (0, 2), (1, 2)}
+
+
+@pytest.mark.parametrize("points,r,pairs", [
+    # dy*dy underflows to 0, so the pair passes at r = 0 although it is
+    # 2**20 grid rows apart on a grid sized by the span
+    ([(0.0, 0.0), (0.0, 5.2e-178)], 0.0, {(0, 1)}),
+    ([(0.0, 0.0), (0.0, 1e-160)], 1e-170, set()),
+    # r*r overflows, so every pair passes, however far apart
+    ([(0.0, 0.0), (1e300, 0.0), (0.0, 1e300)], 1e155, {(0, 1), (0, 2), (1, 2)}),
+])
+def test_pairs_within_when_r_squared_rounds_to_zero_or_inf(points, r, pairs):
+    pos = np.array(points)
+    with np.errstate(over="ignore"):
+        assert pair_set(pairs_within(pos, r)) == oracles.pairs_within(pos, r) == pairs
+
+
+@pytest.mark.parametrize("r", [1e3, 1e6, math.inf])
+def test_pairs_within_range_beyond_extent(r):
+    pos = np.random.default_rng(5).uniform(0, 100, (30, 2))
+    assert pair_set(pairs_within(pos, r)) == {(i, j) for i in range(30) for j in range(i + 1, 30)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pairs_within_tiny_fleets(n):
+    pos = np.array([[0.0, 0.0], [3.0, 4.0]])[:n]
+    assert pair_set(pairs_within(pos, 5.0)) == ({(0, 1)} if n == 2 else set())
+    assert pair_set(pairs_within(pos, 4.9)) == set()
+
+
+def test_pairs_within_matches_kdtree_on_showcase_passes(monkeypatch):
+    spatial = pytest.importorskip("scipy.spatial")
+    passes = []
+
+    def record(pos, r):
+        passes.append((pos.copy(), r))
+        return pairs_within(pos, r)
+
+    monkeypatch.setattr(runner, "pairs_within", record)
+    runner.Simulation(ScenarioConfig(seed=0, duration_s=31.0)).engine.run_until(3_000_000)
+    assert len(passes) == 3
+    for pos, r in passes:
+        expected = spatial.cKDTree(pos).query_pairs(r, output_type="ndarray")
+        assert len(expected) > 10_000
+        assert pair_set(pairs_within(pos, r)) == set(map(tuple, expected.tolist()))
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.0])
+def test_pairs_within_memory_bounded_on_huge_extent(r):
+    # a cell table sized by extent / r would need about 1e30 cells here
+    rng = np.random.default_rng(9)
+    pos = rng.uniform(0, 1e12, (800, 2))
+    # 100 coincident pairs and 100 pairs 0.5 mm apart (a few float steps)
+    pos = np.concatenate([pos, pos[:100], pos[100:200] + [5e-4, 0.0]])
+    tracemalloc.start()
+    try:
+        found = pairs_within(pos, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair_set(found) == oracles.pairs_within(pos, r)
+    assert len(found) == (200 if r else 100)
+    assert peak < 10 * 2**20

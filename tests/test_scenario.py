@@ -6,8 +6,8 @@ import pytest
 from twinsim import runner
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
-from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_GRID_SIDE, MAX_VEHICLES_PER_RSU,
-                              ScenarioConfig, default_hotspot_scenario, load_scenario,
+from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
+                              MAX_INDEX_WINDOWS, MAX_VEHICLES_PER_RSU, ScenarioConfig, default_hotspot_scenario, load_scenario,
                               parse_scenario, validate)
 
 
@@ -359,3 +359,35 @@ def test_cli_run_rejects_run_shorter_than_index_window(tmp_path, capsys):
                                 "duration_s": 6, "periods": {"epoch_s": 5}}))
     assert main(["run", "--scenario", str(path)]) == 2
     assert "periods.index_window_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,path", [
+    # finite, so it parsed, and the run was still going when a 10 s timeout
+    # stopped it
+    ({"duration_s": 1e300}, r"duration_s"),
+    ({"duration_s": MAX_DURATION_S + 1}, r"duration_s"),
+    # a whole microsecond, so it parsed: one index window per microsecond
+    ({"duration_s": MAX_DURATION_S, "periods": {"index_window_s": 1e-6}},
+     r"periods\.index_window_s"),
+    ({"duration_s": 1000, "periods": {"index_window_s": 0.009}}, r"periods\.index_window_s"),
+])
+def test_run_length_bounded_at_parse_time(data, path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    with pytest.raises(ConfigError, match=rf"^{path}: "):
+        parse_scenario(data)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert re.search(rf"{path}: ", capsys.readouterr().err)
+
+
+def test_cli_duration_option_bounded(capsys, monkeypatch):
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    assert main(["run", "--duration", "1e300"]) == 2
+    assert "duration_s: must exceed one epoch and be at most 86,400 s" in capsys.readouterr().err
+
+
+def test_run_length_bounds_admit_their_limits():
+    assert parse_scenario({"duration_s": MAX_DURATION_S}).duration_s == MAX_DURATION_S
+    cfg = parse_scenario({"duration_s": 1000, "periods": {"index_window_s": 0.01}})
+    assert cfg.duration_s / cfg.periods.index_window_s == MAX_INDEX_WINDOWS
