@@ -139,17 +139,19 @@ class Engine:
         each in list order as ``send`` would.  The messages that get through
         on their first attempt share one delivery event, which calls
         ``deliver`` once with their list indices in order; a lost message i
-        carries ``payload(i)`` and retransmits on its own, as ``send`` does."""
-        endpoints = self._endpoints
-        counters = self.messages
-        lossy = link.loss_prob > 0.0
+        carries ``payload(i)`` and retransmits on its own, as ``send`` does.
+        The loss draws all come first, so ``payload`` and ``on_drop`` must
+        not draw from ``rng``."""
+        unknown = set(dsts).difference(self._endpoints)
+        if unknown:
+            raise RoutingError(f"unknown endpoint: {unknown.pop()!r}")
+        self.messages.sent += len(dsts)
+        p, draw = link.loss_prob, rng.random
+        lost = [draw() < p for _ in dsts] if p > 0.0 else [False] * len(dsts)
         delivered = []
-        for i, dst in enumerate(dsts):
-            if dst not in endpoints:
-                raise RoutingError(f"unknown endpoint: {dst!r}")
-            counters.sent += 1
-            if lossy and rng.random() < link.loss_prob:
-                self._lost(dst, payload(i), nbytes, link, rng, 1, on_drop)
+        for i, x in enumerate(lost):
+            if x:
+                self._lost(dsts[i], payload(i), nbytes, link, rng, 1, on_drop)
             else:
                 delivered.append(i)
         if delivered:

@@ -1,18 +1,19 @@
 """Local twins: one vectorized ``LocalTwins`` for every vehicle's twin.  It
 owns task arrivals, placement, the local queue, V2V handoff, completion and
-drop, sensing, status reports and the V2V beacon pass.  All vehicles share
-one kernel endpoint: a result names its vehicle by its task's origin, a
-handoff ``("handoff", peer, task)`` by the peer that serves it.
+drop, status reports and the V2V beacon pass.  All vehicles share one
+kernel endpoint: a result names its vehicle by its task's origin, a handoff
+``("handoff", peer, task)`` by the peer that serves it.
 
-Sensing runs at 100 ms cadence.  A status report goes up every second with
-the mean speed of the last 1 s window, the last channel quality and the
-local queue backlog, plus immediately on an RSU handover or when the local
-queue backlog exceeds the trigger threshold.  The serving edge adds the
-speeds to its fusion window and ranks its vehicles for roles by the channel
-quality and idle compute of their latest report.  The scalar models of
-channel quality and of the neighbour table that the per-vehicle arrays stand
-in for live in tests/oracles.py, where the tests check this module against
-them.
+A status report goes up every second with the vehicle's mean speed over the
+1 s window, its channel quality at the report tick and its local queue
+backlog, plus immediately on an RSU handover or when the local queue backlog
+exceeds the trigger threshold.  A vehicle keeps its spawn speed, so the mean
+speed is computed once; the runner hands the report tick's distances in.
+The serving edge adds the speeds to its fusion window and ranks its vehicles
+for roles by the channel quality and idle compute of their latest report.
+The scalar models of channel quality and of the neighbour table that the
+per-vehicle arrays stand in for live in tests/oracles.py, where the tests
+check this module against them.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ class LocalTwins:
     runner's read-only view.  Construction schedules the first task arrival
     of every vehicle and every scripted task."""
 
-    def __init__(self, world, edges: list, held, cloud, sense_slots: int):
+    def __init__(self, world, edges: list, held, cloud, report_ticks: int):
         cfg = self.cfg = world.cfg
         self.engine = world.engine
         self.links = world.links
@@ -129,13 +130,11 @@ class LocalTwins:
         self.records: list[TaskRecord] = []
         self.busy_until = np.zeros(n, dtype=np.int64)
         self.backlog_triggered = np.zeros(n, dtype=bool)
-        # one sensing slot per tick of the report window
-        self.sense_slots = sense_slots
-        self.speed_buf = np.zeros((n, sense_slots))
-        self.cq_buf = np.zeros((n, sense_slots))
-        # mean speed and last channel quality of the latest 1 s report
-        # window, per vehicle; None until the first report tick
-        self._report_speed: np.ndarray | None = None
+        # each report's mean speed: the mean of one sample per tick of the
+        # report window, in the order numpy sums an (n, report_ticks) row
+        speed = self.fleet.speed[:, None]
+        self.mean_speed = np.repeat(speed, report_ticks, axis=1).mean(axis=1)
+        # channel quality of the latest report tick; None until the first
         self._report_cq: np.ndarray | None = None
         # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
         # neighbor tables (indexed lazily on handoff attempts)
@@ -246,23 +245,17 @@ class LocalTwins:
         task.completed_us = self.engine.now
         self._tally(task)
 
-    # -- sensing, reports, beacons -----------------------------------------
+    # -- reports, beacons --------------------------------------------------
 
-    def sense(self, tick: int, d_rel: np.ndarray) -> None:
-        """Sensing tick ``tick``: each vehicle's speed, and its channel
-        quality at distance ``d_rel`` (in RSU radii) from its serving RSU."""
-        slot = (tick - 1) % self.sense_slots
-        self.speed_buf[:, slot] = self.fleet.speed
-        self.cq_buf[:, slot] = np.clip(1.0 - d_rel, 0.0, 1.0)
-
-    def emit_reports(self, now: int) -> None:
-        """1 Hz status reports of every vehicle, in vehicle order, sent as
-        one batch whose fields stay in arrays: those that get through reach
-        their edges in one delivery event; a lost one retransmits as a
-        report tuple."""
+    def emit_reports(self, now: int, d_rel: np.ndarray) -> None:
+        """1 Hz status reports of every vehicle, in vehicle order, with the
+        channel quality at distance ``d_rel`` (in RSU radii) from its serving
+        RSU, sent as one batch whose fields stay in arrays: those that get
+        through reach their edges in one delivery event; a lost one
+        retransmits as a report tuple."""
         cfg = self.cfg
-        self._report_speed = speed = self.speed_buf.mean(axis=1)
-        self._report_cq = cq = self.cq_buf[:, -1].copy()
+        speed = self.mean_speed
+        self._report_cq = cq = np.clip(1.0 - d_rel, 0.0, 1.0)
         backlog = (np.maximum(self.busy_until - now, 0) / US_PER_S
                    * cfg.capacity.local_cu_s)
         rsu = self.current_rsu.copy()
@@ -287,10 +280,10 @@ class LocalTwins:
 
     def _send_report(self, v: int) -> None:
         """Out-of-cycle report (RSU handover, backlog trigger): the latest
-        window's speed and channel quality with the current backlog."""
-        if self._report_speed is None:
+        report tick's speed and channel quality with the current backlog."""
+        if self._report_cq is None:
             return
-        report = (v, float(self._report_speed[v]), float(self._report_cq[v]),
+        report = (v, float(self.mean_speed[v]), float(self._report_cq[v]),
                   self.backlog_cu(v, self.engine.now))
         self.engine.send(int(self.current_rsu[v]), ("report", report),
                          self.cfg.workload.report_bytes, self.links["v2r"], self.rng_loss)

@@ -45,6 +45,16 @@ class RoadNetwork:
     def rsu_radii(self) -> np.ndarray:
         return np.array([r for _, r in self.rsus])
 
+    @property
+    def screen_radius(self) -> float:
+        """Half the least separation of two RSUs, capped at the least radius,
+        less 2**-40 of itself.  A position nearer than this to an RSU is
+        nearer to it than to any other (triangle inequality) by more than the
+        rounding of the computed distances, so that RSU keeps serving it."""
+        sep = distances(self.rsu_positions, self.rsu_positions)
+        np.fill_diagonal(sep, np.inf)
+        return min(sep.min() / 2, self.rsu_radii.min()) * (1 - 2**-40)
+
     def region_segments(self, rsu_idx: int) -> list[int]:
         node = self.rsus[rsu_idx][0]
         return [i for i, (a, b) in enumerate(self.segments) if node in (a, b)]
@@ -91,31 +101,49 @@ def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600
     return RoadNetwork(pts, segments, rsus)
 
 
+def distances(pos: np.ndarray, rsu_pos: np.ndarray) -> np.ndarray:
+    """(n, R) distance of each position in ``pos`` (n, 2) to each of ``rsu_pos``."""
+    dx = pos[:, 0, None] - rsu_pos[None, :, 0]
+    dy = pos[:, 1, None] - rsu_pos[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
+
+
 def serving_rsu(
     pos: np.ndarray,
     rsu_pos: np.ndarray,
     radii: np.ndarray,
     current: np.ndarray | None,
     hysteresis_m: float,
+    screen_m: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Serving RSU of each position in ``pos`` (n, 2) and its distance.
 
     The current RSU is kept while it covers the position and the nearest RSU
     is no more than hysteresis_m closer; otherwise the nearest RSU serves
     (``current=None`` picks the nearest).  RSUs share one radius and
-    build_grid covers every road point, so the nearest RSU covers it.
+    build_grid covers every road point, so the nearest RSU covers it.  Only
+    positions at least ``screen_m`` from their current RSU are searched; the
+    rest keep it, which is exact up to ``RoadNetwork.screen_radius``.
     """
-    dx = pos[:, 0, None] - rsu_pos[None, :, 0]
-    dy = pos[:, 1, None] - rsu_pos[None, :, 1]
-    d = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
-    idx = np.arange(len(pos))
-    nearest = np.argmin(d, axis=1)
     if current is None:
-        return nearest, d[idx, nearest]
-    d_cur = d[idx, current]
-    keep = (d_cur <= radii[current]) & (d_cur - d[idx, nearest] <= hysteresis_m)
-    rsu = np.where(keep, current, nearest)
-    return rsu, d[idx, rsu]
+        d = distances(pos, rsu_pos)
+        nearest = np.argmin(d, axis=1)
+        return nearest, d[np.arange(len(pos)), nearest]
+    rsu_x, rsu_y = rsu_pos.T
+    dx = pos[:, 0] - rsu_x[current]
+    dy = pos[:, 1] - rsu_y[current]
+    dist = np.sqrt(dx * dx + dy * dy)  # the column of current in distances()
+    rsu = current.copy()
+    far = np.flatnonzero(dist >= screen_m)
+    if len(far):
+        d = distances(pos[far], rsu_pos)
+        nearest = d.argmin(axis=1)
+        d_near = d.min(axis=1)
+        cur, d_cur = current[far], dist[far]
+        keep = (d_cur <= radii[cur]) & (d_cur - d_near <= hysteresis_m)
+        rsu[far] = np.where(keep, cur, nearest)
+        dist[far] = np.where(keep, d_cur, d_near)
+    return rsu, dist
 
 
 class Fleet:
@@ -138,6 +166,14 @@ class Fleet:
         self.waypoint = np.zeros(n, dtype=int)
         self.nav_intent = np.zeros(n, dtype=int)
         self._spawn(rng, spawn_rsu)
+        # constant after spawn: each report's mean speed is computed once
+        self.speed.setflags(write=False)
+        # per vehicle, its waypoint's coordinates and its step heading *
+        # speed * dt (``_move`` = speed * dt) at the last dt; rewritten on
+        # waypoint arrival
+        self.target = net.intersections[self.waypoint]
+        self.stride = np.zeros((n, 2))
+        self._dt = self._move = None
 
     def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
         net = self.net
@@ -166,32 +202,35 @@ class Fleet:
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
         net = self.net
-        targets = net.intersections[self.waypoint]
-        dx = targets[:, 0] - self.pos[:, 0]
-        dy = targets[:, 1] - self.pos[:, 1]
+        if dt != self._dt:
+            self._dt = dt
+            self._move = self.speed * dt
+            np.multiply(self.heading, self._move[:, None], out=self.stride)
+        target, pos, move = self.target, self.pos, self._move
+        dx = target[:, 0] - pos[:, 0]
+        dy = target[:, 1] - pos[:, 1]
         dist = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
-        move = self.speed * dt
-        arriving = move >= dist
+        arriving = np.flatnonzero(move >= dist)
         # the whole array moves: an arriving vehicle's position is
         # overwritten with its waypoint below
-        self.pos += self.heading * move[:, None]
+        pos += self.stride
         # arrivals are rare; handle per vehicle in index order for determinism
-        for i in np.flatnonzero(arriving):
+        for i in arriving.tolist():
             node = int(self.waypoint[i])
-            self.pos[i] = net.intersections[node]
+            pos[i] = net.intersections[node]
             adj = net.adjacency[node]
             if not adj:
                 continue
             wp = adj[int(rng.integers(len(adj)))]
             self.waypoint[i] = wp
+            target[i] = net.intersections[wp]
             nxt = net.adjacency[wp]
             self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
-            direction = net.intersections[wp] - self.pos[i]
+            direction = target[i] - pos[i]
             norm = np.linalg.norm(direction)
             if norm > 0:
                 self.heading[i] = direction / norm
-
-
+                self.stride[i] = self.heading[i] * move[i]
 
 
 K = 3  # grid cells per query radius

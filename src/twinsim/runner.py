@@ -88,10 +88,11 @@ class Simulation:
         self.links = {name: lc.to_spec() for name, lc in cfg.links.items()}
         self.current_rsu, _ = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
                                           None, cfg.grid.hysteresis_m)
+        self._screen_m = self.net.screen_radius
 
         # every period is a whole number of sensing ticks (checked at parse time)
         self._sense_us = round(cfg.periods.sense_ms * 1000)
-        report_ticks, self._fusion_ticks, self._epoch_ticks = (
+        self._report_ticks, self._fusion_ticks, self._epoch_ticks = (
             round(period_s * US_PER_S / self._sense_us)
             for period_s in (cfg.periods.report_s, cfg.periods.fusion_s, cfg.periods.epoch_s))
 
@@ -101,7 +102,7 @@ class Simulation:
         self.edges = [EdgeTwin(r, self, self.held, self.label_log,
                                self._fusion_ticks * self._sense_us)
                       for r in range(cfg.n_rsus)]
-        self.local = LocalTwins(self, self.edges, self.held, self.cloud, report_ticks)
+        self.local = LocalTwins(self, self.edges, self.held, self.cloud, self._report_ticks)
         for e in self.edges:
             self.engine.register(e.rsu_id, e.receive)
         self.engine.register(cfg.n_rsus, self.cloud.receive)
@@ -116,12 +117,12 @@ class Simulation:
         local = self.local
         self.fleet.step(self._sense_us / US_PER_S, self.rng_mobility)
         moved, d_cur = self._update_coverage()
-        self.held.forget(moved)
-        local.handover(moved)
-        local.sense(tick, d_cur / self.rsu_radii[self.current_rsu])
-        if tick % local.sense_slots == 0:
+        if len(moved):
+            self.held.forget(moved)
+            local.handover(moved)
+        if tick % self._report_ticks == 0:
             local.beacon_pass(now, pairs_within(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
-            local.emit_reports(now)
+            local.emit_reports(now, d_cur / self.rsu_radii[self.current_rsu])
         if tick % self._fusion_ticks == 0:
             for e in self.edges:
                 e.fuse_and_uplink(now)
@@ -135,7 +136,7 @@ class Simulation:
         """Move ``current_rsu`` in place to each vehicle's serving RSU; returns
         the vehicles that changed RSU and each one's distance to its RSU."""
         rsu, d_cur = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
-                                 self.current_rsu, self.cfg.grid.hysteresis_m)
+                                 self.current_rsu, self.cfg.grid.hysteresis_m, self._screen_m)
         moved = np.flatnonzero(rsu != self.current_rsu)
         self.current_rsu[:] = rsu
         return moved, d_cur

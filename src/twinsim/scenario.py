@@ -16,12 +16,15 @@ from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
 
 # Fleet and run-length bounds, checked before anything is built; the cells cap
-# the vehicle x RSU distance matrix of every tick, the windows the index series.
+# the vehicle x RSU distance matrix, the windows the index series, the ticks
+# and the expected task count the events of a run.
 MAX_GRID_SIDE = 1_000
 MAX_VEHICLES_PER_RSU = 100_000
 MAX_DISTANCE_CELLS = 10_000_000
 MAX_DURATION_S = 86_400
 MAX_INDEX_WINDOWS = 100_000
+MAX_TICKS = 1_000_000
+MAX_TASKS = 100_000_000
 
 
 @dataclass
@@ -280,10 +283,18 @@ def validate(cfg: ScenarioConfig) -> None:
           "periods.index_window_s", "must be a whole number of microseconds in (0, duration_s]")
     check(cfg.duration_s / periods.index_window_s <= MAX_INDEX_WINDOWS, "periods.index_window_s",
           f"duration_s / index_window_s must be <= {MAX_INDEX_WINDOWS:,}")
+    check(cfg.duration_s * 1000 / periods.sense_ms <= MAX_TICKS, "periods.sense_ms",
+          f"duration_s / sense period must be <= {MAX_TICKS:,} ticks")
+    # every vehicle at the hottest rate for the whole run, as an upper bound
+    tasks = w.task_rate_hz * cfg.n_vehicles * cfg.duration_s
+    check(tasks <= MAX_TASKS, "workload.task_rate_hz",
+          f"task_rate_hz x vehicles x duration_s must be <= {MAX_TASKS:,} tasks")
     if cfg.hotspot is not None:
         check(0 <= cfg.hotspot.region < cfg.n_rsus, "hotspot.region", "not a valid RSU index")
         check(cfg.hotspot.rate_multiplier >= 0, "hotspot.rate_multiplier", "must be >= 0")
         check(cfg.hotspot.t_start_s <= cfg.hotspot.t_end_s, "hotspot.t_start_s", "must be <= t_end_s")
+        check(tasks * max(1, cfg.hotspot.rate_multiplier) <= MAX_TASKS, "hotspot.rate_multiplier",
+              f"task_rate_hz x rate_multiplier x vehicles x duration_s must be <= {MAX_TASKS:,} tasks")
     for i, st in enumerate(cfg.scripted_tasks):
         check(0 <= st.device < cfg.n_vehicles, f"scripted_tasks[{i}].device",
               "not a valid vehicle index")

@@ -11,7 +11,9 @@ evaluates in bulk; the tests check the runtime code against it:
   over the batched beacon snapshots;
 - ``eager_beacons``: the per-receiver sender index that
   ``local.BeaconSnapshot`` builds on its first lookup;
-- ``channel_quality``: the per-tick ``LocalTwins.cq_buf`` column.
+- ``rsu_distances``: the distances ``mobility.serving_rsu`` returns;
+- ``channel_quality`` and ``window_mean_speed``: the channel quality and
+  mean speed of each ``LocalTwins`` status report.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ def covering_rsu(
     """Coverage decision with a hysteresis band: keep the current RSU while
     it covers the position and no rival is closer by more than hysteresis_m;
     otherwise the nearest covering RSU; None if uncovered."""
-    d = np.linalg.norm(net.rsu_positions - np.asarray(position)[None, :], axis=1)
+    d = rsu_distances(net, position)
     radii = net.rsu_radii
     covered = d <= radii
     if current is not None and covered[current]:
@@ -85,6 +87,11 @@ def covering_rsu(
         return None
     d_masked = np.where(covered, d, np.inf)
     return int(np.argmin(d_masked))
+
+
+def rsu_distances(net: RoadNetwork, position: np.ndarray) -> np.ndarray:
+    """Distance of ``position`` to each RSU of ``net``."""
+    return np.linalg.norm(net.rsu_positions - np.asarray(position)[None, :], axis=1)
 
 
 def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:
@@ -104,6 +111,12 @@ def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:
 
 def channel_quality(distance_m: float, radius_m: float) -> float:
     return min(1.0, max(0.0, 1.0 - distance_m / radius_m))
+
+
+def window_mean_speed(speed: float, ticks: int) -> float:
+    """Mean speed of one report window: the vehicle's speed sampled once per
+    sensing tick of the window, averaged as numpy averages a row."""
+    return float(np.mean([speed] * ticks))
 
 
 @dataclass

@@ -11,7 +11,8 @@ from twinsim.local import BeaconSnapshot, decide_local
 from twinsim.runner import Simulation
 from twinsim.scenario import parse_scenario
 
-from oracles import NeighborEntry, NeighborTable, channel_quality, eager_beacons
+from oracles import (NeighborEntry, NeighborTable, channel_quality, eager_beacons,
+                     rsu_distances, window_mean_speed)
 from test_digests import SCENARIOS
 
 US = 1_000_000
@@ -24,27 +25,37 @@ def test_channel_quality_linear_and_clipped():
     assert channel_quality(900.0, 600.0) == 0.0
 
 
-def test_channel_quality_matches_local_cq_buf():
-    """Each tick's sensed channel quality is the oracle's value for the
-    distance to the serving RSU, for every vehicle."""
+def test_reports_carry_oracle_speed_and_channel_quality():
+    """Each batched 1 Hz report carries the oracle's mean speed of its
+    vehicle's report window and the oracle's channel quality at its
+    distance to its serving RSU; each out-of-cycle report carries those of
+    the latest batch."""
     sim = Simulation(parse_scenario({"seed": 0, "duration_s": 31.0,
                                      "vehicles_per_rsu": 20}))
-    local = sim.local
-    sense = local.sense
-    checked = 0
+    engine = sim.engine
+    ticks = round(sim.cfg.periods.report_s * 1000 / sim.cfg.periods.sense_ms)
+    latest, out_of_cycle = {}, []
+    send_batch, send = engine.send_batch, engine.send
 
-    def checked_sense(tick, d_rel):
-        nonlocal checked
-        sense(tick, d_rel)
-        slot = (tick - 1) % local.sense_slots
-        for v, rsu in enumerate(sim.current_rsu.tolist()):
-            d = float(np.linalg.norm(sim.fleet.pos[v] - sim.rsu_pos[rsu]))
-            assert local.cq_buf[v, slot] == channel_quality(d, sim.rsu_radii[rsu])
-            checked += 1
+    def checked_batch(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
+        for v, rsu in enumerate(dsts):
+            _, (device, speed, cq, _) = payload(v)
+            d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
+            assert speed == window_mean_speed(float(sim.fleet.speed[v]), ticks)
+            assert cq == channel_quality(d, sim.rsu_radii[rsu])
+            latest[device] = (speed, cq)
+        return send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop)
 
-    local.sense = checked_sense
+    def checked_send(dst, payload, *args, **kwargs):
+        if payload[0] == "report":
+            device, speed, cq, _ = payload[1]
+            assert (speed, cq) == latest[device]
+            out_of_cycle.append(device)
+        return send(dst, payload, *args, **kwargs)
+
+    engine.send_batch, engine.send = checked_batch, checked_send
     sim.run()
-    assert checked == 310 * sim.cfg.n_vehicles
+    assert len(latest) == sim.cfg.n_vehicles and out_of_cycle
 
 
 def test_decide_local_threshold_and_backlog_guard():

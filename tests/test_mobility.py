@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinsim import runner
@@ -12,7 +13,7 @@ from twinsim.mobility import ConfigError, Fleet, build_grid, pairs_within, servi
 from twinsim.scenario import ScenarioConfig
 
 import oracles
-from oracles import VehicleState, covering_rsu, step_vehicle
+from oracles import VehicleState, covering_rsu, rsu_distances, step_vehicle
 
 
 @pytest.fixture
@@ -67,20 +68,90 @@ def road_points(net, rng, n):
                           (800.0, 1200.0, 0.0)])
 def test_serving_rsu_matches_covering_rsu_oracle(spacing, radius, hysteresis):
     """The vectorized coverage decision agrees with the scalar oracle on
-    random road points, from no current RSU and from random current ones."""
+    random road points, from no current RSU and from random current ones,
+    screened by the grid's screen radius or not."""
     net = build_grid(2, 3, spacing, rsu_radius_m=radius)
     rng = np.random.default_rng(7)
     pos = road_points(net, rng, 2000)
     currents = [None, rng.integers(len(net.rsus), size=len(pos))]
-    for current in currents:
+    for current, screen in itertools.product(currents, [0.0, net.screen_radius]):
         rsu, dist = serving_rsu(pos, net.rsu_positions, net.rsu_radii, current,
-                                hysteresis)
+                                hysteresis, screen)
         for i, p in enumerate(pos):
             cur = None if current is None else int(current[i])
             want = covering_rsu(net, p, cur, hysteresis_m=hysteresis)
             assert want is not None  # every road point is covered
             assert rsu[i] == want
             assert dist[i] == np.linalg.norm(net.rsu_positions[want] - p)
+
+
+AXES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+@st.composite
+def screened_positions(draw):
+    """A grid (1x1, 1x2, 2x1 or 2x3), a hysteresis and positions around its
+    RSUs, each with a current RSU: on an RSU, within 1e-6 m of the screen
+    radius, or anywhere in the radius; along an axis or at any angle."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3)]))
+    spacing = draw(st.sampled_from([1000.0, 1005.0]) | st.floats(1.0, 5000.0))
+    radius = spacing * draw(st.sampled_from([0.5, 0.6]) | st.floats(0.5, 2.0))
+    hysteresis = draw(st.sampled_from([0.0, 100.0]) | st.floats(0.0, 2 * spacing))
+    net = build_grid(rows, cols, spacing, rsu_radius_m=radius)
+    k = rows * cols
+    positions, currents = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        home = draw(st.integers(0, k - 1))
+        dist = draw(st.just(0.0) | st.floats(0.0, radius)
+                    | st.floats(-1e-6, 1e-6).map(lambda e: net.screen_radius + e))
+        ux, uy = draw(st.sampled_from(AXES) | st.floats(0.0, 2 * math.pi).map(
+            lambda a: (math.cos(a), math.sin(a))))
+        positions.append(net.intersections[home] + dist * np.array([ux, uy]))
+        currents.append(draw(st.just(home) | st.integers(0, k - 1)))
+    return net, hysteresis, np.array(positions), np.array(currents)
+
+
+def half_beyond_screen(rows, cols, radius, hysteresis):
+    """A vehicle of RSU 0 half a metre beyond the screen radius, toward RSU 1."""
+    net = build_grid(rows, cols, 1000.0, rsu_radius_m=radius)
+    pos = np.array([[net.screen_radius + 0.5, 0.0]])
+    return net, hysteresis, pos, np.array([0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(screened_positions())
+# with no hysteresis RSU 1 takes over just past the half-way point, even
+# inside a screen of half the separation + 1 m
+@example(half_beyond_screen(1, 2, 600.0, 0.0))
+@example(half_beyond_screen(2, 3, 1000.0, 0.0))
+@example(half_beyond_screen(1, 2, 500.0, 0.0))
+def test_screened_serving_rsu_matches_covering_rsu_oracle(case):
+    """Screened by the grid's screen radius, ``serving_rsu`` gives the
+    oracle's RSU and distance, and the unscreened search's, bit for bit."""
+    net, hysteresis, pos, current = case
+    args = (pos, net.rsu_positions, net.rsu_radii, current, hysteresis)
+    rsu, dist = serving_rsu(*args, net.screen_radius)
+    full_rsu, full_dist = serving_rsu(*args)
+    assert rsu.tolist() == full_rsu.tolist()
+    assert dist.tobytes() == full_dist.tobytes()
+    for i, p in enumerate(pos):
+        want = covering_rsu(net, p, int(current[i]), hysteresis_m=hysteresis)
+        if want is None:  # rounded just out of the radius of every RSU
+            continue
+        assert rsu[i] == want
+        assert dist[i].tobytes() == rsu_distances(net, p)[want].tobytes()
+
+
+@pytest.mark.parametrize("rows,cols,spacing,radius,screen", [
+    (1, 1, 1000.0, 600.0, 600.0),
+    (1, 2, 1000.0, 600.0, 500.0),
+    (2, 3, 1000.0, 500.0, 500.0),
+    (2, 1, 300.0, 1000.0, 150.0),
+])
+def test_screen_radius_is_half_the_least_separation_capped_at_radius(
+        rows, cols, spacing, radius, screen):
+    net = build_grid(rows, cols, spacing, rsu_radius_m=radius)
+    assert screen * (1 - 2**-39) < net.screen_radius < screen
 
 
 def test_covering_rsu_hysteresis(grid):
@@ -137,6 +208,26 @@ def test_fleet_matches_scalar_stepper(grid):
         np.testing.assert_allclose(fleet.pos[i], v.position, atol=1e-9)
         assert int(fleet.waypoint[i]) == v.waypoint
         assert int(fleet.nav_intent[i]) == v.nav_intent
+
+
+def test_fleet_step_keeps_speed_and_caches_strides(grid):
+    """Stepping never writes a speed; each vehicle's cached waypoint
+    coordinates and step heading * speed * dt follow its waypoint
+    arrivals and a change of dt."""
+    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"))
+    speed = fleet.speed.copy()
+    rng = numpy_stream(3, "walk")
+    arrivals = 0
+    for tick in range(400):
+        dt = 0.1 if tick < 300 else 0.25
+        waypoint = fleet.waypoint.copy()
+        fleet.step(dt, rng)
+        arrivals += int((fleet.waypoint != waypoint).sum())
+        assert np.array_equal(fleet.target, grid.intersections[fleet.waypoint])
+        assert np.array_equal(fleet.stride, fleet.heading * (fleet.speed * dt)[:, None])
+    assert arrivals > 10
+    assert not fleet.speed.flags.writeable
+    assert np.array_equal(fleet.speed, speed)
 
 
 def test_fleet_spawns_on_region_segments(grid):

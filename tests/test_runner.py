@@ -7,6 +7,8 @@ from twinsim.metrics import summarize
 from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import ScenarioConfig, parse_scenario
 
+from oracles import channel_quality, rsu_distances, window_mean_speed
+
 US = 1_000_000
 
 
@@ -162,8 +164,12 @@ def test_batched_reports_match_per_vehicle_fields():
         for v in range(sim.cfg.n_vehicles):
             kind, (device, mean_speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
-            assert mean_speed == pytest.approx(sum(local.speed_buf[v]) / local.sense_slots)
-            assert cq == local.cq_buf[v, -1]
+            rsu = dsts[v]
+            d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
+            # 1 s report windows of 100 ms ticks
+            assert mean_speed == window_mean_speed(float(sim.fleet.speed[v]), 10)
+            assert mean_speed == pytest.approx(sim.fleet.speed[v])
+            assert cq == channel_quality(d, sim.rsu_radii[rsu])
             assert backlog == local.backlog_cu(v, now)
             assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0

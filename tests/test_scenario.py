@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,8 @@ from twinsim import runner
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
-                              MAX_INDEX_WINDOWS, MAX_VEHICLES_PER_RSU, ScenarioConfig, default_hotspot_scenario, load_scenario,
+                              MAX_INDEX_WINDOWS, MAX_TASKS, MAX_TICKS, MAX_VEHICLES_PER_RSU,
+                              ScenarioConfig, default_hotspot_scenario, load_scenario,
                               parse_scenario, validate)
 
 
@@ -370,6 +373,14 @@ def test_cli_run_rejects_run_shorter_than_index_window(tmp_path, capsys):
     ({"duration_s": MAX_DURATION_S, "periods": {"index_window_s": 1e-6}},
      r"periods\.index_window_s"),
     ({"duration_s": 1000, "periods": {"index_window_s": 0.009}}, r"periods\.index_window_s"),
+    # finite, so they parsed, and the first run asked for about one task per
+    # vehicle per microsecond, the last for 3e8 ticks
+    ({"workload": {"task_rate_hz": 1e300}}, r"workload\.task_rate_hz"),
+    ({"hotspot": {"rate_multiplier": 1e300}}, r"hotspot\.rate_multiplier"),
+    ({"periods": {"sense_ms": 0.001}}, r"periods\.sense_ms"),
+    ({"duration_s": 50_001, "periods": {"sense_ms": 50}}, r"periods\.sense_ms"),
+    ({"workload": {"task_rate_hz": float("inf")}}, r"workload\.task_rate_hz"),
+    ({"hotspot": {"rate_multiplier": float("inf")}}, r"hotspot\.rate_multiplier"),
 ])
 def test_run_length_bounded_at_parse_time(data, path, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
@@ -391,3 +402,42 @@ def test_run_length_bounds_admit_their_limits():
     assert parse_scenario({"duration_s": MAX_DURATION_S}).duration_s == MAX_DURATION_S
     cfg = parse_scenario({"duration_s": 1000, "periods": {"index_window_s": 0.01}})
     assert cfg.duration_s / cfg.periods.index_window_s == MAX_INDEX_WINDOWS
+
+
+def test_cli_duration_option_bounded_by_task_count(tmp_path, capsys, monkeypatch):
+    # 1 Hz per vehicle parses at 300 s; for a whole day it asks for 1e8 tasks
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"workload": {"task_rate_hz": 1.0}}))
+    assert load_scenario(scenario).duration_s == 300
+    assert main(["run", "--scenario", str(scenario), "--duration", "86400"]) == 2
+    assert "workload.task_rate_hz: " in capsys.readouterr().err
+
+
+def test_event_bounds_admit_their_limits():
+    cfg = parse_scenario({"duration_s": 50_000, "periods": {"sense_ms": 50}})
+    assert cfg.duration_s * 1000 / cfg.periods.sense_ms == MAX_TICKS
+    # 1,000 vehicles for 1,000 s
+    one_rsu = {"grid": {"rows": 1, "cols": 1}, "vehicles_per_rsu": 1000, "duration_s": 1000}
+    cfg = parse_scenario({**one_rsu, "workload": {"task_rate_hz": 100}})
+    assert cfg.workload.task_rate_hz * cfg.n_vehicles * cfg.duration_s == MAX_TASKS
+    parse_scenario({**one_rsu, "workload": {"task_rate_hz": 12.5},
+                    "hotspot": {"rate_multiplier": 8}})
+    with pytest.raises(ConfigError, match=r"^hotspot\.rate_multiplier: "):
+        parse_scenario({**one_rsu, "workload": {"task_rate_hz": 12.5},
+                        "hotspot": {"rate_multiplier": 8.5}})
+    # a multiplier below 1 does not lower the bound
+    with pytest.raises(ConfigError, match=r"^workload\.task_rate_hz: "):
+        parse_scenario({**one_rsu, "workload": {"task_rate_hz": 101},
+                        "hotspot": {"rate_multiplier": 0.5}})
+
+
+def test_default_scenarios_and_benchmark_workloads_parse():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        parse_scenario(workloads.scenario(name, 0, workloads.DURATION_S))
+    validate(ScenarioConfig())
+    validate(default_hotspot_scenario())
