@@ -27,11 +27,25 @@ def _load(args, seed: int | None = None) -> ScenarioConfig:
     return cfg
 
 
+def _summary(records: list) -> dict:
+    """``metrics.summarize``, or for a run in which no task completed the
+    counts alone, with None for the response times."""
+    if any(r.completed_us is not None for r in records):
+        return metrics.summarize(records)
+    return {"n_completed": 0, "median_us": None, "tier_counts": dict.fromkeys(metrics.TIERS, 0),
+            "drop_rate": sum(r.dropped for r in records) / max(1, len(records))}
+
+
+def _ms(us: float | None) -> str:
+    return "n/a" if us is None else f"{us / 1000:.3f}"
+
+
 def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
     print(f"completed      {stats['n_completed']}")
-    print(f"median_rt_ms   {stats['median_us'] / 1000:.3f}")
-    print(f"p95_rt_ms      {stats['p95_us'] / 1000:.3f}")
-    print(f"iqr_rt_ms      {stats['iqr_us'] / 1000:.3f}")
+    if stats["median_us"] is not None:
+        print(f"median_rt_ms   {stats['median_us'] / 1000:.3f}")
+        print(f"p95_rt_ms      {stats['p95_us'] / 1000:.3f}")
+        print(f"iqr_rt_ms      {stats['iqr_us'] / 1000:.3f}")
     print(f"drop_rate      {stats['drop_rate']:.6f}")
     for tier, count in stats["tier_counts"].items():
         print(f"tier_{tier:<11}{count}")
@@ -43,7 +57,7 @@ def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
 def cmd_run(args) -> int:
     cfg = _load(args, args.seed)
     result = run_showcase(cfg, outdir=args.out)
-    stats = metrics.summarize(result.records)
+    stats = _summary(result.records)
     tail = None
     if result.series.autonomy:
         tail = (result.series.autonomy[-1], result.series.coordination[-1])
@@ -69,7 +83,7 @@ def cmd_summarize(args) -> int:
                 tier=row["tier"] or None,
                 dropped=row["dropped"] == "1",
             ))
-    _print_summary(metrics.summarize(records))
+    _print_summary(_summary(records))
     idx = Path(args.indir) / "indices.csv"
     if idx.exists():
         with open(idx, newline="") as fh:
@@ -99,12 +113,13 @@ def cmd_sweep(args) -> int:
         cfg.seed = seed
         outdir = Path(args.out) / f"seed{seed}" if args.out else None
         result = run_showcase(cfg, outdir=outdir)
-        stats = metrics.summarize(result.records)
-        medians.append(stats["median_us"])
+        stats = _summary(result.records)
+        if stats["median_us"] is not None:
+            medians.append(stats["median_us"])
         print(f"seed={seed} completed={stats['n_completed']} "
-              f"median_rt_ms={stats['median_us'] / 1000:.3f} "
-              f"drop_rate={stats['drop_rate']:.6f}")
-    print(f"median_of_medians_ms {metrics.median(medians) / 1000:.3f}")
+              f"median_rt_ms={_ms(stats['median_us'])} drop_rate={stats['drop_rate']:.6f}")
+    # over the seeds in which some task completed
+    print(f"median_of_medians_ms {_ms(metrics.median(medians) if medians else None)}")
     return 0
 
 

@@ -17,6 +17,8 @@ from .kernel import US_PER_S
 from .local import drop_task
 from .metrics import BELOW_CLOUD, median
 
+DIRECTIVE_BYTES = 200  # size of an offload directive message
+
 # round-robin mutation order, one parameter per epoch
 MUTATION_ORDER = (
     "local_serve_threshold",
@@ -253,8 +255,7 @@ class CloudTwin:
 
     def _route_result(self, task) -> None:
         """Send a result to the edge that serves its vehicle now."""
-        rsu = int(self.current_rsu[task.origin])
-        self.engine.send(rsu, ("result", task),
+        self.engine.send(self.current_rsu.item(task.origin), ("result", task),
                          self.cfg.workload.response_bytes, self.links["r2c"],
                          self.rng_loss, on_drop=drop_task)
 
@@ -291,5 +292,5 @@ class CloudTwin:
             self.directive_log.append(DirectiveLogEntry(
                 now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
                 nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
-            self.engine.send(d.from_rsu, ("directive", d), 200,
+            self.engine.send(d.from_rsu, ("directive", d), DIRECTIVE_BYTES,
                              self.links["r2c"], self.rng_loss)

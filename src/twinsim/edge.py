@@ -208,6 +208,13 @@ class EdgeTwin:
         self.labels: tuple = ("Normal",)
         self.last_utilization = 0.0
         self.last_mean_speed: float | None = None
+        # what each task reads
+        self._serves = cfg.mode != "cloud_only"
+        self._util_high = cfg.thresholds.util_high
+        self._backlog_to_cloud_s = cfg.thresholds.backlog_to_cloud_s
+        self._request_bytes = cfg.workload.request_bytes
+        self._response_bytes = cfg.workload.response_bytes
+        self._v2r, self._r2c, self._e2e = self.links["v2r"], self.links["r2c"], self.links["e2e"]
 
     def receive(self, payload) -> None:
         kind = payload[0]
@@ -222,50 +229,45 @@ class EdgeTwin:
         elif kind == "directive":
             self.directive = payload[1]
         elif kind == "result":
-            self.engine.send(self._vehicles, ("result", payload[1]),
-                             self.cfg.workload.response_bytes, self.links["v2r"],
-                             self.rng_loss, on_drop=drop_task)
+            self.engine.send(self._vehicles, ("result", payload[1]), self._response_bytes,
+                             self._v2r, self.rng_loss, on_drop=drop_task)
 
     def _task(self, task, relayed: bool) -> None:
-        cfg = self.cfg
         now = self.engine.now
         if not relayed:
             task.edge_arrival_us = now
             task.overloaded_at_arrival = "Overload" in self.labels
         # cloud_only relays every task to the cloud
-        if cfg.mode != "cloud_only":
+        if self._serves:
             directive = self.directive
             if (not relayed and directive is not None and now < directive.expires_at_us
-                    and self.last_utilization > cfg.thresholds.util_high
+                    and self.last_utilization > self._util_high
                     and self.thinning.take(directive.fraction)):
-                self.engine.send(directive.to_rsu, ("relay_task", task),
-                                 cfg.workload.request_bytes, self.links["e2e"],
-                                 self.rng_loss, on_drop=drop_task)
+                self.engine.send(directive.to_rsu, ("relay_task", task), self._request_bytes,
+                                 self._e2e, self.rng_loss, on_drop=drop_task)
                 return
-            if self.server.backlog_s(now) <= cfg.thresholds.backlog_to_cloud_s:
+            if self.server.backlog_s(now) <= self._backlog_to_cloud_s:
                 finish = self.server.enqueue(now, task.cost_cu)
                 task.tier = "PartnerEdge" if relayed else "Edge"
                 self.engine.schedule(finish, self._done, task, kind="compute")
                 return
-        self.engine.send(self._cloud, ("task", task), cfg.workload.request_bytes,
-                         self.links["r2c"], self.rng_loss, on_drop=drop_task)
+        self.engine.send(self._cloud, ("task", task), self._request_bytes,
+                         self._r2c, self.rng_loss, on_drop=drop_task)
 
     def _done(self, task) -> None:
         self.window.processed_cu += task.cost_cu
-        if task.tier == "Edge" and self.current_rsu[task.origin] != self.rsu_id:
+        if task.tier == "Edge" and self.current_rsu.item(task.origin) != self.rsu_id:
             # member left during service: forward the result via the cloud relay
-            self.engine.send(self._cloud, ("relay_result", task),
-                             self.cfg.workload.response_bytes, self.links["r2c"],
-                             self.rng_loss, on_drop=drop_task)
+            self.engine.send(self._cloud, ("relay_result", task), self._response_bytes,
+                             self._r2c, self.rng_loss, on_drop=drop_task)
             return
-        self.engine.send(self._vehicles, ("result", task),
-                         self.cfg.workload.response_bytes, self.links["v2r"],
-                         self.rng_loss, on_drop=drop_task)
+        self.engine.send(self._vehicles, ("result", task), self._response_bytes,
+                         self._v2r, self.rng_loss, on_drop=drop_task)
 
     def _report(self, report: tuple) -> None:
         """report is (device, mean_speed, channel_quality, backlog_cu)."""
         device = report[0]
-        if self.current_rsu[device] != self.rsu_id:
+        if self.current_rsu.item(device) != self.rsu_id:
             return
         w = self.window
         w.speed_sum += report[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class LinkSpec:
     loss_prob: float = 0.0
     retx_timeout_us: int = 20_000
     max_attempts: int = 1
+    # first-attempt delay per payload size, as ``link_latency`` defines it;
+    # ``Engine`` fills it on the first message of each size
+    delays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandwidth_bps <= 0:
@@ -130,8 +133,10 @@ class Engine:
         if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
             self._lost(dst, payload, nbytes, link, rng, 1, on_drop)
         else:
-            self.schedule(self.now + link_latency(link, nbytes), self._deliver,
-                          dst, payload, kind="delivery")
+            delay = link.delays.get(nbytes)
+            if delay is None:
+                delay = self._delay(link, nbytes)
+            self.schedule(self.now + delay, self._deliver, dst, payload, kind="delivery")
 
     def send_batch(self, dsts: list, nbytes: int, link: LinkSpec, rng, deliver,
                    payload, on_drop=None) -> None:
@@ -155,8 +160,16 @@ class Engine:
             else:
                 delivered.append(i)
         if delivered:
-            self.schedule(self.now + link_latency(link, nbytes), self._deliver_batch,
+            self.schedule(self.now + self._delay(link, nbytes), self._deliver_batch,
                           deliver, delivered, kind="delivery")
+
+    @staticmethod
+    def _delay(link: LinkSpec, nbytes: int) -> int:
+        """``link_latency(link, nbytes)``, computed once per link and size."""
+        delay = link.delays.get(nbytes)
+        if delay is None:
+            delay = link.delays[nbytes] = link_latency(link, nbytes)
+        return delay
 
     def _lost(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
         """Attempt number ``attempt`` was lost: retry after the timeout, or
@@ -175,7 +188,7 @@ class Engine:
         if rng.random() < link.loss_prob:
             self._lost(dst, payload, nbytes, link, rng, attempt, on_drop)
         else:
-            self.schedule(self.now + link_latency(link, nbytes), self._deliver,
+            self.schedule(self.now + self._delay(link, nbytes), self._deliver,
                           dst, payload, kind="delivery")
 
     def _deliver(self, dst, payload) -> None:

@@ -116,8 +116,6 @@ class LocalTwins:
     def __init__(self, world, edges: list, held, cloud, report_ticks: int):
         cfg = self.cfg = world.cfg
         self.engine = world.engine
-        self.links = world.links
-        self.fleet = world.fleet
         self.current_rsu = world.current_rsu
         self.rng_tasks = world.rng_tasks
         self.rng_loss = world.rng_loss
@@ -132,7 +130,7 @@ class LocalTwins:
         self.backlog_triggered = np.zeros(n, dtype=bool)
         # each report's mean speed: the mean of one sample per tick of the
         # report window, in the order numpy sums an (n, report_ticks) row
-        speed = self.fleet.speed[:, None]
+        speed = world.fleet.speed[:, None]
         self.mean_speed = np.repeat(speed, report_ticks, axis=1).mean(axis=1)
         # channel quality of the latest report tick; None until the first
         self._report_cq: np.ndarray | None = None
@@ -140,84 +138,90 @@ class LocalTwins:
         # neighbor tables (indexed lazily on handoff attempts)
         self.beacon_snapshots: list[BeaconSnapshot] = []
         self.neighbor_expiry_us = round(cfg.thresholds.neighbor_expiry_s * US_PER_S)
+        # what each task arrival reads: the rate, the hotspot's region,
+        # window (us) and multiplier, the cost range, the local capacity,
+        # the thresholds, the request size and the links
+        w, t, hs = cfg.workload, cfg.thresholds, cfg.hotspot
+        self._rate = w.task_rate_hz
+        self._hotspot = (None, 0.0, 0.0, 1.0) if hs is None else (
+            hs.region, hs.t_start_s * US_PER_S, hs.t_end_s * US_PER_S, hs.rate_multiplier)
+        self._cost_range = w.cost_range_cu
+        self._cap = cfg.capacity.local_cu_s
+        self._layered = cfg.mode == "layered"
+        self._backlog_limit_s = t.local_backlog_s
+        self._handoff_gap_s = t.handoff_gap_s
+        self._duration_us = cfg.duration_us
+        self._request_bytes = w.request_bytes
+        self._v2r, self._v2v = world.links["v2r"], world.links["v2v"]
 
-        if cfg.workload.task_rate_hz > 0:
+        if self._rate > 0:
             for v in range(n):
-                self._schedule_next_task(v)
+                self._task_arrival(v, arrives=False)
         for st in cfg.scripted_tasks:
             self.engine.schedule(round(st.at_s * US_PER_S), self._spawn_task,
                                  st.device, st.cost_cu, kind="task")
 
     # -- workload ----------------------------------------------------------
 
-    def _schedule_next_task(self, v: int) -> None:
+    def _task_arrival(self, v: int, arrives: bool = True) -> None:
+        """Vehicle ``v``'s Poisson workload: a task arrives now with a
+        drawn cost and is recorded and placed (unless ``arrives`` is false:
+        the first draw at set-up, or a re-check at a zero rate); then the gap
+        to the next arrival is drawn at the vehicle's rate now."""
         now = self.engine.now
-        rate = self.cfg.workload.task_rate_hz
-        hs = self.cfg.hotspot
-        if hs is not None and self.current_rsu[v] == hs.region:
-            if hs.t_start_s * US_PER_S <= now < hs.t_end_s * US_PER_S:
-                rate *= hs.rate_multiplier
+        if arrives:
+            self._spawn_task(v, self.rng_tasks.uniform(*self._cost_range))
+        rate = self._rate
+        region, t_start, t_end, multiplier = self._hotspot
+        if t_start <= now < t_end and self.current_rsu.item(v) == region:
+            rate *= multiplier
         if rate <= 0:
             # re-check one second later; the hotspot may switch back on
-            self.engine.schedule(now + US_PER_S, self._schedule_next_task, v, kind="task")
+            self.engine.schedule(now + US_PER_S, self._task_arrival, v, False, kind="task")
             return
-        gap = round(self.rng_tasks.expovariate(rate) * US_PER_S)
-        at = now + max(1, gap)
-        if at <= self.cfg.duration_us:
+        at = now + max(1, round(self.rng_tasks.expovariate(rate) * US_PER_S))
+        if at <= self._duration_us:
             self.engine.schedule(at, self._task_arrival, v, kind="task")
 
-    def _task_arrival(self, v: int) -> None:
-        self._spawn_task(v, self.rng_tasks.uniform(*self.cfg.workload.cost_range_cu))
-        self._schedule_next_task(v)
-
     def _spawn_task(self, v: int, cost: float) -> None:
-        task = TaskRecord(len(self.records), v, self.engine.now,
-                          origin_rsu=int(self.current_rsu[v]), cost_cu=cost)
-        self.records.append(task)
-        self._place_task(task)
-
-    def _place_task(self, task: TaskRecord) -> None:
-        cfg = self.cfg
-        v = task.origin
-        rsu = int(self.current_rsu[v])
+        """A task of ``cost`` CU arrives at vehicle ``v`` now (a Poisson or a
+        scripted task): it is recorded, then served on board, handed off to a
+        V2V neighbour or sent to the serving edge."""
         now = self.engine.now
-        threshold = 0.0
-        if cfg.mode == "layered":
-            threshold = self.edges[rsu].policy.local_serve_threshold
-        backlog_cu = self.backlog_cu(v, now)
-        placement = decide_local(task.cost_cu, threshold, backlog_cu,
-                                 cfg.capacity.local_cu_s, cfg.thresholds.local_backlog_s)
-        if placement == "local":
-            backlog_s = backlog_cu / cfg.capacity.local_cu_s
-            if backlog_s > cfg.thresholds.handoff_gap_s:
-                peer = self.handoff_candidate(v, now, backlog_cu)
-                if peer is not None:
-                    self.engine.send(self.endpoint, ("handoff", peer, task),
-                                     cfg.workload.request_bytes, self.links["v2v"],
-                                     self.rng_loss, on_drop=drop_task)
-                    return
-            self._serve(v, task)
-        else:
-            self.engine.send(rsu, ("task", task),
-                             cfg.workload.request_bytes, self.links["v2r"],
+        rsu = self.current_rsu.item(v)
+        task = TaskRecord(len(self.records), v, now, origin_rsu=rsu, cost_cu=cost)
+        self.records.append(task)
+        cap = self._cap
+        threshold = self.edges[rsu].policy.local_serve_threshold if self._layered else 0.0
+        backlog_cu = max(0, self.busy_until.item(v) - now) / US_PER_S * cap
+        if decide_local(cost, threshold, backlog_cu, cap, self._backlog_limit_s) == "edge":
+            self.engine.send(rsu, ("task", task), self._request_bytes, self._v2r,
                              self.rng_loss, on_drop=drop_task)
+            return
+        if backlog_cu / cap > self._handoff_gap_s:
+            peer = self.handoff_candidate(v, now, backlog_cu)
+            if peer is not None:
+                self.engine.send(self.endpoint, ("handoff", peer, task), self._request_bytes,
+                                 self._v2v, self.rng_loss, on_drop=drop_task)
+                return
+        self._serve(v, task)
 
     def backlog_cu(self, v: int, now_us: int) -> float:
         """Work left in vehicle ``v``'s local queue at ``now_us``, in CU."""
-        pending_us = max(0, int(self.busy_until[v]) - now_us)
-        return pending_us / US_PER_S * self.cfg.capacity.local_cu_s
+        return max(0, self.busy_until.item(v) - now_us) / US_PER_S * self._cap
 
     def _serve(self, server_vehicle: int, task: TaskRecord) -> None:
         now = self.engine.now
-        cap = self.cfg.capacity.local_cu_s
-        start = max(now, int(self.busy_until[server_vehicle]))
-        finish = start + round(task.cost_cu / cap * US_PER_S)
+        cap = self._cap
+        finish = (max(now, self.busy_until.item(server_vehicle))
+                  + round(task.cost_cu / cap * US_PER_S))
         self.busy_until[server_vehicle] = finish
         task.tier = "Local"
         self.engine.schedule(finish, self._local_done, server_vehicle, task, kind="compute")
-        # one report when the backlog passes its trigger
-        over = self.backlog_cu(server_vehicle, now) / cap > self.cfg.thresholds.local_backlog_s
-        if over and not self.backlog_triggered[server_vehicle]:
+        # one report when the backlog passes its trigger (backlog_cu's
+        # floats over the capacity)
+        over = (finish - now) / US_PER_S * cap / cap > self._backlog_limit_s
+        if over and not self.backlog_triggered.item(server_vehicle):
             self._send_report(server_vehicle)
         self.backlog_triggered[server_vehicle] = over
 
@@ -225,9 +229,8 @@ class LocalTwins:
         if server_vehicle == task.origin:
             self.complete(task)
         else:
-            self.engine.send(self.endpoint, ("result", task),
-                             self.cfg.workload.response_bytes, self.links["v2v"],
-                             self.rng_loss, on_drop=drop_task)
+            self.engine.send(self.endpoint, ("result", task), self.cfg.workload.response_bytes,
+                             self._v2v, self.rng_loss, on_drop=drop_task)
 
     # -- vehicle endpoint --------------------------------------------------
 
@@ -262,10 +265,10 @@ class LocalTwins:
         batch = (rsu, speed, cq, backlog)
 
         def payload(v):
-            return "report", (v, float(speed[v]), float(cq[v]), float(backlog[v]))
+            return "report", (v, speed.item(v), cq.item(v), backlog.item(v))
 
         self.engine.send_batch(rsu.tolist(), cfg.workload.report_bytes,
-                               self.links["v2r"], self.rng_loss,
+                               self._v2r, self.rng_loss,
                                partial(self._deliver_reports, batch), payload)
 
     def _deliver_reports(self, batch: tuple, indices: list) -> None:
@@ -283,10 +286,10 @@ class LocalTwins:
         report tick's speed and channel quality with the current backlog."""
         if self._report_cq is None:
             return
-        report = (v, float(self.mean_speed[v]), float(self._report_cq[v]),
+        report = (v, self.mean_speed.item(v), self._report_cq.item(v),
                   self.backlog_cu(v, self.engine.now))
-        self.engine.send(int(self.current_rsu[v]), ("report", report),
-                         self.cfg.workload.report_bytes, self.links["v2r"], self.rng_loss)
+        self.engine.send(self.current_rsu.item(v), ("report", report),
+                         self.cfg.workload.report_bytes, self._v2r, self.rng_loss)
 
     def beacon_pass(self, now: int, pairs: np.ndarray) -> None:
         """Batched V2V beacon pass over the vehicle pairs in range: Bernoulli
@@ -296,7 +299,7 @@ class LocalTwins:
         the pass is kept as one ``BeaconSnapshot`` (pairs, loss mask and
         the sender-side state arrays at send time), whose per-receiver
         neighbour index is built on the first handoff query that reads it."""
-        v2v = self.links["v2v"]
+        v2v = self._v2v
         n_directed = 2 * len(pairs)
         delivered = 0
         if n_directed:

@@ -11,10 +11,14 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+import numpy as np
+
 from .kernel import US_PER_S
 
 TIERS = ("Local", "Edge", "PartnerEdge", "Cloud")
 BELOW_CLOUD = ("Local", "Edge", "PartnerEdge")
+# below the cloud tier: code < TIER_CODES["Cloud"]; None: not served
+TIER_CODES = {**{t: i for i, t in enumerate(TIERS)}, None: len(TIERS)}
 
 
 @dataclass(slots=True)
@@ -102,22 +106,23 @@ def build_index_series(
     absorption actually happens.
     """
     n_windows = duration_us // window_us
-    completed_total = [0] * n_windows
-    completed_below = [0] * n_windows
-    partner_done = [0] * n_windows
-    overload_arrivals = [0] * n_windows
+    n = len(records)
+    # per record: its completion time (0: none), the time of its arrival at
+    # an overloaded edge (-1: none) and its tier's code
+    done = np.fromiter((r.completed_us or 0 for r in records), np.int64, n)
+    hot = np.fromiter((r.edge_arrival_us if r.overloaded_at_arrival
+                       and r.edge_arrival_us is not None else -1 for r in records), np.int64, n)
+    tier = np.fromiter(map(TIER_CODES.__getitem__, map(attrgetter("tier"), records)),
+                       np.int8, n)[done > 0]
+    done_w = np.minimum(n_windows - 1, (done[done > 0] - 1) // window_us)
 
-    for r in records:
-        if r.completed_us is not None and r.completed_us > 0:
-            w = min(n_windows - 1, (r.completed_us - 1) // window_us)
-            completed_total[w] += 1
-            if r.tier in BELOW_CLOUD:
-                completed_below[w] += 1
-            if r.tier == "PartnerEdge":
-                partner_done[w] += 1
-        if r.edge_arrival_us is not None and r.overloaded_at_arrival:
-            w = min(n_windows - 1, max(0, (r.edge_arrival_us - 1) // window_us))
-            overload_arrivals[w] += 1
+    def per_window(w):
+        return np.bincount(w, minlength=n_windows).tolist()
+
+    completed_total = per_window(done_w)
+    completed_below = per_window(done_w[tier < TIER_CODES["Cloud"]])
+    partner_done = per_window(done_w[tier == TIER_CODES["PartnerEdge"]])
+    overload_arrivals = per_window(np.clip((hot[hot >= 0] - 1) // window_us, 0, n_windows - 1))
 
     series = IndexSeries()
     a_prev = 0.0

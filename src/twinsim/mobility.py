@@ -73,10 +73,8 @@ class RoadNetwork:
 def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600.0) -> RoadNetwork:
     """rows x cols lattice, 4-neighbor segments, one RSU per intersection.
 
-    Raises ConfigError if the dimensions are degenerate or some road point
-    is outside every RSU's radius.  On this lattice the road point farthest
-    from every RSU is a segment's midpoint, spacing_m / 2 from the RSUs at
-    both ends, so the roads are covered exactly when the radius reaches it.
+    Raises ConfigError if the dimensions are degenerate.  ``scenario.validate``
+    checks that the RSUs cover the roads.
     """
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
@@ -94,9 +92,6 @@ def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600
                 segments.append((i, i + 1))
             if r + 1 < rows:
                 segments.append((i, i + cols))
-    if segments and rsu_radius_m < spacing_m / 2:
-        raise ConfigError(f"rsu_radius_m {rsu_radius_m} leaves road uncovered: "
-                          f"must be >= spacing_m / 2 = {spacing_m / 2}")
     rsus = [(i, float(rsu_radius_m)) for i in range(rows * cols)]
     return RoadNetwork(pts, segments, rsus)
 
@@ -105,7 +100,7 @@ def distances(pos: np.ndarray, rsu_pos: np.ndarray) -> np.ndarray:
     """(n, R) distance of each position in ``pos`` (n, 2) to each of ``rsu_pos``."""
     dx = pos[:, 0, None] - rsu_pos[None, :, 0]
     dy = pos[:, 1, None] - rsu_pos[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
+    return np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm(..., axis=1)
 
 
 def serving_rsu(
@@ -209,7 +204,7 @@ class Fleet:
         target, pos, move = self.target, self.pos, self._move
         dx = target[:, 0] - pos[:, 0]
         dy = target[:, 1] - pos[:, 1]
-        dist = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm over (x, y)
+        dist = np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm(..., axis=1)
         arriving = np.flatnonzero(move >= dist)
         # the whole array moves: an arriving vehicle's position is
         # overwritten with its waypoint below

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
+from .cloud import DIRECTIVE_BYTES
 from .edge import PARAM_RANGES, Policy
 from .kernel import US_PER_S, LinkSpec
 from .mobility import ConfigError
@@ -25,6 +26,11 @@ MAX_DURATION_S = 86_400
 MAX_INDEX_WINDOWS = 100_000
 MAX_TICKS = 1_000_000
 MAX_TASKS = 100_000_000
+# Every time the run derives from the configuration fits the integer
+# microsecond clock with room to add; a task's service time is bounded so
+# that a queue of MAX_TASKS of them does too.
+MAX_TIME_US = 2**62
+MAX_SERVICE_US = MAX_TIME_US // MAX_TASKS
 
 
 @dataclass
@@ -223,11 +229,35 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def _numbers(obj, path: str = ""):
+    """``(path, value)`` of every number in configuration object ``obj``."""
+    if _is_number(obj):
+        yield path, obj
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _numbers(value, f"{path}[{i}]")
+    elif isinstance(obj, dict) or is_dataclass(obj):
+        for key in obj if isinstance(obj, dict) else obj.__dataclass_fields__:
+            value = obj[key] if isinstance(obj, dict) else getattr(obj, key)
+            yield from _numbers(value, f"{path}.{key}" if path else key)
+
+
 def validate(cfg: ScenarioConfig) -> None:
     def check(cond, name, msg):
         if not cond:
             raise ConfigError(f"{name}: {msg}")
 
+    # the one check of the policy: blueprints and edges trust it from here
+    # on; before the finiteness check, so that a NaN reads as out of range
+    p = cfg.policy
+    for key in ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold"):
+        lo, hi = PARAM_RANGES[key]
+        check(lo <= getattr(p, key) <= hi, f"policy.{key}", f"must be in [{lo:g}, {hi:g}]")
+    check(len(p.role_quotas) == 3 and min(p.role_quotas) >= 0
+          and abs(sum(p.role_quotas) - 1) < 1e-9,
+          "policy.role_quotas", "three non-negative fractions summing to 1")
+    for path, value in _numbers(cfg):
+        check(math.isfinite(value), path, "must be finite")
     for name, value, hi in (("grid.rows", cfg.grid.rows, MAX_GRID_SIDE),
                             ("grid.cols", cfg.grid.cols, MAX_GRID_SIDE),
                             ("vehicles_per_rsu", cfg.vehicles_per_rsu, MAX_VEHICLES_PER_RSU)):
@@ -237,25 +267,42 @@ def validate(cfg: ScenarioConfig) -> None:
     check(cfg.grid.spacing_m > 0, "grid.spacing_m", "must be > 0")
     check(cfg.grid.rsu_radius_m > 0, "grid.rsu_radius_m", "must be > 0")
     check(cfg.grid.hysteresis_m >= 0, "grid.hysteresis_m", "must be >= 0")
+    # on the lattice the road point farthest from every RSU is a segment's
+    # midpoint, spacing_m / 2 from the RSUs at both ends
+    check(cfg.n_rsus == 1 or cfg.grid.rsu_radius_m >= cfg.grid.spacing_m / 2,
+          "grid.rsu_radius_m", f"leaves road uncovered: must be >= spacing_m / 2 = "
+          f"{cfg.grid.spacing_m / 2}")
     check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1], "speed_range_mps", "invalid range")
+    w = cfg.workload
+    max_bytes = max(DIRECTIVE_BYTES, *(getattr(w, k) for k in w.__dataclass_fields__
+                                        if k.endswith("_bytes")))
     for name, link in cfg.links.items():
         check(link.bandwidth_bps > 0, f"links.{name}.bandwidth_bps", "must be > 0")
         check(0 <= link.loss_prob < 1, f"links.{name}.loss_prob", "must be in [0, 1)")
         check(link.max_attempts >= 1, f"links.{name}.max_attempts", "must be >= 1")
         # a negative delay schedules a delivery or retransmission in the past
         for key in ("base_latency_ms", "retx_timeout_ms"):
-            check(getattr(link, key) >= 0, f"links.{name}.{key}", "must be >= 0")
-    w = cfg.workload
+            check(0 <= getattr(link, key) * 1000 <= MAX_TIME_US, f"links.{name}.{key}",
+                  f"must be in [0, {MAX_TIME_US / 1000:g}]")
+        check(max_bytes * US_PER_S / link.bandwidth_bps <= MAX_TIME_US,
+              f"links.{name}.bandwidth_bps", f"a {max_bytes} B message must take at most "
+              f"{MAX_TIME_US:g} us")
     check(w.task_rate_hz >= 0, "workload.task_rate_hz", "must be >= 0")
     check(0 < w.cost_range_cu[0] <= w.cost_range_cu[1], "workload.cost_range_cu", "invalid range")
     c = cfg.capacity
     check(c.local_cu_s > 0 and c.edge_cu_s > 0 and c.cloud_cu_s > 0,
           "capacity", "capacities must be > 0")
+    max_cost = max([w.cost_range_cu[1], *(st.cost_cu for st in cfg.scripted_tasks)])
+    for key in ("local_cu_s", "edge_cu_s", "cloud_cu_s"):
+        check(max_cost / getattr(c, key) * US_PER_S <= MAX_SERVICE_US, f"capacity.{key}",
+              f"the costliest task ({max_cost:g} CU) must take at most "
+              f"{MAX_SERVICE_US / US_PER_S:g} s")
     t = cfg.thresholds
     check(0 <= t.util_low < t.util_high <= 1, "thresholds.util_low/util_high", "need 0 <= low < high <= 1")
     # a negative query range makes every vehicle pair a V2V neighbour
     check(t.v2v_range_m >= 0, "thresholds.v2v_range_m", "must be >= 0")
-    check(t.neighbor_expiry_s >= 0, "thresholds.neighbor_expiry_s", "must be >= 0")
+    check(0 <= t.neighbor_expiry_s * US_PER_S <= MAX_TIME_US, "thresholds.neighbor_expiry_s",
+          f"must be in [0, {MAX_TIME_US / US_PER_S:g}]")
     # the runner counts time in whole microseconds and every period in
     # whole sensing ticks
     periods = cfg.periods
@@ -267,14 +314,6 @@ def validate(cfg: ScenarioConfig) -> None:
         ticks = round(value * US_PER_S / sense_us) if 0 < value < math.inf else 0
         check(ticks >= 1 and math.isclose(value * US_PER_S, ticks * sense_us), f"periods.{key}",
               "must be a positive integer multiple of periods.sense_ms")
-    # the one check of the policy: blueprints and edges trust it from here on
-    p = cfg.policy
-    for key in ("local_serve_threshold", "offload_fraction", "congestion_speed_threshold"):
-        lo, hi = PARAM_RANGES[key]
-        check(lo <= getattr(p, key) <= hi, f"policy.{key}", f"must be in [{lo:g}, {hi:g}]")
-    check(len(p.role_quotas) == 3 and min(p.role_quotas) >= 0
-          and abs(sum(p.role_quotas) - 1) < 1e-9,
-          "policy.role_quotas", "three non-negative fractions summing to 1")
     check(cfg.mode in ("layered", "cloud_only"), "mode", "must be layered or cloud_only")
     check(cfg.periods.epoch_s < cfg.duration_s <= MAX_DURATION_S, "duration_s",
           f"must exceed one epoch and be at most {MAX_DURATION_S:,} s")
@@ -298,7 +337,8 @@ def validate(cfg: ScenarioConfig) -> None:
     for i, st in enumerate(cfg.scripted_tasks):
         check(0 <= st.device < cfg.n_vehicles, f"scripted_tasks[{i}].device",
               "not a valid vehicle index")
-        check(st.at_s >= 0, f"scripted_tasks[{i}].at_s", "must be >= 0")
+        check(0 <= st.at_s * US_PER_S <= MAX_TIME_US, f"scripted_tasks[{i}].at_s",
+              f"must be in [0, {MAX_TIME_US / US_PER_S:g}]")
         check(st.cost_cu > 0, f"scripted_tasks[{i}].cost_cu", "must be > 0")
 
 

@@ -13,11 +13,14 @@ evaluates in bulk; the tests check the runtime code against it:
   ``local.BeaconSnapshot`` builds on its first lookup;
 - ``rsu_distances``: the distances ``mobility.serving_rsu`` returns;
 - ``channel_quality`` and ``window_mean_speed``: the channel quality and
-  mean speed of each ``LocalTwins`` status report.
+  mean speed of each ``LocalTwins`` status report;
+- ``index_series``: ``metrics.build_index_series``, one record at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import math
 
 import numpy as np
 
@@ -48,8 +51,8 @@ def step_vehicle(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     target = net.intersections[v.waypoint]
-    delta = target - v.position
-    dist = float(np.linalg.norm(delta))
+    dx, dy = target - v.position
+    dist = math.sqrt(dx * dx + dy * dy)  # the runtime's distance
     move = v.speed * dt
     if move < dist:
         v.position = v.position + v.heading * move
@@ -172,3 +175,30 @@ def eager_beacons(pairs: np.ndarray, ok: np.ndarray, n: int) -> tuple[np.ndarray
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[ok]
     by_dst = np.argsort(dst * n + src)
     return dst[by_dst], src[by_dst]
+
+
+def index_series(records, duration_us: int, window_us: int) -> tuple[list, list, list]:
+    """Window ends, autonomy and coordination of each index window, counting
+    one record at a time (see ``metrics.build_index_series``)."""
+    below_cloud = ("Local", "Edge", "PartnerEdge")
+    n_windows = duration_us // window_us
+    total, below, partner, overload = ([0] * n_windows for _ in range(4))
+    for r in records:
+        if r.completed_us is not None and r.completed_us > 0:
+            w = min(n_windows - 1, (r.completed_us - 1) // window_us)
+            total[w] += 1
+            below[w] += r.tier in below_cloud
+            partner[w] += r.tier == "PartnerEdge"
+        if r.edge_arrival_us is not None and r.overloaded_at_arrival:
+            overload[min(n_windows - 1, max(0, (r.edge_arrival_us - 1) // window_us))] += 1
+    ends, autonomy, coordination = [], [], []
+    a, c = 0.0, 0.0
+    for w in range(n_windows):
+        if total[w]:
+            a = below[w] / total[w]
+        if overload[w]:
+            c = min(1.0, partner[w] / overload[w])
+        ends.append((w + 1) * window_us)
+        autonomy.append(a)
+        coordination.append(c)
+    return ends, autonomy, coordination

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from twinsim.metrics import (TASKS_HEADER, TIERS, TaskRecord, build_index_series,
                              indices_csv, median, nearest_rank, summarize, tasks_csv)
 
@@ -89,6 +90,25 @@ def test_coordination_capped_at_one():
     ]
     series = build_index_series(records, 10 * US, 10 * US)
     assert series.coordination == [1.0]
+
+
+def test_index_series_matches_per_record_oracle():
+    # completions and overload arrivals at 0, on window edges, inside
+    # windows and past the last window, on every tier and none
+    rng = random.Random(5)
+    edges = [0, 1, 10 * US - 1, 10 * US, 10 * US + 1, 30 * US, 35 * US]
+    records = []
+    for i in range(3000):
+        completed = rng.choice([None, *edges, rng.randrange(40 * US)])
+        arrival = rng.choice([None, *edges, rng.randrange(40 * US)])
+        records.append(TaskRecord(i, 0, 0, completed_us=completed,
+                                  tier=rng.choice([None, *TIERS]),
+                                  edge_arrival_us=arrival,
+                                  overloaded_at_arrival=rng.random() < 0.5))
+    for duration, window in ((30 * US, 10 * US), (35 * US, 10 * US), (30 * US, 30 * US)):
+        series = build_index_series(records, duration, window)
+        assert (series.window_end_us, series.autonomy, series.coordination) == \
+            oracles.index_series(records, duration, window)
 
 
 def _csv_writer_tasks(records):

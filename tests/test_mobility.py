@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from twinsim import runner
 from twinsim.kernel import numpy_stream
-from twinsim.mobility import ConfigError, Fleet, build_grid, pairs_within, serving_rsu
-from twinsim.scenario import ScenarioConfig
+from twinsim.mobility import (ConfigError, Fleet, build_grid, distances, pairs_within,
+                              serving_rsu)
+from twinsim.scenario import ScenarioConfig, parse_scenario
 
 import oracles
 from oracles import VehicleState, covering_rsu, rsu_distances, step_vehicle
@@ -38,17 +39,20 @@ def test_rsu_adjacency_matches_lattice(grid):
 
 
 def test_coverage_gap_rejected():
-    with pytest.raises(ConfigError):
-        build_grid(2, 3, 1000.0, rsu_radius_m=300.0)
+    # rejected when parsed, before a grid is built
+    with pytest.raises(ConfigError, match=r"^grid\.rsu_radius_m: "):
+        parse_scenario({"grid": {"rsu_radius_m": 300.0}})
     # the segment midpoint (502.5 m from both RSUs) is uncovered, although
     # every road point sampled at 5 m steps is covered
-    with pytest.raises(ConfigError, match="rsu_radius_m"):
-        build_grid(1, 2, 1005.0, rsu_radius_m=502.4)
+    with pytest.raises(ConfigError, match=r"^grid\.rsu_radius_m: "):
+        parse_scenario({"grid": {"rows": 1, "cols": 2, "spacing_m": 1005.0,
+                                 "rsu_radius_m": 502.4}})
 
 
 def test_coverage_rule_boundary_accepted():
     # a radius of exactly half the spacing reaches every segment midpoint
     assert len(build_grid(1, 2, 1005.0, rsu_radius_m=502.5).rsus) == 2
+    parse_scenario({"grid": {"rows": 1, "cols": 2, "spacing_m": 1005.0, "rsu_radius_m": 502.5}})
     # a single intersection has no road beyond its own RSU
     for radius in (1e-3, 1.0, 600.0):
         assert len(build_grid(1, 1, 1000.0, rsu_radius_m=radius).rsus) == 1
@@ -82,7 +86,22 @@ def test_serving_rsu_matches_covering_rsu_oracle(spacing, radius, hysteresis):
             want = covering_rsu(net, p, cur, hysteresis_m=hysteresis)
             assert want is not None  # every road point is covered
             assert rsu[i] == want
-            assert dist[i] == np.linalg.norm(net.rsu_positions[want] - p)
+            dx, dy = net.rsu_positions[want] - p
+            assert dist[i] == math.sqrt(dx * dx + dy * dy)
+
+
+def test_distances_are_the_axis_1_norm_bit_for_bit():
+    # at any angle the runtime's sqrt(dx*dx + dy*dy) is the axis=1 norm bit
+    # for bit; the 1-D norm of each vector (a dot product) rounds some of
+    # them differently, so it is no reference for the runtime's distances
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(-2000.0, 2000.0, size=(20_000, 2))
+    rsu_pos = np.array([[0.0, 0.0], [1000.0, 0.0], [317.25, -1200.5]])
+    d = distances(pos, rsu_pos)
+    for r, q in enumerate(rsu_pos):
+        assert np.array_equal(d[:, r], np.linalg.norm(pos - q, axis=1))
+    one_d = np.array([np.linalg.norm(p - rsu_pos[0]) for p in pos])
+    assert not np.array_equal(d[:, 0], one_d)
 
 
 AXES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]

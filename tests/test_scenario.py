@@ -9,7 +9,8 @@ from twinsim import runner
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
-                              MAX_INDEX_WINDOWS, MAX_TASKS, MAX_TICKS, MAX_VEHICLES_PER_RSU,
+                              MAX_INDEX_WINDOWS, MAX_SERVICE_US, MAX_TASKS, MAX_TICKS,
+                              MAX_TIME_US, MAX_VEHICLES_PER_RSU,
                               ScenarioConfig, default_hotspot_scenario, load_scenario,
                               parse_scenario, validate)
 
@@ -441,3 +442,50 @@ def test_default_scenarios_and_benchmark_workloads_parse():
         parse_scenario(workloads.scenario(name, 0, workloads.DURATION_S))
     validate(ScenarioConfig())
     validate(default_hotspot_scenario())
+
+
+INF = float("inf")
+SMALL_GRID = {"grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 20, "duration_s": 31}
+
+
+@pytest.mark.parametrize("data,path", [
+    # each parsed, then raised OverflowError in set-up or in the run (CLI exit 1)
+    ({"links": {"v2r": {"retx_timeout_ms": INF}}}, r"links\.v2r\.retx_timeout_ms"),
+    ({"links": {"v2v": {"base_latency_ms": INF}}}, r"links\.v2v\.base_latency_ms"),
+    ({"links": {"r2c": {"bandwidth_bps": 1e-300}}}, r"links\.r2c\.bandwidth_bps"),
+    ({"speed_range_mps": [1, INF]}, r"speed_range_mps\[1\]"),
+    ({"workload": {"cost_range_cu": [1, INF]}}, r"workload\.cost_range_cu\[1\]"),
+    # a service time past the int64 busy_until
+    ({"capacity": {"local_cu_s": 1e-300}}, r"capacity\.local_cu_s"),
+    ({"thresholds": {"neighbor_expiry_s": INF}}, r"thresholds\.neighbor_expiry_s"),
+    ({"scripted_tasks": [{"device": 0, "at_s": INF, "cost_cu": 1}]},
+     r"scripted_tasks\[0\]\.at_s"),
+    ({"scripted_tasks": [{"device": 0, "at_s": 1, "cost_cu": INF}]},
+     r"scripted_tasks\[0\]\.cost_cu"),
+    # ran to the end on NaN positions
+    ({"grid": {"spacing_m": INF, "rsu_radius_m": INF}}, r"grid\.spacing_m"),
+    # rejected only when the runner built the grid
+    ({"grid": {"rsu_radius_m": 100}}, r"grid\.rsu_radius_m"),
+])
+def test_times_and_numbers_fit_the_clock(data, path, tmp_path, capsys, monkeypatch):
+    data = {**SMALL_GRID, **data, "grid": {**SMALL_GRID["grid"], **data.get("grid", {})}}
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    with pytest.raises(ConfigError, match=rf"^{path}: "):
+        parse_scenario(data)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert re.search(rf"{path}: ", capsys.readouterr().err)
+
+
+def test_clock_bounds_admit_their_limits():
+    cap = 1.0 / (MAX_SERVICE_US / 1e6)  # the 10 CU costliest task takes MAX_SERVICE_US
+    parse_scenario({"capacity": {"local_cu_s": 10 * cap}})
+    with pytest.raises(ConfigError, match=r"^capacity\.local_cu_s: "):
+        parse_scenario({"capacity": {"local_cu_s": 9 * cap}})
+    at_s = MAX_TIME_US / 1e6
+    parse_scenario({"scripted_tasks": [{"device": 0, "at_s": at_s, "cost_cu": 1}],
+                    "thresholds": {"neighbor_expiry_s": at_s},
+                    "links": {"v2r": {"base_latency_ms": at_s * 1000}}})
+    with pytest.raises(ConfigError, match=r"^links\.v2r\.retx_timeout_ms: "):
+        parse_scenario({"links": {"v2r": {"retx_timeout_ms": at_s * 1000 * 1.01}}})
