@@ -9,7 +9,7 @@ tests/oracles.py, and the tests check each pair for equal results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +23,26 @@ class RoadNetwork:
     intersections: np.ndarray          # (K, 2) meters
     segments: list[tuple[int, int]]    # pairs of intersection ids, a < b
     rsus: list[tuple[int, float]]      # (intersection id, coverage radius m)
-    adjacency: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # per intersection, its segments' ids (in order) and its neighbours (sorted)
         k = len(self.intersections)
-        for a, b in self.segments:
+        self.incident: dict[int, list[int]] = {i: [] for i in range(k)}
+        for s, (a, b) in enumerate(self.segments):
             if not (0 <= a < k and 0 <= b < k):
                 raise ConfigError(f"segment ({a},{b}) references invalid intersection")
-        if not self.adjacency:
-            adj: dict[int, list[int]] = {i: [] for i in range(k)}
-            for a, b in self.segments:
-                adj[a].append(b)
-                adj[b].append(a)
-            self.adjacency = {i: sorted(v) for i, v in adj.items()}
+            self.incident[a].append(s)
+            self.incident[b].append(s)
+        self.adjacency = {i: sorted(sum(self.segments[s]) - i for s in segs)
+                          for i, segs in self.incident.items()}
+        self._headings: dict[tuple[int, int], np.ndarray] = {}
+
+    def heading(self, a: int, b: int) -> np.ndarray:
+        """Unit vector from intersection ``a`` to ``b``, computed on first use."""
+        if (h := self._headings.get((a, b))) is None:
+            direction = self.intersections[b] - self.intersections[a]
+            h = self._headings[a, b] = direction / np.linalg.norm(direction)
+        return h
 
     @property
     def rsu_positions(self) -> np.ndarray:
@@ -55,31 +62,21 @@ class RoadNetwork:
         np.fill_diagonal(sep, np.inf)
         return min(sep.min() / 2, self.rsu_radii.min()) * (1 - 2**-40)
 
-    def region_segments(self, rsu_idx: int) -> list[int]:
-        node = self.rsus[rsu_idx][0]
-        return [i for i, (a, b) in enumerate(self.segments) if node in (a, b)]
-
     def rsu_adjacency(self) -> dict[int, list[int]]:
         """RSU neighbor map induced by the segments between their intersections."""
         node_to_rsu = {node: i for i, (node, _) in enumerate(self.rsus)}
-        adj: dict[int, set] = {i: set() for i in range(len(self.rsus))}
-        for a, b in self.segments:
-            if a in node_to_rsu and b in node_to_rsu:
-                adj[node_to_rsu[a]].add(node_to_rsu[b])
-                adj[node_to_rsu[b]].add(node_to_rsu[a])
-        return {i: sorted(v) for i, v in adj.items()}
+        return {i: sorted({node_to_rsu[m] for m in self.adjacency[node] if m in node_to_rsu})
+                for i, (node, _) in enumerate(self.rsus)}
 
 
 def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600.0) -> RoadNetwork:
     """rows x cols lattice, 4-neighbor segments, one RSU per intersection.
 
     Raises ConfigError if the dimensions are degenerate.  ``scenario.validate``
-    checks that the RSUs cover the roads.
+    bounds the spacing and checks that the RSUs cover the roads.
     """
-    if rows < 1 or cols < 1:
-        raise ConfigError("grid dimensions must be >= 1")
-    if spacing_m <= 0:
-        raise ConfigError("grid spacing must be > 0")
+    if rows < 1 or cols < 1 or spacing_m <= 0:
+        raise ConfigError("grid dimensions must be >= 1 and the spacing > 0")
     pts = np.array(
         [[c * spacing_m, r * spacing_m] for r in range(rows) for c in range(cols)],
         dtype=float,
@@ -155,7 +152,6 @@ class Fleet:
     ):
         self.net = net
         self.n = n
-        self.pos = np.zeros((n, 2))
         self.speed = rng.uniform(speed_range[0], speed_range[1], size=n)
         self.heading = np.zeros((n, 2))
         self.waypoint = np.zeros(n, dtype=int)
@@ -171,29 +167,29 @@ class Fleet:
         self._dt = self._move = None
 
     def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
+        """Each vehicle at a uniform point of a segment at its spawn RSU's
+        intersection (any segment if none or no ``spawn_rsu``), bound for one
+        end; draws per vehicle in index order, positions and headings at once."""
         net = self.net
-        for i in range(self.n):
-            if spawn_rsu is not None and (segs := net.region_segments(int(spawn_rsu[i]))):
-                seg = segs[int(rng.integers(len(segs)))]
-            elif net.segments:
-                seg = int(rng.integers(len(net.segments)))
-            else:
-                node = 0
-                self.pos[i] = net.intersections[node]
-                self.waypoint[i] = node
-                self.nav_intent[i] = node
-                continue
-            a, b = net.segments[seg]
+        if not net.segments:
+            self.pos = np.tile(net.intersections[0], (self.n, 1))
+            return
+        everywhere = range(len(net.segments))
+        choices = ([everywhere] * self.n if spawn_rsu is None else
+                   [net.incident[net.rsus[r][0]] or everywhere for r in spawn_rsu.tolist()])
+        ends, u = np.empty((self.n, 2), dtype=int), np.empty(self.n)
+        for i, segs in enumerate(choices):
+            a, b = net.segments[segs[int(rng.integers(len(segs)))]]
             if rng.integers(2):
                 a, b = b, a
-            u = float(rng.uniform())
-            pa, pb = net.intersections[a], net.intersections[b]
-            self.pos[i] = pa + u * (pb - pa)
-            direction = pb - pa
-            self.heading[i] = direction / np.linalg.norm(direction)
-            self.waypoint[i] = b
+            u[i] = rng.uniform()
+            ends[i] = a, b
             nxt = net.adjacency[b]
             self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
+        pa, pb = net.intersections[ends[:, 0]], net.intersections[ends[:, 1]]
+        self.pos = pa + u[:, None] * (pb - pa)
+        self.heading[:] = [net.heading(a, b) for a, b in zip(*ends.T.tolist())]
+        self.waypoint[:] = ends[:, 1]
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
         net = self.net
@@ -221,11 +217,8 @@ class Fleet:
             target[i] = net.intersections[wp]
             nxt = net.adjacency[wp]
             self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
-            direction = target[i] - pos[i]
-            norm = np.linalg.norm(direction)
-            if norm > 0:
-                self.heading[i] = direction / norm
-                self.stride[i] = self.heading[i] * move[i]
+            self.heading[i] = net.heading(node, wp)
+            self.stride[i] = self.heading[i] * move[i]
 
 
 K = 3  # grid cells per query radius

@@ -79,10 +79,9 @@ class Simulation:
 
         self.net = build_grid(cfg.grid.rows, cfg.grid.cols, cfg.grid.spacing_m,
                               cfg.grid.rsu_radius_m)
-        spawn_rsu = np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu)
         self.fleet = Fleet(self.net, cfg.n_vehicles, self.rng_mobility,
                            speed_range=tuple(cfg.speed_range_mps),
-                           spawn_rsu=spawn_rsu if cfg.n_rsus > 1 else None)
+                           spawn_rsu=np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
         self.rsu_pos = self.net.rsu_positions
         self.rsu_radii = self.net.rsu_radii
         self.links = {name: lc.to_spec() for name, lc in cfg.links.items()}

@@ -31,6 +31,11 @@ MAX_TASKS = 100_000_000
 # that a queue of MAX_TASKS of them does too.
 MAX_TIME_US = 2**62
 MAX_SERVICE_US = MAX_TIME_US // MAX_TASKS
+# Every squared distance, squared segment length (a heading's norm) and sum
+# of report speeds stays a finite, nonzero float with room to add.
+MAX_MAP_SIDE_M = 1e150
+MIN_SPACING_M = 1e-150
+MAX_SPEED_MPS = 1e150
 
 
 @dataclass
@@ -264,7 +269,9 @@ def validate(cfg: ScenarioConfig) -> None:
         check(1 <= value <= hi, name, f"must be in [1, {hi:,}]")
     check(cfg.n_vehicles * cfg.n_rsus <= MAX_DISTANCE_CELLS, "vehicles_per_rsu",
           f"vehicles x RSUs must be <= {MAX_DISTANCE_CELLS:,}")
-    check(cfg.grid.spacing_m > 0, "grid.spacing_m", "must be > 0")
+    check(cfg.grid.spacing_m >= MIN_SPACING_M, "grid.spacing_m", f"must be >= {MIN_SPACING_M:g}")
+    check((max(cfg.grid.rows, cfg.grid.cols) - 1) * cfg.grid.spacing_m <= MAX_MAP_SIDE_M,
+          "grid.spacing_m", f"(max(rows, cols) - 1) x spacing_m must be <= {MAX_MAP_SIDE_M:g} m")
     check(cfg.grid.rsu_radius_m > 0, "grid.rsu_radius_m", "must be > 0")
     check(cfg.grid.hysteresis_m >= 0, "grid.hysteresis_m", "must be >= 0")
     # on the lattice the road point farthest from every RSU is a segment's
@@ -272,7 +279,8 @@ def validate(cfg: ScenarioConfig) -> None:
     check(cfg.n_rsus == 1 or cfg.grid.rsu_radius_m >= cfg.grid.spacing_m / 2,
           "grid.rsu_radius_m", f"leaves road uncovered: must be >= spacing_m / 2 = "
           f"{cfg.grid.spacing_m / 2}")
-    check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1], "speed_range_mps", "invalid range")
+    check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1] <= MAX_SPEED_MPS,
+          "speed_range_mps", f"invalid range: need 0 < low <= high <= {MAX_SPEED_MPS:g}")
     w = cfg.workload
     max_bytes = max(DIRECTIVE_BYTES, *(getattr(w, k) for k in w.__dataclass_fields__
                                         if k.endswith("_bytes")))

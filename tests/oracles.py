@@ -3,6 +3,7 @@
 Each model here is the per-vehicle statement of a rule that the simulator
 evaluates in bulk; the tests check the runtime code against it:
 
+- ``spawn_fleet``: ``mobility.Fleet``'s spawn, one vehicle at a time;
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
 - ``pairs_within``: ``mobility.pairs_within``, the vehicle pairs in V2V
@@ -37,6 +38,42 @@ class VehicleState:
     heading: np.ndarray        # unit vector
     waypoint: int              # intersection id ahead
     nav_intent: int            # planned intersection after the waypoint
+
+
+def spawn_fleet(
+    net: RoadNetwork,
+    n: int,
+    rng: np.random.Generator,
+    spawn_rsu: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Position, heading, waypoint and nav intent of ``n`` vehicles, each on a
+    uniform point of a segment at its spawn RSU's intersection (of any
+    segment without ``spawn_rsu``, or where that intersection has none),
+    rescanning the segments and computing the heading per vehicle."""
+    pos, heading = np.zeros((n, 2)), np.zeros((n, 2))
+    waypoint, nav_intent = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    for i in range(n):
+        node = None if spawn_rsu is None else net.rsus[int(spawn_rsu[i])][0]
+        segs = [s for s, (a, b) in enumerate(net.segments) if node in (a, b)]
+        if segs:
+            seg = segs[int(rng.integers(len(segs)))]
+        elif net.segments:
+            seg = int(rng.integers(len(net.segments)))
+        else:
+            pos[i] = net.intersections[0]
+            continue
+        a, b = net.segments[seg]
+        if rng.integers(2):
+            a, b = b, a
+        u = float(rng.uniform())
+        pa, pb = net.intersections[a], net.intersections[b]
+        pos[i] = pa + u * (pb - pa)
+        direction = pb - pa
+        heading[i] = direction / np.linalg.norm(direction)
+        waypoint[i] = b
+        nxt = net.adjacency[b]
+        nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
+    return pos, heading, waypoint, nav_intent
 
 
 def step_vehicle(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from twinsim import runner
 from twinsim.kernel import numpy_stream
-from twinsim.mobility import (ConfigError, Fleet, build_grid, distances, pairs_within,
-                              serving_rsu)
+from twinsim.mobility import (ConfigError, Fleet, RoadNetwork, build_grid, distances,
+                              pairs_within, serving_rsu)
 from twinsim.scenario import ScenarioConfig, parse_scenario
 
 import oracles
@@ -219,12 +219,13 @@ def test_fleet_matches_scalar_stepper(grid):
                      int(fleet.nav_intent[i]))
         for i in range(fleet.n)
     ]
-    for _ in range(200):
+    for _ in range(400):
         fleet.step(0.1, rng_a)
         for v in scalars:
             step_vehicle(v, 0.1, rng_b, grid)
     for i, v in enumerate(scalars):
-        np.testing.assert_allclose(fleet.pos[i], v.position, atol=1e-9)
+        assert np.array_equal(fleet.pos[i], v.position)
+        assert np.array_equal(fleet.heading[i], v.heading)
         assert int(fleet.waypoint[i]) == v.waypoint
         assert int(fleet.nav_intent[i]) == v.nav_intent
 
@@ -252,14 +253,49 @@ def test_fleet_step_keeps_speed_and_caches_strides(grid):
 def test_fleet_spawns_on_region_segments(grid):
     spawn = np.repeat(np.arange(6), 10)
     fleet = Fleet(grid, 60, numpy_stream(0, "mobility"), spawn_rsu=spawn)
-    # each vehicle starts on one of its assigned region's incident segments
+    # each vehicle starts on one of the segments at its assigned RSU's
+    # intersection, bound for one of that segment's ends
     for i in range(60):
+        node = grid.rsus[int(spawn[i])][0]
         on_segment = []
-        for s in grid.region_segments(int(spawn[i])):
+        for s in grid.incident[node]:
+            assert node in grid.segments[s]
             pa, pb = (grid.intersections[n] for n in grid.segments[s])
             u = np.dot(fleet.pos[i] - pa, pb - pa) / np.dot(pb - pa, pb - pa)
-            on_segment.append(0 <= u <= 1 and np.allclose(pa + u * (pb - pa), fleet.pos[i]))
+            on_segment.append(0 <= u <= 1 and np.allclose(pa + u * (pb - pa), fleet.pos[i])
+                              and int(fleet.waypoint[i]) in grid.segments[s])
         assert any(on_segment)
+    assert sorted(s for segs in grid.incident.values() for s in segs) == sorted(
+        list(range(len(grid.segments))) * 2)
+
+
+def isolated_rsu_network() -> RoadNetwork:
+    """An axis-aligned and a diagonal segment; RSU 2's intersection has none."""
+    pts = np.array([[0.0, 0.0], [700.0, 0.0], [350.0, 900.0], [1234.5, 567.8]])
+    return RoadNetwork(pts, [(0, 1), (1, 3)], [(i, 600.0) for i in range(4)])
+
+
+@pytest.mark.parametrize("net", [
+    build_grid(1, 1, 1000.0), build_grid(1, 2, 1000.0), build_grid(3, 1, 750.0),
+    build_grid(2, 3, 1000.0), build_grid(7, 5, 333.3), isolated_rsu_network(),
+], ids=["1x1", "1x2", "3x1", "2x3", "7x5", "isolated_rsu"])
+@pytest.mark.parametrize("spawn", [False, True], ids=["anywhere", "spawn_rsu"])
+def test_fleet_spawn_matches_scalar_oracle(net, spawn):
+    """Positions, headings, waypoints, nav intents and the generator's state
+    after the spawn are those of the per-vehicle oracle, bit for bit."""
+    n = 97
+    spawn_rsu = np.arange(n) % len(net.rsus) if spawn else None
+    rng = numpy_stream(11, "mobility")
+    fleet = Fleet(net, n, rng, speed_range=(8.0, 15.0), spawn_rsu=spawn_rsu)
+    ref_rng = numpy_stream(11, "mobility")
+    speed = ref_rng.uniform(8.0, 15.0, size=n)
+    pos, heading, waypoint, nav_intent = oracles.spawn_fleet(net, n, ref_rng, spawn_rsu)
+    assert np.array_equal(fleet.speed, speed)
+    assert np.array_equal(fleet.pos, pos)
+    assert np.array_equal(fleet.heading, heading)
+    assert np.array_equal(fleet.waypoint, waypoint)
+    assert np.array_equal(fleet.nav_intent, nav_intent)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def pair_set(pairs: np.ndarray) -> set[tuple[int, int]]:

@@ -3,14 +3,16 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twinsim import runner
 from twinsim.cli import main
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
-                              MAX_INDEX_WINDOWS, MAX_SERVICE_US, MAX_TASKS, MAX_TICKS,
-                              MAX_TIME_US, MAX_VEHICLES_PER_RSU,
+                              MAX_INDEX_WINDOWS, MAX_MAP_SIDE_M, MAX_SERVICE_US,
+                              MAX_SPEED_MPS, MAX_TASKS, MAX_TICKS, MAX_TIME_US,
+                              MAX_VEHICLES_PER_RSU, MIN_SPACING_M,
                               ScenarioConfig, default_hotspot_scenario, load_scenario,
                               parse_scenario, validate)
 
@@ -466,6 +468,11 @@ SMALL_GRID = {"grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 20, "duration_
     ({"grid": {"spacing_m": INF, "rsu_radius_m": INF}}, r"grid\.spacing_m"),
     # rejected only when the runner built the grid
     ({"grid": {"rsu_radius_m": 100}}, r"grid\.rsu_radius_m"),
+    # each ran on overflowed floats: the squared distances, a heading's zero
+    # norm and the report speed mean
+    ({"grid": {"spacing_m": 1e200, "rsu_radius_m": 1e200}}, r"grid\.spacing_m"),
+    ({"grid": {"spacing_m": 1e-300}}, r"grid\.spacing_m"),
+    ({"speed_range_mps": [1, 1e308]}, r"speed_range_mps"),
 ])
 def test_times_and_numbers_fit_the_clock(data, path, tmp_path, capsys, monkeypatch):
     data = {**SMALL_GRID, **data, "grid": {**SMALL_GRID["grid"], **data.get("grid", {})}}
@@ -489,3 +496,29 @@ def test_clock_bounds_admit_their_limits():
                     "links": {"v2r": {"base_latency_ms": at_s * 1000}}})
     with pytest.raises(ConfigError, match=r"^links\.v2r\.retx_timeout_ms: "):
         parse_scenario({"links": {"v2r": {"retx_timeout_ms": at_s * 1000 * 1.01}}})
+
+
+def test_geometry_and_speed_bounds_admit_their_limits():
+    """The limits parse and run to the end without a float overflowing,
+    dividing by zero or turning NaN; one step past each is rejected."""
+    limits = [
+        {"grid": {"spacing_m": MAX_MAP_SIDE_M, "rsu_radius_m": MAX_MAP_SIDE_M}},
+        {"grid": {"rows": 2, "spacing_m": MIN_SPACING_M}},
+        {"speed_range_mps": [MAX_SPEED_MPS, MAX_SPEED_MPS]},
+    ]
+    for data in limits:
+        data = {**SMALL_GRID, **data, "grid": {**SMALL_GRID["grid"], **data.get("grid", {})}}
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = runner.run_showcase(parse_scenario(data))
+        assert result.records
+    side = MAX_MAP_SIDE_M / (MAX_GRID_SIDE - 1)
+    parse_scenario({"grid": {"rows": 1, "cols": MAX_GRID_SIDE, "spacing_m": side,
+                             "rsu_radius_m": side}, "vehicles_per_rsu": 1})
+    for data, path in [
+        ({"grid": {"cols": 2, "spacing_m": np.nextafter(MAX_MAP_SIDE_M, np.inf),
+                   "rsu_radius_m": MAX_MAP_SIDE_M}}, r"grid\.spacing_m"),
+        ({"grid": {"spacing_m": np.nextafter(MIN_SPACING_M, 0)}}, r"grid\.spacing_m"),
+        ({"speed_range_mps": [1, np.nextafter(MAX_SPEED_MPS, np.inf)]}, r"speed_range_mps"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            parse_scenario(data)
