@@ -12,7 +12,7 @@ from pathlib import Path
 from . import metrics
 from .mobility import ConfigError
 from .runner import run_showcase
-from .scenario import ScenarioConfig, load_scenario, validate
+from .scenario import ScenarioConfig, load_scenario
 
 
 def _load(args, seed: int | None = None) -> ScenarioConfig:
@@ -23,7 +23,6 @@ def _load(args, seed: int | None = None) -> ScenarioConfig:
         cfg.seed = seed
     if args.duration is not None:
         cfg.duration_s = args.duration
-    validate(cfg)
     return cfg
 
 

@@ -50,8 +50,6 @@ class UplinkPackage:
 def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...]:
     """Seats per role: floor of quota*n plus largest remainders; remainder
     ties go to the first-listed role."""
-    if abs(sum(quotas) - 1.0) > 1e-6:
-        raise ValueError("quotas must sum to 1")
     exact = [q * n for q in quotas]
     seats = [int(e) for e in exact]
     remainders = [e - s for e, s in zip(exact, seats)]
@@ -62,31 +60,20 @@ def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...
     return tuple(seats)
 
 
-def assign_roles(
-    members: list[int],
-    quotas: tuple[float, float, float],
-    channel_quality: dict[int, float],
-    idle_compute: dict[int, float],
-) -> dict[int, str]:
-    """Capability-sorted seat filling: channel quality for acquisition, idle
-    compute for processing, every remaining member for coordination; ties
-    by device id."""
-    if not members:
-        return {}
-    seats = largest_remainder_seats(quotas, len(members))
-    assigned: dict[int, str] = {}
-    pool = set(members)
-    by_cq = sorted(pool, key=lambda d: (-channel_quality.get(d, 0.0), d))
-    for d in by_cq[: seats[0]]:
-        assigned[d] = "acquisition"
-        pool.discard(d)
-    by_idle = sorted(pool, key=lambda d: (-idle_compute.get(d, 0.0), d))
-    for d in by_idle[: seats[1]]:
-        assigned[d] = "processing"
-        pool.discard(d)
-    for d in pool:
-        assigned[d] = "coordination"
-    return assigned
+def assign_roles(ids: np.ndarray, quotas: tuple[float, float, float],
+                 channel_quality: np.ndarray, idle_compute: np.ndarray) -> np.ndarray:
+    """Role codes (indices into ``ROLES``) of the members ``ids``, ascending,
+    by capability-sorted seat filling: channel quality for acquisition, idle
+    compute for processing, every remaining member for coordination; ties by
+    id.  Both capability arrays are aligned with ``ids``."""
+    acquisition, processing, _ = largest_remainder_seats(quotas, len(ids))
+    by_cq = np.lexsort((ids, -channel_quality))
+    rest = by_cq[acquisition:]
+    by_idle = rest[np.lexsort((ids[rest], -idle_compute[rest]))]
+    roles = np.full(len(ids), 2, dtype=np.int8)
+    roles[by_cq[:acquisition]] = 0
+    roles[by_idle[:processing]] = 1
+    return roles
 
 
 def fuse_labels(mean_speed: float, utilization: float, congestion_speed: float,
@@ -323,12 +310,8 @@ class EdgeTwin:
 
         # role churn follows the fused picture
         held = self.held
-        members = self.current_rsu == self.rsu_id
-        reported = np.flatnonzero(held.has & members)
-        ids = reported.tolist()
-        cq = dict(zip(ids, held.cq[reported].tolist()))
-        idle = dict(zip(ids, (cfg.capacity.local_cu_s - held.backlog[reported]).tolist()))
-        assigned = assign_roles(np.flatnonzero(members).tolist(), self.policy.role_quotas,
-                                cq, idle)
-        for d, role in assigned.items():
-            held.role[d] = ROLES.index(role)
+        ids = np.flatnonzero(self.current_rsu == self.rsu_id)
+        has = held.has[ids]
+        held.role[ids] = assign_roles(
+            ids, self.policy.role_quotas, np.where(has, held.cq[ids], 0.0),
+            np.where(has, cfg.capacity.local_cu_s - held.backlog[ids], 0.0))

@@ -4,17 +4,23 @@ substreams, and parameterized point-to-point links with loss/retransmission.
 Time is kept as non-negative integer microseconds so that event ordering and
 tie-breaking are exact; ties at equal fire times are broken by global issue
 sequence.
+
+The pending events form a windowed event set after Brown's calendar queue
+(CACM 31(10), 1988): only the current window of ``2**WINDOW_BITS`` us is a
+heap, and each later window is an unordered list until its turn comes.
 """
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field
 
 import numpy as np
 
 US_PER_S = 1_000_000
+# width of one event-set window: 2**16 us, about 65.5 ms
+WINDOW_BITS = 16
 
 
 class CausalityError(Exception):
@@ -91,7 +97,13 @@ class Engine:
     def __init__(self):
         self.now: int = 0
         self._seq: int = 0
+        # every pending event of window ``_window`` or earlier is in
+        # ``_heap``; each later one is in ``_later[its window]``, and
+        # ``_windows`` is a heap of the keys of ``_later``
+        self._window: int = 0
         self._heap: list = []
+        self._later: dict = {}
+        self._windows: list = []
         self._endpoints: dict = {}
         self.messages = MessageCounters()
 
@@ -103,19 +115,32 @@ class Engine:
             )
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (at_us, seq, kind, fn, args))
+        window = at_us >> WINDOW_BITS
+        if window <= self._window:
+            heappush(self._heap, (at_us, seq, fn, args))
+        elif window in self._later:
+            self._later[window].append((at_us, seq, fn, args))
+        else:
+            self._later[window] = [(at_us, seq, fn, args)]
+            heappush(self._windows, window)
         return seq
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_at <= t_end (inclusive), in
         (fire_at, seq) order; leaves the clock at t_end."""
         processed = 0
-        heap = self._heap
-        while heap and heap[0][0] <= t_end_us:
-            fire_at, _, _, fn, args = heapq.heappop(heap)
-            self.now = fire_at
-            fn(*args)
-            processed += 1
+        heap, windows = self._heap, self._windows
+        while True:
+            while heap and heap[0][0] <= t_end_us:
+                fire_at, _, fn, args = heappop(heap)
+                self.now = fire_at
+                fn(*args)
+                processed += 1
+            if heap or not windows or windows[0] << WINDOW_BITS > t_end_us:
+                break
+            self._window = window = heappop(windows)
+            heap = self._heap = self._later.pop(window)
+            heapify(heap)
         self.now = t_end_us
         return processed
 

@@ -29,7 +29,7 @@ from .kernel import US_PER_S, Engine, rng_stream, numpy_stream
 from .local import LocalTwins
 from .metrics import TaskRecord, build_index_series
 from .mobility import Fleet, build_grid, pairs_within, serving_rsu
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, validate
 
 
 @dataclass
@@ -159,7 +159,9 @@ class Simulation:
 
 
 def run_showcase(cfg: ScenarioConfig, outdir: str | Path | None = None) -> RunResult:
-    """Execute one scenario to completion; optionally write run artifacts."""
+    """Check one scenario, as ``scenario.validate`` does at parse time, and
+    run it to completion; optionally write run artifacts."""
+    validate(cfg)
     sim = Simulation(cfg)
     result = sim.run()
     if outdir is not None:

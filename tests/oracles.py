@@ -15,16 +15,22 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``rsu_distances``: the distances ``mobility.serving_rsu`` returns;
 - ``channel_quality`` and ``window_mean_speed``: the channel quality and
   mean speed of each ``LocalTwins`` status report;
-- ``index_series``: ``metrics.build_index_series``, one record at a time.
+- ``index_series``: ``metrics.build_index_series``, one record at a time;
+- ``HeapEngine``: ``kernel.Engine``'s event set, one heap of every pending
+  event;
+- ``assign_roles``: ``edge.assign_roles``, one member at a time.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
+from twinsim.edge import largest_remainder_seats
+from twinsim.kernel import CausalityError, Engine
 from twinsim.mobility import RoadNetwork
 
 US_PER_S = 1_000_000
@@ -239,3 +245,57 @@ def index_series(records, duration_us: int, window_us: int) -> tuple[list, list,
         autonomy.append(a)
         coordination.append(c)
     return ends, autonomy, coordination
+
+
+class HeapEngine(Engine):
+    """``Engine`` whose pending events all sit in one heap of
+    ``(fire_at, seq, kind, fn, args)``, popped in ``(fire_at, seq)`` order."""
+
+    def schedule(self, at_us: int, fn, *args, kind: str = "timer") -> int:
+        if at_us < self.now:
+            raise CausalityError(
+                f"causality violation: schedule at {at_us} us but clock is {self.now} us"
+            )
+        seq = self._seq
+        self._seq += 1
+        heapq.heappush(self._heap, (at_us, seq, kind, fn, args))
+        return seq
+
+    def run_until(self, t_end_us: int) -> int:
+        processed = 0
+        heap = self._heap
+        while heap and heap[0][0] <= t_end_us:
+            fire_at, _, _, fn, args = heapq.heappop(heap)
+            self.now = fire_at
+            fn(*args)
+            processed += 1
+        self.now = t_end_us
+        return processed
+
+
+def assign_roles(
+    members: list[int],
+    quotas: tuple[float, float, float],
+    channel_quality: dict[int, float],
+    idle_compute: dict[int, float],
+) -> dict[int, str]:
+    """Role name of each member: capability-sorted seat filling, channel
+    quality for acquisition, idle compute for processing, every remaining
+    member for coordination; ties by device id, and a member missing from a
+    dict counts 0.0 there."""
+    if not members:
+        return {}
+    seats = largest_remainder_seats(quotas, len(members))
+    assigned: dict[int, str] = {}
+    pool = set(members)
+    by_cq = sorted(pool, key=lambda d: (-channel_quality.get(d, 0.0), d))
+    for d in by_cq[: seats[0]]:
+        assigned[d] = "acquisition"
+        pool.discard(d)
+    by_idle = sorted(pool, key=lambda d: (-idle_compute.get(d, 0.0), d))
+    for d in by_idle[: seats[1]]:
+        assigned[d] = "processing"
+        pool.discard(d)
+    for d in pool:
+        assigned[d] = "coordination"
+    return assigned

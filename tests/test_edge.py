@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinsim.edge import (EdgeServer, Policy, ThinningCounter, assign_roles,
+import oracles
+from twinsim.edge import (ROLES, EdgeServer, Policy, ThinningCounter, assign_roles,
                           fuse_labels, largest_remainder_seats, localize_policy)
 
 
@@ -12,26 +16,48 @@ def test_largest_remainder_oracle():
     assert largest_remainder_seats((1.0, 0.0, 0.0), 7) == (7, 0, 0)
 
 
-def test_largest_remainder_rejects_bad_quotas():
-    with pytest.raises(ValueError):
-        largest_remainder_seats((0.5, 0.2, 0.2), 5)
-
-
 def test_assign_roles_capability_sort():
-    cq = {0: 0.1, 1: 0.9, 2: 0.5, 3: 0.8, 4: 0.2}
-    idle = {0: 40.0, 1: 5.0, 2: 30.0, 3: 10.0, 4: 50.0}
+    cq = np.array([0.1, 0.9, 0.5, 0.8, 0.2])
+    idle = np.array([40.0, 5.0, 30.0, 10.0, 50.0])
     # quotas (0.4, 0.4, 0.2) over 5 -> 2 acquisition, 2 processing, 1 coordination
-    roles = assign_roles(list(range(5)), (0.4, 0.4, 0.2), cq, idle)
-    assert [d for d, r in roles.items() if r == "acquisition"] == [1, 3]
+    roles = assign_roles(np.arange(5), (0.4, 0.4, 0.2), cq, idle)
+    assert np.flatnonzero(roles == 0).tolist() == [1, 3]
     # remaining pool {0,2,4}: best idle compute 4 then 0
-    assert sorted(d for d, r in roles.items() if r == "processing") == [0, 4]
+    assert np.flatnonzero(roles == 1).tolist() == [0, 4]
     # every seat left goes to coordination
-    assert [d for d, r in roles.items() if r == "coordination"] == [2]
-    assert sorted(roles) == list(range(5))
+    assert np.flatnonzero(roles == 2).tolist() == [2]
 
 
 def test_assign_roles_empty():
-    assert assign_roles([], (0.4, 0.4, 0.2), {}, {}) == {}
+    assert assign_roles(np.array([], dtype=int), (0.4, 0.4, 0.2),
+                        np.array([]), np.array([])).tolist() == []
+
+
+# capabilities with ties, both zeros and an unreported member's 0.0
+CAPABILITY = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]),
+                       st.floats(-50.0, 50.0))
+QUOTAS = st.one_of(st.sampled_from([(0.4, 0.4, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                    (0.5, 0.3, 0.2), (0.0, 0.5, 0.5)]),
+                   st.tuples(*[st.integers(0, 5)] * 3).filter(any).map(
+                       lambda w: tuple(x / sum(w) for x in w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 300),
+                       st.tuples(st.booleans(), CAPABILITY, CAPABILITY), max_size=10),
+       QUOTAS)
+def test_assign_roles_matches_scalar_oracle(members, quotas):
+    """Role codes equal the per-member sort's roles, with unreported members
+    (False) absent from its dicts and 0.0 in both arrays."""
+    ids = np.array(sorted(members), dtype=np.int64)
+    reported = {d: v[1:] for d, v in members.items() if v[0]}
+    cq = np.array([reported.get(d, (0.0, 0.0))[0] for d in ids.tolist()])
+    idle = np.array([reported.get(d, (0.0, 0.0))[1] for d in ids.tolist()])
+    expected = oracles.assign_roles(ids.tolist(), quotas,
+                                    {d: v[0] for d, v in reported.items()},
+                                    {d: v[1] for d, v in reported.items()})
+    roles = assign_roles(ids, quotas, cq, idle)
+    assert roles.tolist() == [ROLES.index(expected[d]) for d in ids.tolist()]
 
 
 def test_fuse_labels_cases():

@@ -1,10 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinsim.kernel import (CausalityError, Engine, LinkSpec, RoutingError,
-                            derive_seed, link_latency, numpy_stream,
-                            rng_stream)
+from oracles import HeapEngine
+from twinsim.kernel import (WINDOW_BITS, CausalityError, Engine, LinkSpec,
+                            RoutingError, derive_seed, link_latency,
+                            numpy_stream, rng_stream)
+from twinsim.scenario import MAX_TIME_US
+
+WINDOW_US = 1 << WINDOW_BITS
 
 
 class ScriptedRng:
@@ -224,3 +230,95 @@ def test_send_batch_unknown_endpoint():
     with pytest.raises(RoutingError):
         eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1000, 1e7),
                        random.Random(0), lambda indices: None, lambda i: i)
+
+
+# Where an event goes, from the clock ``now`` when it is scheduled:
+# ("at", d) is now + d, ("window", k, d) is offset d into the k-th window
+# after now's (0: now's own window), and ("max",) is MAX_TIME_US; targets
+# are clamped into [now, MAX_TIME_US].
+TARGETS = st.one_of(
+    st.tuples(st.just("at"), st.sampled_from([0, 0, 1, 7, WINDOW_US - 1, WINDOW_US])),
+    st.tuples(st.just("at"), st.integers(0, 3 * WINDOW_US)),
+    st.tuples(st.just("at"), st.integers(0, MAX_TIME_US)),
+    st.tuples(st.just("window"), st.integers(0, 3),
+              st.sampled_from([0, 1, WINDOW_US // 2, WINDOW_US - 1])),
+    st.tuples(st.just("window"), st.integers(4, 5000), st.integers(0, WINDOW_US - 1)),
+    st.tuples(st.just("max")),
+)
+# Where a ``run_until`` cut falls: ("at", t) is absolute, ("boundary", k, d)
+# is d us from the start of window k, ("before",) is just before the
+# earliest pending event (or now), ("after", d) is d us after now.
+CUTS = st.one_of(
+    st.tuples(st.just("at"), st.integers(0, 40 * WINDOW_US)),
+    st.tuples(st.just("boundary"), st.integers(0, 40), st.sampled_from([-1, 0, 1])),
+    st.tuples(st.just("before")),
+    st.tuples(st.just("after"), st.integers(0, 2 * WINDOW_US)),
+    st.tuples(st.just("after"), st.integers(0, MAX_TIME_US)),
+)
+
+
+def _target(now: int, target: tuple) -> int:
+    if target[0] == "at":
+        at = now + target[1]
+    elif target[0] == "window":
+        at = (((now >> WINDOW_BITS) + target[1]) << WINDOW_BITS) + target[2]
+    else:
+        at = MAX_TIME_US
+    return max(now, min(at, MAX_TIME_US))
+
+
+def _replay(eng, events, cuts, next_pending):
+    """Schedule ``events`` on ``eng`` and run it through ``cuts``, then to
+    MAX_TIME_US.  Event i is ``(target, parent)``: a root (parent < 0 or
+    not below i) is scheduled before the run, the others by their parent's
+    handler when it fires, in index order.  Returns each event's
+    ``(fire time, index)`` in firing order, the ids ``schedule`` returned,
+    and each cut's time, ``processed`` and clock afterwards."""
+    children = [[] for _ in events]
+    roots = []
+    for i, (_, parent) in enumerate(events):
+        (children[parent] if 0 <= parent < i else roots).append(i)
+    fired, ids, runs = [], [], []
+
+    def spawn(indices):
+        for i in indices:
+            ids.append(eng.schedule(_target(eng.now, events[i][0]), fire, i))
+
+    def fire(i):
+        fired.append((eng.now, i))
+        spawn(children[i])
+
+    spawn(roots)
+    for cut in [*cuts, ("max",)]:
+        if cut[0] == "at":
+            t_end = cut[1]
+        elif cut[0] == "boundary":
+            t_end = (cut[1] << WINDOW_BITS) + cut[2]
+        elif cut[0] == "before":
+            t_end = next_pending() - 1
+        elif cut[0] == "after":
+            t_end = eng.now + cut[1]
+        else:
+            t_end = MAX_TIME_US
+        t_end = max(eng.now, min(t_end, MAX_TIME_US))
+        runs.append((t_end, eng.run_until(t_end), eng.now))
+    return fired, ids, runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(TARGETS, st.integers(-3, 40)), max_size=60),
+       st.lists(CUTS, max_size=8))
+def test_windowed_event_set_matches_heap_oracle(events, cuts):
+    """The windowed event set fires every event in the single heap's
+    ``(fire_at, seq)`` order, with the same ``processed`` and clock per
+    ``run_until``, over ties, events at ``now``, into the current, next and
+    far windows, long runs of empty windows and cuts mid-window, on window
+    boundaries and before every pending event."""
+    oracle = HeapEngine()
+    expected = _replay(oracle, events, cuts,
+                       lambda: oracle._heap[0][0] if oracle._heap else oracle.now)
+    # the windowed engine runs to the oracle's cut times
+    got = _replay(Engine(), events, [("at", t_end) for t_end, _, _ in expected[2][:-1]],
+                  None)
+    assert got == expected
+    assert len(expected[0]) == len(events)

@@ -4,8 +4,9 @@ import pytest
 
 from twinsim.kernel import Engine
 from twinsim.metrics import summarize
+from twinsim.mobility import ConfigError
 from twinsim.runner import Simulation, run_showcase
-from twinsim.scenario import ScenarioConfig, parse_scenario
+from twinsim.scenario import GridConfig, ScenarioConfig, parse_scenario
 
 from oracles import channel_quality, rsu_distances, window_mean_speed
 
@@ -112,6 +113,15 @@ def test_epoch_log_monotone_and_complete():
     for rec in res.epoch_records:
         assert rec.epoch == 0
         assert rec.decision == "keep"      # baseline epoch always keeps
+
+
+def test_run_showcase_validates_a_config_built_in_python():
+    # skipped every parse-time bound: this one ran on zero heading norms
+    # ("divide by zero encountered in divide" with numpy errors raised)
+    cfg = ScenarioConfig(grid=GridConfig(rows=1, cols=2, spacing_m=1e-300),
+                         vehicles_per_rsu=5, duration_s=31)
+    with pytest.raises(ConfigError, match=r"^grid\.spacing_m: must be >= "):
+        run_showcase(cfg)
 
 
 def test_run_artifacts_written(tmp_path):

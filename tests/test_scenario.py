@@ -317,7 +317,7 @@ def test_policy_scalars_in_range(key, lo, hi):
 def test_role_quotas_non_negative():
     # ran with every vehicle in the acquisition role
     parse_scenario({"policy": {"role_quotas": [1, 0, 0]}})
-    for quotas in ([1.2, -0.1, -0.1], [0.5, 0.6, 0.1]):
+    for quotas in ([1.2, -0.1, -0.1], [0.5, 0.6, 0.1], [0.5, 0.2, 0.2]):
         with pytest.raises(ConfigError, match=r"policy\.role_quotas"):
             parse_scenario({"policy": {"role_quotas": quotas}})
 
