@@ -1,5 +1,5 @@
 """Count, for two checkouts, the garbage collections that start inside the
-benchmark's reference work and inside the run.
+benchmark's reference work, the set-ups, the run and the writes.
 
     python3 bench/gcsplit.py --base ../parent --change . --workload hotspot \
         --seed 29
@@ -9,11 +9,12 @@ calls around it, so a collection that the simulator's allocations trigger
 counts against the reference or against the run depending on where it
 starts.  For each side this script starts one fresh process that replays an
 untraced child with that checkout's own ``perfbench/child.py``: its
-``Stopwatch``, the five timed set-ups and the run in 1 s slices, each call
-followed by ``reference_work()``.  A ``gc.callbacks`` hook counts every
-collection that starts, by generation and by where it starts: in a
-reference call, in the run, or in the set-ups.  The replay adds no GC-tracked
-allocation of its own to the calls it labels.
+``Stopwatch``, the five timed set-ups, the run in 1 s slices and the three
+``RunResult.write`` calls (each into a temporary directory, digested after),
+each call followed by ``reference_work()``.  A ``gc.callbacks`` hook counts
+every collection that starts, by generation and by where it starts: in a
+reference call, in the set-ups, in the run or in the writes.  The replay
+adds no GC-tracked allocation of its own to the calls it labels.
 """
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ import gc
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-REGIONS = ("reference", "run", "setup")
+REGIONS = ("reference", "setup", "run", "write")
 
 
 def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
@@ -65,7 +67,12 @@ def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
     end_us, step_us = cfg.duration_us, round(child.CHUNK_S * 1_000_000)
     for t_us in range(step_us, end_us + step_us, step_us):
         watch.call("run", sim.engine.run_until, min(t_us, end_us))
-    watch.call("run", sim.run)
+    result = watch.call("run", sim.run)
+    where[0] = "write"
+    for _ in range(child.WRITES):
+        with tempfile.TemporaryDirectory(dir=root, prefix=".perfbench-") as outdir:
+            watch.call("write", result.write, outdir)
+            child.sha256_of(Path(outdir))
     gc.callbacks.remove(on_gc)
     return counts
 

@@ -261,7 +261,7 @@ class CloudTwin:
 
     def tally(self, task) -> None:
         """A completed task counts toward its origin region's epoch."""
-        self.epoch_rts[task.origin_rsu].append(task.rt_us)
+        self.epoch_rts[task.origin_rsu].append(task.completed_us - task.created_us)
         if task.tier in BELOW_CLOUD:
             self.epoch_below[task.origin_rsu] += 1
 

@@ -154,7 +154,7 @@ class LabelLogEntry:
 class HeldReports:
     """Per vehicle, whether its serving edge holds a report of it, that
     report's channel quality and backlog, and its role (index into ``ROLES``).
-    Only the edge twins write these arrays."""
+    Only the edge layer writes these arrays."""
 
     def __init__(self, n: int):
         self.has = np.zeros(n, dtype=bool)
@@ -166,6 +166,27 @@ class HeldReports:
         """Vehicles that changed RSU start at their new edge unreported."""
         self.has[moved] = False
         self.role[moved] = 0
+
+    def take_batch(self, edges: list, current_rsu: np.ndarray, batch: tuple,
+                   v: np.ndarray) -> None:
+        """The reports of vehicles ``v`` (ascending) that got through from a
+        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as the edges'
+        ``_report`` takes them one by one in that order: a report counts at
+        the edge it was sent to if that edge still serves its vehicle."""
+        rsu, speed, cq, backlog = batch
+        kept = v[rsu[v] == current_rsu[v]]
+        self.has[kept] = True
+        self.cq[kept] = cq[kept]
+        self.backlog[kept] = backlog[kept]
+        at, speed = rsu[kept], speed[kept]
+        for e in edges:
+            mine = speed[at == e.rsu_id].tolist()
+            w = e.window
+            total = w.speed_sum
+            for s in mine:
+                total += s
+            w.speed_sum = total
+            w.speed_count += len(mine)
 
 
 class EdgeTwin:
@@ -206,9 +227,9 @@ class EdgeTwin:
     def receive(self, payload) -> None:
         kind = payload[0]
         if kind == "task":
-            self._task(payload[1], relayed=False)
+            self._task(payload[1], False)
         elif kind == "relay_task":
-            self._task(payload[1], relayed=True)
+            self._task(payload[1], True)
         elif kind == "report":
             self._report(payload[1])
         elif kind == "blueprint":
@@ -263,24 +284,6 @@ class EdgeTwin:
         held.has[device] = True
         held.cq[device] = report[2]
         held.backlog[device] = report[3]
-
-    def take_reports(self, batch: tuple, v: np.ndarray) -> None:
-        """The reports of vehicles ``v`` (ascending) that got through from a
-        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as ``_report``
-        takes them one by one in that order."""
-        rsu, speed, cq, backlog = batch
-        r = self.rsu_id
-        mine = v[(rsu[v] == r) & (self.current_rsu[v] == r)]
-        w = self.window
-        total = w.speed_sum
-        for s in speed[mine].tolist():
-            total += s
-        w.speed_sum = total
-        w.speed_count += len(mine)
-        held = self.held
-        held.has[mine] = True
-        held.cq[mine] = cq[mine]
-        held.backlog[mine] = backlog[mine]
 
     def fuse_and_uplink(self, now: int) -> None:
         """Close the fusion window; reassign the population's roles."""

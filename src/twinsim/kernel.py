@@ -152,39 +152,38 @@ class Engine:
     def send(self, dst, payload, nbytes: int, link: LinkSpec, rng, on_drop=None) -> None:
         """Deliver payload to dst after link latency; on loss, retransmit
         after retx_timeout up to max_attempts, then record a drop."""
-        if dst not in self._endpoints:
+        handler = self._endpoints.get(dst)
+        if handler is None:
             raise RoutingError(f"unknown endpoint: {dst!r}")
         self.messages.sent += 1
         if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-            self._lost(dst, payload, nbytes, link, rng, 1, on_drop)
+            self._lost(handler, payload, nbytes, link, rng, 1, on_drop)
         else:
             delay = link.delays.get(nbytes)
             if delay is None:
                 delay = self._delay(link, nbytes)
-            self.schedule(self.now + delay, self._deliver, dst, payload, kind="delivery")
+            self.schedule(self.now + delay, self._deliver, handler, payload, kind="delivery")
 
-    def send_batch(self, dsts: list, nbytes: int, link: LinkSpec, rng, deliver,
+    def send_batch(self, dsts: np.ndarray, nbytes: int, link: LinkSpec, rng, deliver,
                    payload, on_drop=None) -> None:
-        """Send one message to each endpoint in dsts, drawing the loss of
-        each in list order as ``send`` would.  The messages that get through
-        on their first attempt share one delivery event, which calls
-        ``deliver`` once with their list indices in order; a lost message i
-        carries ``payload(i)`` and retransmits on its own, as ``send`` does.
-        The loss draws all come first, so ``payload`` and ``on_drop`` must
-        not draw from ``rng``."""
-        unknown = set(dsts).difference(self._endpoints)
+        """Send one message to each endpoint in the array dsts, drawing the
+        loss of each in order as ``send`` would.  The messages that get
+        through on their first attempt share one delivery event, which calls
+        ``deliver`` once with their indices, ascending, in an array; a lost
+        message i carries ``payload(i)`` and retransmits on its own, as
+        ``send`` does.  The loss draws all come first, so ``payload`` and
+        ``on_drop`` must not draw from ``rng``."""
+        unknown = set(np.asarray(dsts).tolist()).difference(self._endpoints)
         if unknown:
             raise RoutingError(f"unknown endpoint: {unknown.pop()!r}")
-        self.messages.sent += len(dsts)
-        p, draw = link.loss_prob, rng.random
-        lost = [draw() < p for _ in dsts] if p > 0.0 else [False] * len(dsts)
-        delivered = []
-        for i, x in enumerate(lost):
-            if x:
-                self._lost(dsts[i], payload(i), nbytes, link, rng, 1, on_drop)
-            else:
-                delivered.append(i)
-        if delivered:
+        n = len(dsts)
+        self.messages.sent += n
+        lost = (np.fromiter(iter(rng.random, None), float, n) < link.loss_prob
+                if link.loss_prob > 0.0 else np.zeros(n, dtype=bool))
+        for i in np.flatnonzero(lost).tolist():
+            self._lost(self._endpoints[dsts[i]], payload(i), nbytes, link, rng, 1, on_drop)
+        delivered = np.flatnonzero(~lost)
+        if len(delivered):
             self.schedule(self.now + self._delay(link, nbytes), self._deliver_batch,
                           deliver, delivered, kind="delivery")
 
@@ -196,7 +195,7 @@ class Engine:
             delay = link.delays[nbytes] = link_latency(link, nbytes)
         return delay
 
-    def _lost(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
+    def _lost(self, handler, payload, nbytes, link, rng, attempt, on_drop) -> None:
         """Attempt number ``attempt`` was lost: retry after the timeout, or
         drop once max_attempts are used up."""
         if attempt >= link.max_attempts:
@@ -205,22 +204,22 @@ class Engine:
                 on_drop(payload)
         else:
             self.schedule(self.now + link.retx_timeout_us, self._retransmit,
-                          dst, payload, nbytes, link, rng, attempt + 1, on_drop,
+                          handler, payload, nbytes, link, rng, attempt + 1, on_drop,
                           kind="retx")
 
-    def _retransmit(self, dst, payload, nbytes, link, rng, attempt, on_drop) -> None:
+    def _retransmit(self, handler, payload, nbytes, link, rng, attempt, on_drop) -> None:
         """Attempt number ``attempt``, after a lost one: one more loss draw."""
         if rng.random() < link.loss_prob:
-            self._lost(dst, payload, nbytes, link, rng, attempt, on_drop)
+            self._lost(handler, payload, nbytes, link, rng, attempt, on_drop)
         else:
             self.schedule(self.now + self._delay(link, nbytes), self._deliver,
-                          dst, payload, kind="delivery")
+                          handler, payload, kind="delivery")
 
-    def _deliver(self, dst, payload) -> None:
+    def _deliver(self, handler, payload) -> None:
         self.messages.delivered += 1
-        self._endpoints[dst](payload)
+        handler(payload)
 
-    def _deliver_batch(self, deliver, indices: list) -> None:
+    def _deliver_batch(self, deliver, indices: np.ndarray) -> None:
         self.messages.delivered += len(indices)
         deliver(indices)
 

@@ -18,11 +18,13 @@ check this module against them.
 from __future__ import annotations
 
 from functools import partial
+from math import log
 
 import numpy as np
 
 from .kernel import US_PER_S, link_latency
 from .metrics import TaskRecord
+from .mobility import form_pairs
 
 
 def decide_local(cost_cu: float, local_serve_threshold: float, backlog_cu: float,
@@ -50,17 +52,18 @@ class BeaconSnapshot:
     of each directed beacon, and the senders' local queue and role at send
     time.
 
-    ``ok[i]`` belongs to the ``i``-th directed beacon of the pairs in
-    ``(p0, p1)`` order: the first half are the beacons ``p0 -> p1``, the
-    second half ``p1 -> p0``.  The first ``senders`` or ``bound`` call builds
-    the index that replaces these raw arrays, so a pass that no handoff
-    reads sorts nothing: each receiver's senders in two ascending runs
-    (below it, above it), and per receiver the bound of a handoff query.
+    ``pairs()`` forms the (m, 2) pairs ``(p0, p1)``; ``ok[i]`` belongs to the
+    ``i``-th directed beacon in their order: the first half are the beacons
+    ``p0 -> p1``, the second half ``p1 -> p0``.  The first ``senders`` or
+    ``bound`` call forms the pairs and builds the index that replaces these
+    raw arrays, so a pass that no handoff reads forms and sorts nothing:
+    each receiver's senders in two ascending runs (below it, above it), and
+    per receiver the bound of a handoff query.
     """
 
     __slots__ = ("t_send", "heard_at", "raw", "cap", "adv", "key", "low_s", "low_src", "_runs")
 
-    def __init__(self, t_send: int, heard_at: int, pairs: np.ndarray, ok: np.ndarray,
+    def __init__(self, t_send: int, heard_at: int, pairs, ok: np.ndarray,
                  busy: np.ndarray, role: np.ndarray, cap: float):
         self.t_send = t_send
         self.heard_at = heard_at
@@ -84,6 +87,7 @@ class BeaconSnapshot:
 
     def _build_index(self) -> None:
         pairs, ok, busy, role = self.raw
+        pairs = pairs()
         n, m = len(busy), len(pairs)
         # per vehicle: its backlog as a Processing-role sender (else inf),
         # ranking key and rank in (key, id) order; n stands for no sender
@@ -121,7 +125,7 @@ class LocalTwins:
         self.rng_loss = world.rng_loss
         self.rng_beacons = world.rng_beacons
         self.edges = edges
-        self.role = held.role
+        self.held = held
         self._tally = cloud.tally
         self.endpoint = cfg.n_rsus + 1
         n = cfg.n_vehicles
@@ -145,7 +149,8 @@ class LocalTwins:
         self._rate = w.task_rate_hz
         self._hotspot = (None, 0.0, 0.0, 1.0) if hs is None else (
             hs.region, hs.t_start_s * US_PER_S, hs.t_end_s * US_PER_S, hs.rate_multiplier)
-        self._cost_range = w.cost_range_cu
+        lo, hi = w.cost_range_cu
+        self._cost_lo, self._cost_span = lo, hi - lo
         self._cap = cfg.capacity.local_cu_s
         self._layered = cfg.mode == "layered"
         self._backlog_limit_s = t.local_backlog_s
@@ -167,10 +172,12 @@ class LocalTwins:
         """Vehicle ``v``'s Poisson workload: a task arrives now with a
         drawn cost and is recorded and placed (unless ``arrives`` is false:
         the first draw at set-up, or a re-check at a zero rate); then the gap
-        to the next arrival is drawn at the vehicle's rate now."""
+        to the next arrival is drawn at the vehicle's rate now.  The draws
+        are ``random.Random``'s own ``uniform`` and ``expovariate`` bodies."""
         now = self.engine.now
+        draw = self.rng_tasks.random
         if arrives:
-            self._spawn_task(v, self.rng_tasks.uniform(*self._cost_range))
+            self._spawn_task(v, self._cost_lo + self._cost_span * draw())
         rate = self._rate
         region, t_start, t_end, multiplier = self._hotspot
         if t_start <= now < t_end and self.current_rsu.item(v) == region:
@@ -179,7 +186,7 @@ class LocalTwins:
             # re-check one second later; the hotspot may switch back on
             self.engine.schedule(now + US_PER_S, self._task_arrival, v, False, kind="task")
             return
-        at = now + max(1, round(self.rng_tasks.expovariate(rate) * US_PER_S))
+        at = now + max(1, round(-log(1.0 - draw()) / rate * US_PER_S))
         if at <= self._duration_us:
             self.engine.schedule(at, self._task_arrival, v, kind="task")
 
@@ -189,7 +196,7 @@ class LocalTwins:
         V2V neighbour or sent to the serving edge."""
         now = self.engine.now
         rsu = self.current_rsu.item(v)
-        task = TaskRecord(len(self.records), v, now, origin_rsu=rsu, cost_cu=cost)
+        task = TaskRecord(len(self.records), v, now, None, None, False, rsu, None, False, cost)
         self.records.append(task)
         cap = self._cap
         threshold = self.edges[rsu].policy.local_serve_threshold if self._layered else 0.0
@@ -267,14 +274,9 @@ class LocalTwins:
         def payload(v):
             return "report", (v, speed.item(v), cq.item(v), backlog.item(v))
 
-        self.engine.send_batch(rsu.tolist(), cfg.workload.report_bytes,
-                               self._v2r, self.rng_loss,
-                               partial(self._deliver_reports, batch), payload)
-
-    def _deliver_reports(self, batch: tuple, indices: list) -> None:
-        v = np.array(indices)
-        for e in self.edges:
-            e.take_reports(batch, v)
+        self.engine.send_batch(rsu, cfg.workload.report_bytes, self._v2r, self.rng_loss,
+                               partial(self.held.take_batch, self.edges, self.current_rsu,
+                                       batch), payload)
 
     def handover(self, moved: np.ndarray) -> None:
         """Vehicles that changed RSU this tick report to their new edge."""
@@ -291,24 +293,26 @@ class LocalTwins:
         self.engine.send(self.current_rsu.item(v), ("report", report),
                          self.cfg.workload.report_bytes, self._v2r, self.rng_loss)
 
-    def beacon_pass(self, now: int, pairs: np.ndarray) -> None:
-        """Batched V2V beacon pass over the vehicle pairs in range: Bernoulli
-        loss per beacon, without per-message kernel events.
+    def beacon_pass(self, now: int, found: tuple) -> None:
+        """Batched V2V beacon pass over the vehicle pairs in range, as
+        ``mobility.pair_search`` found them: Bernoulli loss per beacon,
+        without per-message kernel events.
 
         The loss draws and the message counters happen here, every pass;
-        the pass is kept as one ``BeaconSnapshot`` (pairs, loss mask and
-        the sender-side state arrays at send time), whose per-receiver
-        neighbour index is built on the first handoff query that reads it."""
+        the pass is kept as one ``BeaconSnapshot`` (the search, loss mask and
+        the sender-side state arrays at send time), whose pairs and
+        per-receiver neighbour index are formed on the first handoff query
+        that reads it."""
         v2v = self._v2v
-        n_directed = 2 * len(pairs)
+        n_directed = 2 * len(found[3])
         delivered = 0
         if n_directed:
             ok = self.rng_beacons.random(n_directed) >= v2v.loss_prob
             delivered = int(np.count_nonzero(ok))
             latency = link_latency(v2v, self.cfg.workload.beacon_bytes)
             self.beacon_snapshots.append(BeaconSnapshot(
-                now, now + latency, pairs, ok, self.busy_until.copy(), self.role.copy(),
-                self.cfg.capacity.local_cu_s))
+                now, now + latency, partial(form_pairs, *found), ok, self.busy_until.copy(),
+                self.held.role.copy(), self.cfg.capacity.local_cu_s))
         snapshots = self.beacon_snapshots
         while snapshots and now - snapshots[0].heard_at > self.neighbor_expiry_us:
             snapshots.pop(0)

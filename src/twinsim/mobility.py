@@ -227,12 +227,20 @@ K = 3  # grid cells per query radius
 def pairs_within(pos: np.ndarray, r: float) -> np.ndarray:
     """Every pair ``(i, j)``, ``i < j``, of the points ``pos`` (n, 2) with
     ``dx*dx + dy*dy <= r*r`` (scipy's ``cKDTree.query_pairs`` set) as an (m, 2)
-    ``intp`` array, on a grid (Bentley, Stanat & Williams, IPL 6(6), 1977) of
-    occupied cells wider than span / 2**20 (ids fit int64) and than reach / K,
-    reach being the farthest any pair that passes can be, so none is K + 1 apart."""
+    ``intp`` array: ``form_pairs`` of the ``pair_search`` result."""
+    return form_pairs(*pair_search(pos, r))
+
+
+def pair_search(pos: np.ndarray, r: float) -> tuple:
+    """The search of ``pairs_within`` on a grid (Bentley, Stanat & Williams,
+    IPL 6(6), 1977) of occupied cells wider than span / 2**20 (ids fit int64)
+    and than reach / K, reach being the farthest any pair that passes can be,
+    so none is K + 1 apart.  Returns ``(order, per, j, keep)``, no view of
+    ``pos``: the points in cell order, their candidate counts, the candidates'
+    places in that order and those of the ``len(keep)`` pairs that pass."""
     n = len(pos)
     if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
+        return (np.empty(0, dtype=np.intp),) * 4
     x, y = pos[:, 0], pos[:, 1]
     x0, y0 = x.min(), y.min()
     reach = np.inf if r * r == np.inf else max(r, 1e-150) * (1 + 2**-20)
@@ -256,6 +264,11 @@ def pairs_within(pos: np.ndarray, r: float) -> np.ndarray:
     dx -= x[j]
     dy -= y[j]
     keep = np.flatnonzero(np.square(dx, out=dx) + np.square(dy, out=dy) <= r * r)
+    return order, per, j, keep
+
+
+def form_pairs(order, per, j, keep) -> np.ndarray:
+    """The (m, 2) pairs of one ``pair_search`` result, as ``pairs_within``."""
     a, b = np.repeat(order, per)[keep], order[j[keep]]
     out = np.empty((len(keep), 2), dtype=np.intp)
     np.minimum(a, b, out=out[:, 0])

@@ -8,7 +8,7 @@ view the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
 ``CloudTwin`` and one ``LocalTwins`` for the fleet and registers each
 one's ``receive`` as a kernel endpoint: edge ``r`` is ``r``, the cloud
 ``n_rsus`` and every vehicle ``n_rsus + 1``.  Each tick moves the fleet, updates
-coverage and the V2V pairs in range (``pairs_within``) and calls into the layers.
+coverage, searches the V2V pairs in range (``pair_search``) and calls into the layers.
 
 Modes: "layered" runs the full pyramid; "cloud_only" is the centralised
 baseline (local serving off, edge compute disabled, everything relayed to
@@ -28,7 +28,7 @@ from .edge import EdgeTwin, HeldReports, LabelLogEntry
 from .kernel import US_PER_S, Engine, rng_stream, numpy_stream
 from .local import LocalTwins
 from .metrics import TaskRecord, build_index_series
-from .mobility import Fleet, build_grid, pairs_within, serving_rsu
+from .mobility import Fleet, build_grid, pair_search, serving_rsu
 from .scenario import ScenarioConfig, validate
 
 
@@ -120,7 +120,7 @@ class Simulation:
             self.held.forget(moved)
             local.handover(moved)
         if tick % self._report_ticks == 0:
-            local.beacon_pass(now, pairs_within(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
+            local.beacon_pass(now, pair_search(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
             local.emit_reports(now, d_cur / self.rsu_radii[self.current_rsu])
         if tick % self._fusion_ticks == 0:
             for e in self.edges:

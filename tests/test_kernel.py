@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,27 +178,46 @@ def record_kinds(eng) -> list:
     return fired
 
 
-def _loss_oracle_run(batched):
-    """Five messages to two endpoints over a lossy link, sent one at a time
-    or as one batch.  Scripted first attempts: ok, lost, lost, ok, lost;
-    the retries of messages 1 and 4 get through and message 2 is lost
-    again, which exhausts max_attempts=2 and drops it."""
-    link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000, max_attempts=2)
-    rng = ScriptedRng([0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6])
+MSGS = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
+# name -> (messages, max_attempts, scripted loss draws; loss below 0.5)
+SEND_BATCH_CASES = {
+    # first attempts: ok, lost, lost, ok, lost; the retries of messages 1
+    # and 4 get through and message 2 is lost again, which exhausts
+    # max_attempts=2 and drops it
+    "mixed": (MSGS, 2, [0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6]),
+    # every first attempt lost: no batch delivery event; retries ok, lost
+    # (dropped), ok
+    "all lost": (MSGS[:3], 2, [0.1, 0.2, 0.3, 0.9, 0.4, 0.8]),
+    # one attempt only: each lost message is dropped at once
+    "drop after max_attempts": (MSGS, 1, [0.9, 0.1, 0.2, 0.7, 0.4]),
+    "empty": ([], 2, []),
+    # integer endpoints, passed to the batch as an int array: lost, ok, ok,
+    # lost; retries ok, lost (dropped)
+    "array destinations": ([(0, "p"), (1, "q"), (0, "r"), (1, "s")], 2,
+                           [0.1, 0.9, 0.6, 0.2, 0.7, 0.3]),
+}
+
+
+def _loss_oracle_run(batched, msgs, max_attempts, draws):
+    """``msgs`` over a lossy link with scripted loss draws, sent one at a
+    time or as one batch (its destinations as an array)."""
+    link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000,
+                    max_attempts=max_attempts)
+    rng = ScriptedRng(draws)
     eng = Engine()
-    fired = record_kinds(eng)
     calls, drops = [], []
-    for name in ("a", "b"):
+    for name in ("a", "b", 0, 1):
         eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
     eng.schedule(1_000, lambda: None)
     eng.run_until(1_000)
-    msgs = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
+    fired = record_kinds(eng)
     on_drop = lambda p: drops.append((eng.now, p))  # noqa: E731
     if batched:
         def deliver(indices):
-            for i in indices:
+            assert isinstance(indices, np.ndarray)
+            for i in indices.tolist():
                 calls.append((eng.now, *msgs[i]))
-        eng.send_batch([dst for dst, _ in msgs], 2000, link, rng, deliver,
+        eng.send_batch(np.array([dst for dst, _ in msgs]), 2000, link, rng, deliver,
                        lambda i: msgs[i][1], on_drop=on_drop)
     else:
         for dst, payload in msgs:
@@ -209,19 +229,28 @@ def _loss_oracle_run(batched):
 
 
 def test_send_batch_matches_one_at_a_time_sends():
-    single = _loss_oracle_run(batched=False)
-    batch = _loss_oracle_run(batched=True)
-    assert batch[:5] == single[:5]
-    calls, retx, drops, messages, unused, _ = batch
+    for case, args in SEND_BATCH_CASES.items():
+        single = _loss_oracle_run(False, *args)
+        batch = _loss_oracle_run(True, *args)
+        assert batch[:5] == single[:5], case
+        assert batch[4] == [], case  # every scripted draw was made
+        # the first-attempt deliveries (at 1000 + 5200 us) share one event
+        first = sum(t == 6_200 for t, *_ in single[0])
+        assert batch[5] == single[5] - first + (first > 0), case
+    calls, retx, drops, messages, _, n_events = _loss_oracle_run(True, *SEND_BATCH_CASES["mixed"])
     # first attempts land at 1000 + 5200 us, retries 20 ms later
     assert calls == [(6_200, "a", 0), (6_200, "b", 3),
                      (26_200, "b", 1), (26_200, "a", 4)]
     assert retx == [21_000, 21_000, 21_000]
     assert drops == [(21_000, 2)]
     assert (messages.sent, messages.delivered, messages.dropped) == (5, 4, 1)
-    assert unused == []
-    # the two first-attempt deliveries share one event
-    assert (single[5], batch[5]) == (4, 3)
+    assert n_events == 3
+    calls, retx, drops, messages, _, n_events = _loss_oracle_run(
+        True, *SEND_BATCH_CASES["drop after max_attempts"])
+    assert retx == [] and drops == [(1_000, 1), (1_000, 2), (1_000, 4)]
+    assert (messages.sent, messages.delivered, messages.dropped, n_events) == (5, 2, 3, 1)
+    calls, retx, drops, messages, _, n_events = _loss_oracle_run(True, *SEND_BATCH_CASES["empty"])
+    assert (calls, retx, drops, messages.sent, n_events) == ([], [], [], 0, 0)
 
 
 def test_send_batch_unknown_endpoint():

@@ -1,15 +1,19 @@
 import copy
 import functools
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinsim import local as local_module, mobility, runner
 from twinsim.edge import ROLES
 from twinsim.local import BeaconSnapshot, decide_local
+from twinsim.mobility import pairs_within
 from twinsim.runner import Simulation
-from twinsim.scenario import parse_scenario
+from twinsim.scenario import WorkloadConfig, parse_scenario
 
 from oracles import (NeighborEntry, NeighborTable, channel_quality, eager_beacons,
                      rsu_distances, window_mean_speed)
@@ -56,6 +60,21 @@ def test_reports_carry_oracle_speed_and_channel_quality():
     engine.send_batch, engine.send = checked_batch, checked_send
     sim.run()
     assert len(latest) == sim.cfg.n_vehicles and out_of_cycle
+
+
+@pytest.mark.parametrize("cost_range", [WorkloadConfig().cost_range_cu, (3.7, 3.7)])
+@pytest.mark.parametrize("rate", [0.2, 2.4, 1e-6, 1e6])
+def test_inline_task_draws_equal_uniform_and_expovariate(cost_range, rate):
+    """A task arrival draws its cost as ``lo + (hi - lo) * random()`` and its
+    gap as ``-log(1.0 - random()) / rate``: the same floats, and the same
+    generator state after, as ``uniform(lo, hi)`` and ``expovariate(rate)``."""
+    lo, hi = cost_range
+    wrapped, inline = random.Random(8), random.Random(8)
+    want = [(wrapped.uniform(lo, hi), wrapped.expovariate(rate)) for _ in range(10_000)]
+    draw = inline.random
+    got = [(lo + (hi - lo) * draw(), -math.log(1.0 - draw()) / rate) for _ in range(10_000)]
+    assert got == want
+    assert inline.getstate() == wrapped.getstate()
 
 
 def test_decide_local_threshold_and_backlog_guard():
@@ -105,19 +124,20 @@ def v2v_handoff_sim():
 
 
 def capture_passes(local):
-    """Wrap ``local.beacon_pass`` so that every new snapshot's raw pairs,
-    loss draws and sender state are kept as they are at pass time (the index
+    """Wrap ``local.beacon_pass`` so that every new snapshot's pairs, formed
+    at pass time, and its loss draws and sender state are kept (the index
     build drops them from the snapshot).  Returns the list it fills with
     ``(snapshot, pairs, ok, busy, role)``."""
     beacon_pass = local.beacon_pass
     passes = []
 
-    def recorded(now, pairs):
+    def recorded(now, found):
         before = local.beacon_snapshots[-1] if local.beacon_snapshots else None
-        beacon_pass(now, pairs)
+        beacon_pass(now, found)
         if local.beacon_snapshots and local.beacon_snapshots[-1] is not before:
             snap = local.beacon_snapshots[-1]
-            passes.append((snap, *snap.raw))
+            pairs, ok, busy, role = snap.raw
+            passes.append((snap, pairs(), ok, busy, role))
 
     local.beacon_pass = recorded
     return passes
@@ -191,7 +211,7 @@ def test_beacon_index_of_a_fleet_beyond_32_bit_pair_keys():
     busy[[0, 3, 12, 65_536, 69_999]] = [4 * US, US, US, 2 * US, 3 * US]
     role = np.ones(n, dtype=np.int8)
     role[[12, 65_537]] = 0
-    snap = BeaconSnapshot(0, 400, pairs, ok, busy, role, 10.0)
+    snap = BeaconSnapshot(0, 400, lambda: pairs, ok, busy, role, 10.0)
     dst, src = eager_beacons(pairs, ok, n)
     adv = np.where(role == 1, busy / US, np.inf)
     for v in [*np.unique(pairs).tolist(), 1, n - 2]:
@@ -289,7 +309,8 @@ def test_handoff_candidate_matches_neighbor_table(world):
     equals a NeighborTable fed, oldest first, every beacon it has heard."""
     passes, now, own = world
     local = property_twins()
-    local.beacon_snapshots = [BeaconSnapshot(*p, CAP) for p in passes]
+    local.beacon_snapshots = [BeaconSnapshot(t, heard, lambda pairs=pairs: pairs, *rest, CAP)
+                              for t, heard, pairs, *rest in passes]
     n = len(passes[0][4])
     for v in range(n):
         table = NeighborTable(EXPIRY)
@@ -306,16 +327,22 @@ def test_handoff_candidate_matches_neighbor_table(world):
 
 
 def test_beacon_index_not_built_without_handoff_query(monkeypatch):
-    """A run without handoffs draws every beacon's loss but builds no
-    neighbour index."""
-    built = []
-    build = BeaconSnapshot._build_index
+    """A run without handoffs draws every beacon's loss but forms no pair
+    array and builds no neighbour index."""
+    built, formed = [], []
+    build, form = BeaconSnapshot._build_index, mobility.form_pairs
 
     def counted(snap):
         built.append(snap)
         build(snap)
 
+    def counted_form(*found):
+        formed.append(found)
+        return form(*found)
+
     monkeypatch.setattr(BeaconSnapshot, "_build_index", counted)
+    monkeypatch.setattr(mobility, "form_pairs", counted_form)
+    monkeypatch.setattr(local_module, "form_pairs", counted_form)
     sim = Simulation(parse_scenario(copy.deepcopy(SCENARIOS["layered"])))
     queries = []
     runtime = sim.local.handoff_candidate
@@ -323,4 +350,39 @@ def test_beacon_index_not_built_without_handoff_query(monkeypatch):
     sim.run()
     assert queries == []
     assert sim.local.beacon_snapshots
-    assert built == []
+    assert built == [] and formed == []
+
+
+def test_formed_pairs_are_those_of_the_pass_positions(monkeypatch):
+    """On every beacon pass of the v2v_handoff digest scenario, the pairs
+    its snapshot forms, on a handoff lookup during the run or after it,
+    equal ``pairs_within`` of a copy of the fleet's positions at the pass,
+    though the tick has moved ``Fleet.pos`` in place since."""
+    sim = v2v_handoff_sim()
+    local = sim.local
+    positions, passes = [], []
+    search, beacon_pass = runner.pair_search, local.beacon_pass
+
+    def recorded_search(pos, r):
+        positions.append((pos.copy(), r))
+        return search(pos, r)
+
+    def recorded_pass(now, found):
+        beacon_pass(now, found)
+        snap = local.beacon_snapshots[-1]
+        pairs, *rest = snap.raw
+        formed = []  # the pairs formed during the run
+        passes.append((pairs, formed))
+        snap.raw = (lambda: formed.append(pairs()) or formed[-1], *rest)
+
+    monkeypatch.setattr(runner, "pair_search", recorded_search)
+    local.beacon_pass = recorded_pass
+    sim.run()
+    assert len(passes) == len(positions) == 31
+    assert any(formed for _, formed in passes)
+    assert not np.array_equal(positions[0][0], sim.fleet.pos)
+    for (pairs, formed), (pos, r) in zip(passes, positions):
+        want = pairs_within(pos, r)
+        assert len(want) > 0
+        for got in [*formed, pairs()]:
+            assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twinsim import runner
 from twinsim.kernel import numpy_stream
 from twinsim.mobility import (ConfigError, Fleet, RoadNetwork, build_grid, distances,
-                              pairs_within, serving_rsu)
+                              pair_search, pairs_within, serving_rsu)
 from twinsim.scenario import ScenarioConfig, parse_scenario
 
 import oracles
@@ -379,9 +379,9 @@ def test_pairs_within_matches_kdtree_on_showcase_passes(monkeypatch):
 
     def record(pos, r):
         passes.append((pos.copy(), r))
-        return pairs_within(pos, r)
+        return pair_search(pos, r)
 
-    monkeypatch.setattr(runner, "pairs_within", record)
+    monkeypatch.setattr(runner, "pair_search", record)
     runner.Simulation(ScenarioConfig(seed=0, duration_s=31.0)).engine.run_until(3_000_000)
     assert len(passes) == 3
     for pos, r in passes:

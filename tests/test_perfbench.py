@@ -2,8 +2,9 @@
 was chosen for, its layer self times cover the run, and the tracer finds
 every entry point it wraps but the three the program no longer has.  A
 refactor that drops a traced entry point or the ``handoff`` payload tag
-fails here."""
+fails here.  Also a smoke run of ``bench/gcsplit.py``."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,20 @@ def test_traced_benchmark_run(workload):
     # the path checks and the limit on unattributed time
     assert out["failures"] == []
     assert out["missing_entry_points"] == DEAD_ENTRY_POINTS
+
+
+def test_gcsplit_prints_every_region():
+    """``bench/gcsplit.py`` on this checkout against itself prints, for each
+    side, the collections that start in the reference work, the set-ups, the
+    run and the writes.  The two sides may differ: the hash seed can move
+    collections."""
+    cmd = [sys.executable, str(ROOT / "bench" / "gcsplit.py"), "--base", str(ROOT),
+           "--change", str(ROOT), "--workload", "layered", "--seed", "0",
+           "--duration-s", "31"]  # the shortest run that spans a cloud epoch
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = r"\d+/\d+/\d+"
+    for side in ("base", "change"):
+        pattern = rf"  {side} *reference {counts}  setup {counts}  run {counts}  write {counts}"
+        assert any(re.fullmatch(pattern, line) for line in proc.stdout.splitlines()), \
+            proc.stdout

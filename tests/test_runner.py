@@ -170,7 +170,7 @@ def test_batched_reports_match_per_vehicle_fields():
 
     def checking_send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
         now = sim.engine.now
-        assert dsts == sim.current_rsu.tolist()
+        assert dsts.tolist() == sim.current_rsu.tolist()
         for v in range(sim.cfg.n_vehicles):
             kind, (device, mean_speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
@@ -194,7 +194,7 @@ def test_batched_reports_match_per_vehicle_fields():
 
 @pytest.mark.parametrize("v2r_latency_ms", [5, 250])
 def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
-    """Delivering a report batch from its arrays (``EdgeTwin.take_reports``)
+    """Delivering a report batch from its arrays (``HeldReports.take_batch``)
     leaves every edge window, held report, role and task record as sending
     each report on its own (``Engine.send`` to ``EdgeTwin.receive``) does.
     At 250 ms some vehicles change RSU while their report is in flight."""
