@@ -21,9 +21,10 @@ for line in log:
 
 # -- link pricing -----------------------------------------------------------
 
-v2r = LinkSpec(base_latency_us=5_000, bandwidth_bps=1e7, loss_prob=0.01,
-               retx_timeout_us=20_000, max_attempts=3)
-r2c = LinkSpec(base_latency_us=25_000, bandwidth_bps=1e8)
+# links take their times in ms, as a scenario file gives them
+v2r = LinkSpec(base_latency_ms=5.0, bandwidth_bps=1e7, loss_prob=0.01,
+               retx_timeout_ms=20.0, max_attempts=3)
+r2c = LinkSpec(base_latency_ms=25.0, bandwidth_bps=1e8)
 
 print("\nlink latency = base + payload / bandwidth, rounded to 1 us:")
 print(f"  2000 B over V2R: {link_latency(v2r, 2000)} us")
@@ -53,8 +54,7 @@ def run_once():
     seen = []
     eng.register("sink", seen.append)
     rng = rng_stream(42, "loss")
-    lossy = LinkSpec(1_000, 1e6, loss_prob=0.3, retx_timeout_us=5_000,
-                     max_attempts=2)
+    lossy = LinkSpec(1.0, 1e6, loss_prob=0.3, retx_timeout_ms=5.0, max_attempts=2)
     for i in range(50):
         eng.send("sink", i, 100, lossy, rng)
     eng.run_until(100_000)

@@ -223,13 +223,13 @@ class CloudTwin:
     def __init__(self, world, epoch_us: int):
         cfg = self.cfg = world.cfg
         self.engine = world.engine
-        self.links = world.links
+        self._r2c = cfg.links.r2c
         self.current_rsu = world.current_rsu
         self.rng_loss = world.rng_loss
         self.rng_mutation = world.rng_mutation
         self.epoch_us = epoch_us
         regions = range(cfg.n_rsus)
-        self.graph = KnowledgeGraph(list(regions), world.net.rsu_adjacency())
+        self.graph = KnowledgeGraph(list(regions), world.net.adjacency)
         self.evolutions = {r: RegionEvolution(PolicyBlueprint(r, 0, None, cfg.policy))
                            for r in regions}
         self.busy_until = 0
@@ -256,7 +256,7 @@ class CloudTwin:
     def _route_result(self, task) -> None:
         """Send a result to the edge that serves its vehicle now."""
         self.engine.send(self.current_rsu.item(task.origin), ("result", task),
-                         self.cfg.workload.response_bytes, self.links["r2c"],
+                         self.cfg.workload.response_bytes, self._r2c,
                          self.rng_loss, on_drop=drop_task)
 
     def tally(self, task) -> None:
@@ -285,7 +285,7 @@ class CloudTwin:
             candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
             fractions[r] = candidate.policy.offload_fraction
             self.engine.send(r, ("blueprint", candidate),
-                             self.cfg.workload.blueprint_bytes, self.links["r2c"],
+                             self.cfg.workload.blueprint_bytes, self._r2c,
                              self.rng_loss)
         nodes = self.graph.nodes
         for d in coordinate(self.graph, fractions, epoch_idx + 1, now + self.epoch_us):
@@ -293,4 +293,4 @@ class CloudTwin:
                 now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
                 nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
             self.engine.send(d.from_rsu, ("directive", d), DIRECTIVE_BYTES,
-                             self.links["r2c"], self.rng_loss)
+                             self._r2c, self.rng_loss)

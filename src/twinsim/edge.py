@@ -198,7 +198,6 @@ class EdgeTwin:
         cfg = self.cfg = world.cfg
         self.rsu_id = rsu_id
         self.engine = world.engine
-        self.links = world.links
         self.current_rsu = world.current_rsu
         self.rng_loss = world.rng_loss
         self.held = held
@@ -222,7 +221,7 @@ class EdgeTwin:
         self._backlog_to_cloud_s = cfg.thresholds.backlog_to_cloud_s
         self._request_bytes = cfg.workload.request_bytes
         self._response_bytes = cfg.workload.response_bytes
-        self._v2r, self._r2c, self._e2e = self.links["v2r"], self.links["r2c"], self.links["e2e"]
+        self._v2r, self._r2c, self._e2e = cfg.links.v2r, cfg.links.r2c, cfg.links.e2e
 
     def receive(self, payload) -> None:
         kind = payload[0]
@@ -308,7 +307,7 @@ class EdgeTwin:
         self.last_utilization = utilization
         self.label_log.append(LabelLogEntry(now, self.rsu_id, labels, utilization, mean_speed))
         self.engine.send(self._cloud, ("uplink", UplinkPackage(self.rsu_id, labels, utilization)),
-                         cfg.workload.uplink_bytes, self.links["r2c"], self.rng_loss)
+                         cfg.workload.uplink_bytes, self._r2c, self.rng_loss)
         self.window = FusionWindow()
 
         # role churn follows the fused picture

@@ -54,24 +54,25 @@ def numpy_stream(root_seed: int, label: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class LinkSpec:
     """Point-to-point link: fixed propagation delay plus serialization time,
-    Bernoulli loss per attempt and bounded retransmission."""
+    Bernoulli loss per attempt and bounded retransmission.  Times are in ms,
+    as a scenario gives them; ``scenario.validate`` checks every field."""
 
-    base_latency_us: int
+    base_latency_ms: float
     bandwidth_bps: float  # bytes per second
     loss_prob: float = 0.0
-    retx_timeout_us: int = 20_000
+    retx_timeout_ms: float = 20.0
     max_attempts: int = 1
     # first-attempt delay per payload size, as ``link_latency`` defines it;
     # ``Engine`` fills it on the first message of each size
     delays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if not (0.0 <= self.loss_prob < 1.0):
-            raise ValueError("loss_prob must be in [0, 1)")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+    @property
+    def base_latency_us(self) -> int:
+        return round(self.base_latency_ms * 1000)
+
+    @property
+    def retx_timeout_us(self) -> int:
+        return round(self.retx_timeout_ms * 1000)
 
 
 def link_latency(link: LinkSpec, payload_bytes: int) -> int:

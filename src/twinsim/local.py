@@ -157,7 +157,7 @@ class LocalTwins:
         self._handoff_gap_s = t.handoff_gap_s
         self._duration_us = cfg.duration_us
         self._request_bytes = w.request_bytes
-        self._v2r, self._v2v = world.links["v2r"], world.links["v2v"]
+        self._v2r, self._v2v = cfg.links.v2r, cfg.links.v2v
 
         if self._rate > 0:
             for v in range(n):

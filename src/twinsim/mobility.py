@@ -20,17 +20,14 @@ class ConfigError(Exception):
 
 @dataclass
 class RoadNetwork:
-    intersections: np.ndarray          # (K, 2) meters
+    intersections: np.ndarray          # (K, 2) meters; RSU r sits at intersection r
     segments: list[tuple[int, int]]    # pairs of intersection ids, a < b
-    rsus: list[tuple[int, float]]      # (intersection id, coverage radius m)
+    rsu_radius_m: float                # coverage radius of every RSU
 
     def __post_init__(self):
         # per intersection, its segments' ids (in order) and its neighbours (sorted)
-        k = len(self.intersections)
-        self.incident: dict[int, list[int]] = {i: [] for i in range(k)}
+        self.incident: dict[int, list[int]] = {i: [] for i in range(len(self.intersections))}
         for s, (a, b) in enumerate(self.segments):
-            if not (0 <= a < k and 0 <= b < k):
-                raise ConfigError(f"segment ({a},{b}) references invalid intersection")
             self.incident[a].append(s)
             self.incident[b].append(s)
         self.adjacency = {i: sorted(sum(self.segments[s]) - i for s in segs)
@@ -45,38 +42,21 @@ class RoadNetwork:
         return h
 
     @property
-    def rsu_positions(self) -> np.ndarray:
-        return self.intersections[[node for node, _ in self.rsus]]
-
-    @property
-    def rsu_radii(self) -> np.ndarray:
-        return np.array([r for _, r in self.rsus])
-
-    @property
     def screen_radius(self) -> float:
-        """Half the least separation of two RSUs, capped at the least radius,
+        """Half the least separation of two RSUs (on the lattice, the least
+        gap of consecutive distinct x or y coordinates), capped at the radius,
         less 2**-40 of itself.  A position nearer than this to an RSU is
         nearer to it than to any other (triangle inequality) by more than the
         rounding of the computed distances, so that RSU keeps serving it."""
-        sep = distances(self.rsu_positions, self.rsu_positions)
-        np.fill_diagonal(sep, np.inf)
-        return min(sep.min() / 2, self.rsu_radii.min()) * (1 - 2**-40)
-
-    def rsu_adjacency(self) -> dict[int, list[int]]:
-        """RSU neighbor map induced by the segments between their intersections."""
-        node_to_rsu = {node: i for i, (node, _) in enumerate(self.rsus)}
-        return {i: sorted({node_to_rsu[m] for m in self.adjacency[node] if m in node_to_rsu})
-                for i, (node, _) in enumerate(self.rsus)}
+        gaps = np.diff(np.sort(self.intersections, axis=0), axis=0)
+        gaps = gaps[gaps > 0]
+        return min(gaps.min() / 2 if len(gaps) else np.inf, self.rsu_radius_m) * (1 - 2**-40)
 
 
 def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600.0) -> RoadNetwork:
-    """rows x cols lattice, 4-neighbor segments, one RSU per intersection.
-
-    Raises ConfigError if the dimensions are degenerate.  ``scenario.validate``
-    bounds the spacing and checks that the RSUs cover the roads.
-    """
-    if rows < 1 or cols < 1 or spacing_m <= 0:
-        raise ConfigError("grid dimensions must be >= 1 and the spacing > 0")
+    """rows x cols lattice, 4-neighbor segments, one RSU of radius
+    ``rsu_radius_m`` per intersection.  ``scenario.validate`` checks the
+    dimensions, bounds the spacing and checks that the RSUs cover the roads."""
     pts = np.array(
         [[c * spacing_m, r * spacing_m] for r in range(rows) for c in range(cols)],
         dtype=float,
@@ -89,8 +69,7 @@ def build_grid(rows: int, cols: int, spacing_m: float, rsu_radius_m: float = 600
                 segments.append((i, i + 1))
             if r + 1 < rows:
                 segments.append((i, i + cols))
-    rsus = [(i, float(rsu_radius_m)) for i in range(rows * cols)]
-    return RoadNetwork(pts, segments, rsus)
+    return RoadNetwork(pts, segments, float(rsu_radius_m))
 
 
 def distances(pos: np.ndarray, rsu_pos: np.ndarray) -> np.ndarray:
@@ -103,7 +82,7 @@ def distances(pos: np.ndarray, rsu_pos: np.ndarray) -> np.ndarray:
 def serving_rsu(
     pos: np.ndarray,
     rsu_pos: np.ndarray,
-    radii: np.ndarray,
+    radius: float,
     current: np.ndarray | None,
     hysteresis_m: float,
     screen_m: float = 0.0,
@@ -112,8 +91,8 @@ def serving_rsu(
 
     The current RSU is kept while it covers the position and the nearest RSU
     is no more than hysteresis_m closer; otherwise the nearest RSU serves
-    (``current=None`` picks the nearest).  RSUs share one radius and
-    build_grid covers every road point, so the nearest RSU covers it.  Only
+    (``current=None`` picks the nearest).  Every RSU has the coverage radius
+    ``radius``, which covers every road point, so the nearest RSU covers it.  Only
     positions at least ``screen_m`` from their current RSU are searched; the
     rest keep it, which is exact up to ``RoadNetwork.screen_radius``.
     """
@@ -132,7 +111,7 @@ def serving_rsu(
         nearest = d.argmin(axis=1)
         d_near = d.min(axis=1)
         cur, d_cur = current[far], dist[far]
-        keep = (d_cur <= radii[cur]) & (d_cur - d_near <= hysteresis_m)
+        keep = (d_cur <= radius) & (d_cur - d_near <= hysteresis_m)
         rsu[far] = np.where(keep, cur, nearest)
         dist[far] = np.where(keep, d_cur, d_near)
     return rsu, dist
@@ -168,15 +147,14 @@ class Fleet:
 
     def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
         """Each vehicle at a uniform point of a segment at its spawn RSU's
-        intersection (any segment if none or no ``spawn_rsu``), bound for one
-        end; draws per vehicle in index order, positions and headings at once."""
+        intersection (any segment without ``spawn_rsu``), bound for one end;
+        draws per vehicle in index order, positions and headings at once."""
         net = self.net
         if not net.segments:
             self.pos = np.tile(net.intersections[0], (self.n, 1))
             return
-        everywhere = range(len(net.segments))
-        choices = ([everywhere] * self.n if spawn_rsu is None else
-                   [net.incident[net.rsus[r][0]] or everywhere for r in spawn_rsu.tolist()])
+        choices = ([range(len(net.segments))] * self.n if spawn_rsu is None else
+                   [net.incident[r] for r in spawn_rsu.tolist()])
         ends, u = np.empty((self.n, 2), dtype=int), np.empty(self.n)
         for i, segs in enumerate(choices):
             a, b = net.segments[segs[int(rng.integers(len(segs)))]]
@@ -236,8 +214,9 @@ def pair_search(pos: np.ndarray, r: float) -> tuple:
     IPL 6(6), 1977) of occupied cells wider than span / 2**20 (ids fit int64)
     and than reach / K, reach being the farthest any pair that passes can be,
     so none is K + 1 apart.  Returns ``(order, per, j, keep)``, no view of
-    ``pos``: the points in cell order, their candidate counts, the candidates'
-    places in that order and those of the ``len(keep)`` pairs that pass."""
+    ``pos``: the points in cell order, their candidate counts, and of the
+    ``len(keep)`` candidates that pass, their places in that order (``j``)
+    and among all candidates (``keep``)."""
     n = len(pos)
     if n < 2:
         return (np.empty(0, dtype=np.intp),) * 4
@@ -264,12 +243,12 @@ def pair_search(pos: np.ndarray, r: float) -> tuple:
     dx -= x[j]
     dy -= y[j]
     keep = np.flatnonzero(np.square(dx, out=dx) + np.square(dy, out=dy) <= r * r)
-    return order, per, j, keep
+    return order, per, j[keep], keep
 
 
 def form_pairs(order, per, j, keep) -> np.ndarray:
     """The (m, 2) pairs of one ``pair_search`` result, as ``pairs_within``."""
-    a, b = np.repeat(order, per)[keep], order[j[keep]]
+    a, b = np.repeat(order, per)[keep], order[j]
     out = np.empty((len(keep), 2), dtype=np.intp)
     np.minimum(a, b, out=out[:, 0])
     np.maximum(a, b, out=out[:, 1])

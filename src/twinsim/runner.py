@@ -2,7 +2,7 @@
 simulation instance, runs it and returns the run artifacts (task records,
 index series, epoch log).  It holds none of the layers' logic.
 
-The ``Simulation`` builds the world (grid, fleet, links, RNG streams and
+The ``Simulation`` builds the world (grid, fleet, RNG streams and
 ``current_rsu``, which only its tick writes, in place) and is the read-only
 view the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
 ``CloudTwin`` and one ``LocalTwins`` for the fleet and registers each
@@ -82,11 +82,8 @@ class Simulation:
         self.fleet = Fleet(self.net, cfg.n_vehicles, self.rng_mobility,
                            speed_range=tuple(cfg.speed_range_mps),
                            spawn_rsu=np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
-        self.rsu_pos = self.net.rsu_positions
-        self.rsu_radii = self.net.rsu_radii
-        self.links = {name: lc.to_spec() for name, lc in cfg.links.items()}
-        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
-                                          None, cfg.grid.hysteresis_m)
+        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.net.intersections,
+                                          self.net.rsu_radius_m, None, cfg.grid.hysteresis_m)
         self._screen_m = self.net.screen_radius
 
         # every period is a whole number of sensing ticks (checked at parse time)
@@ -121,7 +118,7 @@ class Simulation:
             local.handover(moved)
         if tick % self._report_ticks == 0:
             local.beacon_pass(now, pair_search(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
-            local.emit_reports(now, d_cur / self.rsu_radii[self.current_rsu])
+            local.emit_reports(now, d_cur / self.net.rsu_radius_m)
         if tick % self._fusion_ticks == 0:
             for e in self.edges:
                 e.fuse_and_uplink(now)
@@ -134,7 +131,7 @@ class Simulation:
     def _update_coverage(self) -> tuple[np.ndarray, np.ndarray]:
         """Move ``current_rsu`` in place to each vehicle's serving RSU; returns
         the vehicles that changed RSU and each one's distance to its RSU."""
-        rsu, d_cur = serving_rsu(self.fleet.pos, self.rsu_pos, self.rsu_radii,
+        rsu, d_cur = serving_rsu(self.fleet.pos, self.net.intersections, self.net.rsu_radius_m,
                                  self.current_rsu, self.cfg.grid.hysteresis_m, self._screen_m)
         moved = np.flatnonzero(rsu != self.current_rsu)
         self.current_rsu[:] = rsu

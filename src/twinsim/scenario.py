@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .cloud import DIRECTIVE_BYTES
@@ -48,30 +48,11 @@ class GridConfig:
 
 
 @dataclass
-class LinkConfig:
-    base_latency_ms: float
-    bandwidth_bps: float
-    loss_prob: float = 0.0
-    retx_timeout_ms: float = 20.0
-    max_attempts: int = 1
-
-    def to_spec(self) -> LinkSpec:
-        return LinkSpec(
-            base_latency_us=round(self.base_latency_ms * 1000),
-            bandwidth_bps=self.bandwidth_bps,
-            loss_prob=self.loss_prob,
-            retx_timeout_us=round(self.retx_timeout_ms * 1000),
-            max_attempts=self.max_attempts,
-        )
-
-
-def default_links() -> dict:
-    return {
-        "v2r": LinkConfig(5.0, 1e7, 0.01, 20.0, 3),
-        "r2c": LinkConfig(25.0, 1e8, 0.0, 20.0, 1),
-        "v2v": LinkConfig(3.0, 1e6, 0.05, 20.0, 3),
-        "e2e": LinkConfig(10.0, 1e8, 0.0, 20.0, 1),
-    }
+class LinksConfig:
+    v2r: LinkSpec = field(default_factory=lambda: LinkSpec(5.0, 1e7, 0.01, 20.0, 3))
+    r2c: LinkSpec = field(default_factory=lambda: LinkSpec(25.0, 1e8, 0.0, 20.0, 1))
+    v2v: LinkSpec = field(default_factory=lambda: LinkSpec(3.0, 1e6, 0.05, 20.0, 3))
+    e2e: LinkSpec = field(default_factory=lambda: LinkSpec(10.0, 1e8, 0.0, 20.0, 1))
 
 
 @dataclass
@@ -133,7 +114,7 @@ class ScenarioConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     vehicles_per_rsu: int = 200
     speed_range_mps: tuple = (8.0, 15.0)
-    links: dict = field(default_factory=default_links)
+    links: LinksConfig = field(default_factory=LinksConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
@@ -176,6 +157,11 @@ def _number(value, name: str, whole: bool = False):
 _COUNT_WORDS = {2: "two", 3: "three"}
 
 
+def _keys(obj) -> list[str]:
+    """The scenario keys of dataclass ``obj``: its init fields, not ``LinkSpec.delays``."""
+    return [f.name for f in fields(obj) if f.init]
+
+
 def _fill(obj, data, name: str = ""):
     """A copy of dataclass ``obj`` with the keys of JSON object ``data``
     filled in; ``name`` is ``obj``'s path in the scenario, for errors.  A
@@ -183,9 +169,9 @@ def _fill(obj, data, name: str = ""):
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: expected an object")
     prefix = f"{name}." if name else ""
-    changes = {}
+    keys, changes = _keys(obj), {}
     for key, value in data.items():
-        if key not in obj.__dataclass_fields__:
+        if key not in keys:
             raise ConfigError(f"unknown key: {prefix}{key}")
         current = getattr(obj, key)
         path = prefix + key
@@ -204,14 +190,9 @@ def _fill(obj, data, name: str = ""):
 def parse_scenario(data: dict) -> ScenarioConfig:
     cfg = ScenarioConfig()
     data = dict(data)
+    # links, hotspot and scripted tasks first: a multi-fault input names the same fault
     if "links" in data:
-        links = data.pop("links")
-        if not isinstance(links, dict):
-            raise ConfigError("links: expected an object")
-        for name, spec in links.items():
-            if name not in cfg.links:
-                raise ConfigError(f"unknown key: links.{name}")
-            cfg.links[name] = _fill(cfg.links[name], spec, f"links.{name}")
+        cfg.links = _fill(cfg.links, data.pop("links"), "links")
     if "hotspot" in data:
         hs = data.pop("hotspot")
         cfg.hotspot = None if hs is None else _fill(HotspotConfig(), hs, "hotspot")
@@ -241,10 +222,9 @@ def _numbers(obj, path: str = ""):
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from _numbers(value, f"{path}[{i}]")
-    elif isinstance(obj, dict) or is_dataclass(obj):
-        for key in obj if isinstance(obj, dict) else obj.__dataclass_fields__:
-            value = obj[key] if isinstance(obj, dict) else getattr(obj, key)
-            yield from _numbers(value, f"{path}.{key}" if path else key)
+    elif is_dataclass(obj):
+        for key in _keys(obj):
+            yield from _numbers(getattr(obj, key), f"{path}.{key}" if path else key)
 
 
 def validate(cfg: ScenarioConfig) -> None:
@@ -282,9 +262,9 @@ def validate(cfg: ScenarioConfig) -> None:
     check(0 < cfg.speed_range_mps[0] <= cfg.speed_range_mps[1] <= MAX_SPEED_MPS,
           "speed_range_mps", f"invalid range: need 0 < low <= high <= {MAX_SPEED_MPS:g}")
     w = cfg.workload
-    max_bytes = max(DIRECTIVE_BYTES, *(getattr(w, k) for k in w.__dataclass_fields__
-                                        if k.endswith("_bytes")))
-    for name, link in cfg.links.items():
+    sizes = {k: getattr(w, k) for k in _keys(w) if k.endswith("_bytes")}
+    max_bytes = max(DIRECTIVE_BYTES, *sizes.values())
+    for name, link in vars(cfg.links).items():
         check(link.bandwidth_bps > 0, f"links.{name}.bandwidth_bps", "must be > 0")
         check(0 <= link.loss_prob < 1, f"links.{name}.loss_prob", "must be in [0, 1)")
         check(link.max_attempts >= 1, f"links.{name}.max_attempts", "must be >= 1")
@@ -348,6 +328,9 @@ def validate(cfg: ScenarioConfig) -> None:
         check(0 <= st.at_s * US_PER_S <= MAX_TIME_US, f"scripted_tasks[{i}].at_s",
               f"must be in [0, {MAX_TIME_US / US_PER_S:g}]")
         check(st.cost_cu > 0, f"scripted_tasks[{i}].cost_cu", "must be > 0")
+    # a negative size gives a negative serialization time: a delivery in the past
+    for key, size in sizes.items():
+        check(size >= 0, f"workload.{key}", "must be >= 0")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -6,6 +6,8 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``spawn_fleet``: ``mobility.Fleet``'s spawn, one vehicle at a time;
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
+- ``screen_radius``: ``RoadNetwork.screen_radius``, from every RSU
+  distance;
 - ``pairs_within``: ``mobility.pairs_within``, the vehicle pairs in V2V
   range;
 - ``NeighborEntry``/``NeighborTable``: ``LocalTwins.handoff_candidate``
@@ -31,7 +33,7 @@ import numpy as np
 
 from twinsim.edge import largest_remainder_seats
 from twinsim.kernel import CausalityError, Engine
-from twinsim.mobility import RoadNetwork
+from twinsim.mobility import RoadNetwork, distances
 
 US_PER_S = 1_000_000
 
@@ -59,7 +61,7 @@ def spawn_fleet(
     pos, heading = np.zeros((n, 2)), np.zeros((n, 2))
     waypoint, nav_intent = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     for i in range(n):
-        node = None if spawn_rsu is None else net.rsus[int(spawn_rsu[i])][0]
+        node = None if spawn_rsu is None else int(spawn_rsu[i])
         segs = [s for s, (a, b) in enumerate(net.segments) if node in (a, b)]
         if segs:
             seg = segs[int(rng.integers(len(segs)))]
@@ -122,8 +124,7 @@ def covering_rsu(
     it covers the position and no rival is closer by more than hysteresis_m;
     otherwise the nearest covering RSU; None if uncovered."""
     d = rsu_distances(net, position)
-    radii = net.rsu_radii
-    covered = d <= radii
+    covered = d <= net.rsu_radius_m
     if current is not None and covered[current]:
         best = int(np.argmin(d))
         if d[current] - d[best] <= hysteresis_m:
@@ -137,7 +138,20 @@ def covering_rsu(
 
 def rsu_distances(net: RoadNetwork, position: np.ndarray) -> np.ndarray:
     """Distance of ``position`` to each RSU of ``net``."""
-    return np.linalg.norm(net.rsu_positions - np.asarray(position)[None, :], axis=1)
+    return np.linalg.norm(net.intersections - np.asarray(position)[None, :], axis=1)
+
+
+def screen_radius(net: RoadNetwork) -> float:
+    """Half the least of every computed distance between two RSUs, capped at
+    the radius, less 2**-40 of itself: the distance-matrix statement of
+    ``RoadNetwork.screen_radius``, a block of rows at a time."""
+    rsu_pos, least = net.intersections, np.inf
+    for start in range(0, len(rsu_pos), 256):
+        sep = distances(rsu_pos[start:start + 256], rsu_pos)
+        rows = np.arange(len(sep))
+        sep[rows, start + rows] = np.inf  # an RSU's distance to itself
+        least = min(least, sep.min())
+    return min(least / 2, net.rsu_radius_m) * (1 - 2**-40)
 
 
 def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:

@@ -39,27 +39,18 @@ def test_rng_streams_reproducible():
     assert (ga.random(5) == gb.random(5)).all()
 
 
-def test_linkspec_validation():
-    with pytest.raises(ValueError):
-        LinkSpec(5000, 0.0)
-    with pytest.raises(ValueError):
-        LinkSpec(5000, 1e7, loss_prob=1.0)
-    with pytest.raises(ValueError):
-        LinkSpec(5000, 1e7, max_attempts=0)
-
-
 def test_link_latency_oracles():
     # R2C, zero payload: pure propagation
-    assert link_latency(LinkSpec(25_000, 1e8), 0) == 25_000
+    assert link_latency(LinkSpec(25.0, 1e8), 0) == 25_000
     # V2R, 2000 B at 1e7 B/s: 5 ms + 200 us
-    assert link_latency(LinkSpec(5_000, 1e7), 2000) == 5_200
+    assert link_latency(LinkSpec(5.0, 1e7), 2000) == 5_200
     # closed form holds for random pairs
     rng = random.Random(42)
     for _ in range(1000):
         base = rng.randrange(0, 100_000)
         bw = rng.uniform(1e5, 1e9)
         nbytes = rng.randrange(0, 1_000_000)
-        link = LinkSpec(base, bw)
+        link = LinkSpec(base / 1000, bw)
         assert link_latency(link, nbytes) == base + round(nbytes * 1_000_000 / bw)
 
 
@@ -98,14 +89,14 @@ def test_schedule_in_past_raises_causality_error():
 def test_send_unknown_endpoint():
     eng = Engine()
     with pytest.raises(RoutingError):
-        eng.send("nowhere", {}, 100, LinkSpec(1000, 1e7), random.Random(0))
+        eng.send("nowhere", {}, 100, LinkSpec(1.0, 1e7), random.Random(0))
 
 
 def test_lossless_delivery_time():
     eng = Engine()
     got = []
     eng.register("sink", got.append)
-    link = LinkSpec(5_000, 1e7)
+    link = LinkSpec(5.0, 1e7)
     eng.send("sink", "hello", 2000, link, random.Random(0))
     eng.run_until(5_199)
     assert got == []
@@ -117,7 +108,7 @@ def test_lossless_delivery_time():
 
 
 def test_retransmission_delay_and_drop_accounting():
-    link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000, max_attempts=3)
+    link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0, max_attempts=3)
     # first attempt lost, second delivered
     eng = Engine()
     got = []
@@ -142,7 +133,7 @@ def test_retransmission_delay_and_drop_accounting():
 def test_message_conservation_under_loss():
     eng = Engine()
     eng.register("sink", lambda p: None)
-    link = LinkSpec(1_000, 1e7, loss_prob=0.3, retx_timeout_us=2_000, max_attempts=2)
+    link = LinkSpec(1.0, 1e7, loss_prob=0.3, retx_timeout_ms=2.0, max_attempts=2)
     rng = random.Random(123)
     for i in range(500):
         eng.send("sink", i, 100, link, rng)
@@ -201,7 +192,7 @@ SEND_BATCH_CASES = {
 def _loss_oracle_run(batched, msgs, max_attempts, draws):
     """``msgs`` over a lossy link with scripted loss draws, sent one at a
     time or as one batch (its destinations as an array)."""
-    link = LinkSpec(5_000, 1e7, loss_prob=0.5, retx_timeout_us=20_000,
+    link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0,
                     max_attempts=max_attempts)
     rng = ScriptedRng(draws)
     eng = Engine()
@@ -257,7 +248,7 @@ def test_send_batch_unknown_endpoint():
     eng = Engine()
     eng.register("sink", lambda p: None)
     with pytest.raises(RoutingError):
-        eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1000, 1e7),
+        eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1.0, 1e7),
                        random.Random(0), lambda indices: None, lambda i: i)
 
 

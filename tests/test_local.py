@@ -46,7 +46,7 @@ def test_reports_carry_oracle_speed_and_channel_quality():
             _, (device, speed, cq, _) = payload(v)
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
             assert speed == window_mean_speed(float(sim.fleet.speed[v]), ticks)
-            assert cq == channel_quality(d, sim.rsu_radii[rsu])
+            assert cq == channel_quality(d, sim.net.rsu_radius_m)
             latest[device] = (speed, cq)
         return send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop)
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from twinsim import runner
 from twinsim.kernel import numpy_stream
-from twinsim.mobility import (ConfigError, Fleet, RoadNetwork, build_grid, distances,
-                              pair_search, pairs_within, serving_rsu)
-from twinsim.scenario import ScenarioConfig, parse_scenario
+from twinsim.mobility import (ConfigError, Fleet, build_grid, distances, pair_search,
+                              pairs_within, serving_rsu)
+from twinsim.scenario import MAX_MAP_SIDE_M, MIN_SPACING_M, ScenarioConfig, parse_scenario
 
 import oracles
 from oracles import VehicleState, covering_rsu, rsu_distances, step_vehicle
@@ -29,13 +29,13 @@ def test_grid_geometry(grid):
     a, b = np.array(grid.segments).T
     lengths = np.linalg.norm(grid.intersections[b] - grid.intersections[a], axis=1)
     assert lengths.sum() == pytest.approx(7000.0)
-    assert len(grid.rsus) == 6
+    assert grid.rsu_radius_m == 600.0
 
 
-def test_rsu_adjacency_matches_lattice(grid):
-    adj = grid.rsu_adjacency()
-    assert sorted(adj[0]) == [1, 3]
-    assert sorted(adj[4]) == [1, 3, 5]
+def test_adjacency_matches_lattice(grid):
+    # RSU r sits at intersection r, so the lattice's adjacency is the RSUs'
+    assert grid.adjacency[0] == [1, 3]
+    assert grid.adjacency[4] == [1, 3, 5]
 
 
 def test_coverage_gap_rejected():
@@ -51,11 +51,11 @@ def test_coverage_gap_rejected():
 
 def test_coverage_rule_boundary_accepted():
     # a radius of exactly half the spacing reaches every segment midpoint
-    assert len(build_grid(1, 2, 1005.0, rsu_radius_m=502.5).rsus) == 2
+    assert build_grid(1, 2, 1005.0, rsu_radius_m=502.5).rsu_radius_m == 502.5
     parse_scenario({"grid": {"rows": 1, "cols": 2, "spacing_m": 1005.0, "rsu_radius_m": 502.5}})
     # a single intersection has no road beyond its own RSU
     for radius in (1e-3, 1.0, 600.0):
-        assert len(build_grid(1, 1, 1000.0, rsu_radius_m=radius).rsus) == 1
+        parse_scenario({"grid": {"rows": 1, "cols": 1, "rsu_radius_m": radius}})
 
 
 def road_points(net, rng, n):
@@ -77,16 +77,16 @@ def test_serving_rsu_matches_covering_rsu_oracle(spacing, radius, hysteresis):
     net = build_grid(2, 3, spacing, rsu_radius_m=radius)
     rng = np.random.default_rng(7)
     pos = road_points(net, rng, 2000)
-    currents = [None, rng.integers(len(net.rsus), size=len(pos))]
+    currents = [None, rng.integers(len(net.intersections), size=len(pos))]
     for current, screen in itertools.product(currents, [0.0, net.screen_radius]):
-        rsu, dist = serving_rsu(pos, net.rsu_positions, net.rsu_radii, current,
+        rsu, dist = serving_rsu(pos, net.intersections, net.rsu_radius_m, current,
                                 hysteresis, screen)
         for i, p in enumerate(pos):
             cur = None if current is None else int(current[i])
             want = covering_rsu(net, p, cur, hysteresis_m=hysteresis)
             assert want is not None  # every road point is covered
             assert rsu[i] == want
-            dx, dy = net.rsu_positions[want] - p
+            dx, dy = net.intersections[want] - p
             assert dist[i] == math.sqrt(dx * dx + dy * dy)
 
 
@@ -148,7 +148,7 @@ def test_screened_serving_rsu_matches_covering_rsu_oracle(case):
     """Screened by the grid's screen radius, ``serving_rsu`` gives the
     oracle's RSU and distance, and the unscreened search's, bit for bit."""
     net, hysteresis, pos, current = case
-    args = (pos, net.rsu_positions, net.rsu_radii, current, hysteresis)
+    args = (pos, net.intersections, net.rsu_radius_m, current, hysteresis)
     rsu, dist = serving_rsu(*args, net.screen_radius)
     full_rsu, full_dist = serving_rsu(*args)
     assert rsu.tolist() == full_rsu.tolist()
@@ -171,6 +171,31 @@ def test_screen_radius_is_half_the_least_separation_capped_at_radius(
         rows, cols, spacing, radius, screen):
     net = build_grid(rows, cols, spacing, rsu_radius_m=radius)
     assert screen * (1 - 2**-39) < net.screen_radius < screen
+
+
+@st.composite
+def lattices(draw):
+    """rows x cols in [1, 60], a spacing that keeps the map side within
+    bounds, and a radius from half the spacing to three spacings."""
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    top = MAX_MAP_SIDE_M / max(1, max(rows, cols) - 1)
+    spacing = draw(st.floats(MIN_SPACING_M, top) | st.floats(1.0, 5000.0))
+    radius = spacing * draw(st.floats(0.5, 3.0))
+    return rows, cols, spacing, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices())
+# c * spacing rounds: here the least gap is below the spacing, and half
+# the spacing would be larger than half the least separation
+@example((43, 35, 571.1978092692377, 571.1978092692377))
+@example((1, 1, 1000.0, 600.0))
+@example((1, 2, MIN_SPACING_M, MIN_SPACING_M))
+@example((60, 2, MAX_MAP_SIDE_M / 59, 3 * MAX_MAP_SIDE_M / 59))
+def test_screen_radius_matches_distance_matrix_oracle(case):
+    rows, cols, spacing, radius = case
+    net = build_grid(rows, cols, spacing, rsu_radius_m=radius)
+    assert float(net.screen_radius).hex() == float(oracles.screen_radius(net)).hex()
 
 
 def test_covering_rsu_hysteresis(grid):
@@ -256,7 +281,7 @@ def test_fleet_spawns_on_region_segments(grid):
     # each vehicle starts on one of the segments at its assigned RSU's
     # intersection, bound for one of that segment's ends
     for i in range(60):
-        node = grid.rsus[int(spawn[i])][0]
+        node = int(spawn[i])
         on_segment = []
         for s in grid.incident[node]:
             assert node in grid.segments[s]
@@ -269,22 +294,16 @@ def test_fleet_spawns_on_region_segments(grid):
         list(range(len(grid.segments))) * 2)
 
 
-def isolated_rsu_network() -> RoadNetwork:
-    """An axis-aligned and a diagonal segment; RSU 2's intersection has none."""
-    pts = np.array([[0.0, 0.0], [700.0, 0.0], [350.0, 900.0], [1234.5, 567.8]])
-    return RoadNetwork(pts, [(0, 1), (1, 3)], [(i, 600.0) for i in range(4)])
-
-
 @pytest.mark.parametrize("net", [
     build_grid(1, 1, 1000.0), build_grid(1, 2, 1000.0), build_grid(3, 1, 750.0),
-    build_grid(2, 3, 1000.0), build_grid(7, 5, 333.3), isolated_rsu_network(),
-], ids=["1x1", "1x2", "3x1", "2x3", "7x5", "isolated_rsu"])
+    build_grid(2, 3, 1000.0), build_grid(7, 5, 333.3),
+], ids=["1x1", "1x2", "3x1", "2x3", "7x5"])
 @pytest.mark.parametrize("spawn", [False, True], ids=["anywhere", "spawn_rsu"])
 def test_fleet_spawn_matches_scalar_oracle(net, spawn):
     """Positions, headings, waypoints, nav intents and the generator's state
     after the spawn are those of the per-vehicle oracle, bit for bit."""
     n = 97
-    spawn_rsu = np.arange(n) % len(net.rsus) if spawn else None
+    spawn_rsu = np.arange(n) % len(net.intersections) if spawn else None
     rng = numpy_stream(11, "mobility")
     fleet = Fleet(net, n, rng, speed_range=(8.0, 15.0), spawn_rsu=spawn_rsu)
     ref_rng = numpy_stream(11, "mobility")

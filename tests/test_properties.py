@@ -42,7 +42,7 @@ def test_hysteresis_anti_flapping(seed):
 def count_switches(net, xs):
     """RSU changes of one vehicle visiting (x, 0) for each x in xs, starting
     from its serving RSU at (500, 0)."""
-    args = (net.rsu_positions, net.rsu_radii)
+    args = (net.intersections, net.rsu_radius_m)
     current, _ = serving_rsu(np.array([[500.0, 0.0]]), *args, None, 100.0)
     switches = 0
     for x in xs:

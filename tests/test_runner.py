@@ -179,7 +179,7 @@ def test_batched_reports_match_per_vehicle_fields():
             # 1 s report windows of 100 ms ticks
             assert mean_speed == window_mean_speed(float(sim.fleet.speed[v]), 10)
             assert mean_speed == pytest.approx(sim.fleet.speed[v])
-            assert cq == channel_quality(d, sim.rsu_radii[rsu])
+            assert cq == channel_quality(d, sim.net.rsu_radius_m)
             assert backlog == local.backlog_cu(v, now)
             assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0
@@ -236,7 +236,7 @@ def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
 
 
 def test_every_vehicle_covered_at_smallest_radius():
-    """At the smallest radius build_grid accepts, half the spacing, each
+    """At the smallest radius the parser accepts, half the spacing, each
     vehicle's serving RSU covers it on every tick."""
     sim = Simulation(parse_scenario({
         "duration_s": 31.0,
@@ -249,7 +249,7 @@ def test_every_vehicle_covered_at_smallest_radius():
     def checked_update():
         nonlocal ticks
         moved, d_cur = update()
-        assert (d_cur <= sim.rsu_radii[sim.current_rsu]).all()
+        assert (d_cur <= sim.net.rsu_radius_m).all()
         ticks += 1
         return moved, d_cur
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 
 from twinsim import runner
 from twinsim.cli import main
+from twinsim.cloud import DIRECTIVE_BYTES
+from twinsim.kernel import link_latency
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
                               MAX_INDEX_WINDOWS, MAX_MAP_SIDE_M, MAX_SERVICE_US,
                               MAX_SPEED_MPS, MAX_TASKS, MAX_TICKS, MAX_TIME_US,
                               MAX_VEHICLES_PER_RSU, MIN_SPACING_M,
-                              ScenarioConfig, default_hotspot_scenario, load_scenario,
-                              parse_scenario, validate)
+                              ScenarioConfig, WorkloadConfig, default_hotspot_scenario,
+                              load_scenario, parse_scenario, validate)
 
 
 def test_defaults():
@@ -23,8 +26,8 @@ def test_defaults():
     assert cfg.n_vehicles == 1200
     assert cfg.mode == "layered"
     assert cfg.duration_us == 300_000_000
-    assert cfg.links["v2r"].base_latency_ms == 5.0
-    assert cfg.links["r2c"].loss_prob == 0.0
+    assert cfg.links.v2r.base_latency_ms == 5.0
+    assert cfg.links.r2c.loss_prob == 0.0
     assert cfg.capacity.edge_cu_s == 1000.0
     validate(cfg)
 
@@ -42,8 +45,8 @@ def test_parse_overrides_nested():
     assert cfg.grid.rows == 3
     assert cfg.grid.cols == 3  # untouched default
     assert cfg.capacity.edge_cu_s == 500.0
-    assert cfg.links["v2r"].loss_prob == 0.05
-    assert cfg.links["v2r"].base_latency_ms == 5.0
+    assert cfg.links.v2r.loss_prob == 0.05
+    assert cfg.links.v2r.base_latency_ms == 5.0
 
 
 def test_unknown_keys_rejected_with_path():
@@ -181,12 +184,64 @@ def test_default_hotspot_scenario_shape():
     validate(cfg)
 
 
-def test_link_to_spec_unit_conversion():
-    cfg = ScenarioConfig()
-    spec = cfg.links["v2r"].to_spec()
-    assert spec.base_latency_us == 5_000
-    assert spec.retx_timeout_us == 20_000
-    assert spec.max_attempts == 3
+def test_link_times_in_microseconds():
+    """A link keeps the scenario's ms and gives the engine whole us; each
+    default link's delay at each message size is pinned."""
+    links = ScenarioConfig().links
+    assert links.v2r.base_latency_us == 5_000
+    assert links.v2r.retx_timeout_us == 20_000
+    assert links.v2r.max_attempts == 3
+    w = WorkloadConfig()
+    sizes = [getattr(w, f.name) for f in fields(w) if f.name.endswith("_bytes")]
+    assert sizes + [DIRECTIVE_BYTES] == [2000, 1000, 500, 100, 1500, 300, 200]
+    delays = {"v2r": [5200, 5100, 5050, 5010, 5150, 5030, 5020],
+              "r2c": [25020, 25010, 25005, 25001, 25015, 25003, 25002],
+              "v2v": [5000, 4000, 3500, 3100, 4500, 3300, 3200],
+              "e2e": [10020, 10010, 10005, 10001, 10015, 10003, 10002]}
+    for name, want in delays.items():
+        link = getattr(links, name)
+        assert [link_latency(link, n) for n in sizes + [DIRECTIVE_BYTES]] == want
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("bandwidth_bps", 0, r"must be > 0"),
+    ("loss_prob", 1.0, r"must be in \[0, 1\)"),
+    ("max_attempts", 0, r"must be >= 1"),
+])
+def test_link_checked_at_parse_time(key, value, message):
+    with pytest.raises(ConfigError, match=rf"^links\.v2r\.{key}: {message}"):
+        parse_scenario({"links": {"v2r": {key: value}}})
+
+
+def test_link_delay_cache_is_no_scenario_key(tmp_path, capsys):
+    data = {"links": {"v2r": {"delays": {}}}}
+    with pytest.raises(ConfigError, match=r"^unknown key: links\.v2r\.delays$"):
+        parse_scenario(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "unknown key: links.v2r.delays" in capsys.readouterr().err
+
+
+MESSAGE_SIZES = [f.name for f in fields(WorkloadConfig) if f.name.endswith("_bytes")]
+
+
+@pytest.mark.parametrize("key", MESSAGE_SIZES)
+def test_message_sizes_not_negative(key):
+    # a negative request or report size parsed, then scheduled a delivery
+    # in the past (CausalityError, CLI exit 1); a negative beacon size ran
+    # with beacons heard before they were sent
+    assert getattr(parse_scenario({"workload": {key: 0}}).workload, key) == 0
+    with pytest.raises(ConfigError, match=rf"^workload\.{key}: must be >= 0"):
+        parse_scenario({"workload": {key: -1}})
+
+
+def test_cli_run_rejects_negative_request_size(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**SMALL_GRID, "workload": {"request_bytes": -100_000_000}}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "workload.request_bytes: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("data,path", [
@@ -263,7 +318,7 @@ def test_whole_float_stored_as_int():
                           "links": {"v2r": {"max_attempts": 2.0}}, "seed": 3.0,
                           "hotspot": {"region": 0.0},
                           "scripted_tasks": [{"device": 1.0, "at_s": 1, "cost_cu": 2}]})
-    values = (cfg.vehicles_per_rsu, cfg.grid.rows, cfg.links["v2r"].max_attempts,
+    values = (cfg.vehicles_per_rsu, cfg.grid.rows, cfg.links.v2r.max_attempts,
               cfg.seed, cfg.hotspot.region, cfg.scripted_tasks[0].device)
     assert values == (2, 1, 2, 3, 0, 1)
     assert all(type(v) is int for v in values)
@@ -288,6 +343,9 @@ def test_cli_run_rejects_fractional_vehicle_count(tmp_path, capsys):
     # parsed, and the third number was ignored
     ({"speed_range_mps": [5, 6, 7]}, r"speed_range_mps: expected two numbers"),
     ({"policy": {"role_quotas": [0.5, 0.5]}}, r"policy\.role_quotas: expected three numbers"),
+    ({"links": 5}, r"links: expected an object"),
+    ({"links": {"v2r": [5.0]}}, r"links\.v2r: expected an object"),
+    ({"links": {"foo": {}}}, r"unknown key: links\.foo"),
 ])
 def test_wrong_shape_rejected_with_path(data, message):
     with pytest.raises(ConfigError, match=message):
