@@ -47,7 +47,7 @@ def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
         print(f"iqr_rt_ms      {stats['iqr_us'] / 1000:.3f}")
     print(f"drop_rate      {stats['drop_rate']:.6f}")
     for tier, count in stats["tier_counts"].items():
-        print(f"tier_{tier:<11}{count}")
+        print(f"{'tier_' + tier:<14} {count}")
     if indices_tail is not None:
         print(f"autonomy_last  {indices_tail[0]:.6f}")
         print(f"coord_last     {indices_tail[1]:.6f}")
@@ -60,8 +60,9 @@ def cmd_run(args) -> int:
     tail = None
     if result.series.autonomy:
         tail = (result.series.autonomy[-1], result.series.coordination[-1])
-    print(f"mode={cfg.mode} seed={cfg.seed} duration_s={cfg.duration_s} "
-          f"generated={result.generated} wall_s={result.wall_time_s:.2f}")
+    for name, value in (("mode", cfg.mode), ("seed", cfg.seed), ("duration_s", cfg.duration_s),
+                        ("generated", result.generated), ("wall_s", f"{result.wall_time_s:.2f}")):
+        print(f"{name:<14} {value}")
     _print_summary(stats, tail)
     return 0
 
@@ -82,14 +83,13 @@ def cmd_summarize(args) -> int:
                 tier=row["tier"] or None,
                 dropped=row["dropped"] == "1",
             ))
-    _print_summary(_summary(records))
-    idx = Path(args.indir) / "indices.csv"
+    idx, tail = Path(args.indir) / "indices.csv", None
     if idx.exists():
         with open(idx, newline="") as fh:
             rows = list(csv.DictReader(fh))
         if rows:
-            print(f"autonomy_last  {float(rows[-1]['autonomy']):.6f}")
-            print(f"coord_last     {float(rows[-1]['coordination']):.6f}")
+            tail = float(rows[-1]["autonomy"]), float(rows[-1]["coordination"])
+    _print_summary(_summary(records), tail)
     return 0
 
 

@@ -52,62 +52,57 @@ class BeaconSnapshot:
     of each directed beacon, and the senders' local queue and role at send
     time.
 
-    ``pairs()`` forms the (m, 2) pairs ``(p0, p1)``; ``ok[i]`` belongs to the
-    ``i``-th directed beacon in their order: the first half are the beacons
-    ``p0 -> p1``, the second half ``p1 -> p0``.  The first ``senders`` or
-    ``bound`` call forms the pairs and builds the index that replaces these
-    raw arrays, so a pass that no handoff reads forms and sorts nothing:
-    each receiver's senders in two ascending runs (below it, above it), and
-    per receiver the bound of a handoff query.
+    ``keys()`` forms the pairs as sorted ``mobility.form_pairs`` keys
+    ``p0 << bits | p1``; ``ok[i]`` belongs to the ``i``-th directed beacon in
+    their order: the first half ``p0 -> p1``, the second half ``p1 -> p0``.
+    The first ``senders`` call forms the keys and builds the index that
+    replaces these raw arrays, so a pass that no handoff reads forms and
+    sorts nothing: the delivered beacons as ``receiver << bits | sender``,
+    sorted once into rows ``src[indptr[v]:indptr[v + 1]]`` of ascending
+    senders; per receiver ``low_src``, its sender of least ranking key
+    ``(backlog_s * cap, id)`` (n if none); and per vehicle the ``floor`` of
+    the backlogs from it on in that order, its own unless a key is shared.
     """
 
-    __slots__ = ("t_send", "heard_at", "raw", "cap", "adv", "key", "low_s", "low_src", "_runs")
+    __slots__ = ("t_send", "heard_at", "raw", "cap", "adv", "key", "floor", "low_src", "src",
+                 "indptr")
 
-    def __init__(self, t_send: int, heard_at: int, pairs, ok: np.ndarray,
+    def __init__(self, t_send: int, heard_at: int, keys, ok: np.ndarray,
                  busy: np.ndarray, role: np.ndarray, cap: float):
         self.t_send = t_send
         self.heard_at = heard_at
-        self.raw = (pairs, ok, busy, role)
+        self.raw = (keys, ok, busy, role)
         self.cap = cap
 
     def senders(self, v: int) -> np.ndarray:
         """Senders of the delivered beacons vehicle ``v`` heard, ascending."""
         if self.raw is not None:
             self._build_index()
-        (below, bp), (above, ap) = self._runs
-        return np.concatenate((below[bp[v]:bp[v + 1]], above[ap[v]:ap[v + 1]]))
-
-    def bound(self, v: int) -> tuple:
-        """Least backlog (s) and ranking key ``(backlog_s * cap, sender)``
-        of the Processing-role senders ``v`` heard; inf if there are none."""
-        if self.raw is not None:
-            self._build_index()
-        s = self.low_src[v]
-        return self.low_s[v], self.key[s], s
+        return self.src[self.indptr.item(v):self.indptr.item(v + 1)]
 
     def _build_index(self) -> None:
-        pairs, ok, busy, role = self.raw
-        pairs = pairs()
-        n, m = len(busy), len(pairs)
-        # per vehicle: its backlog as a Processing-role sender (else inf),
-        # ranking key and rank in (key, id) order; n stands for no sender
-        self.adv = adv = np.where(role == 1, np.maximum(busy - self.t_send, 0) / US_PER_S, np.inf)
-        self.key = np.append(adv * self.cap, np.inf)
-        by_key = np.append(np.argsort(self.key[:-1], kind="stable"), n)
-        rank = np.argsort(by_key[:-1])
-        # unique pair keys p0 * n + p1, in the narrowest unsigned type
-        pairs = pairs.astype(np.min_scalar_type(n * n - 1))
-        key = np.sort(pairs[:, 0] * n + pairs[:, 1])
-        p0 = key // n
-        self.low_s, low_rank, self._runs = np.full(n, np.inf), np.full(n, n), []
-        # runs: p0 -> p1 sorted by (receiver, sender), p1 -> p0 in pair order
-        for run in (np.sort(((key - p0 * n) * n + p0)[ok[:m]]), key[ok[m:]]):
-            dst, src = (a.astype(np.intp) for a in np.divmod(run, n))
-            indptr = np.searchsorted(dst, np.arange(n + 1))
-            got = np.flatnonzero(np.diff(indptr))  # receivers with a sender here
-            for low, per_src in ((self.low_s, adv), (low_rank, rank)):
-                low[got] = np.minimum(low[got], np.minimum.reduceat(per_src[src], indptr[got]))
-            self._runs.append((src, indptr))
+        keys, ok, busy, role = self.raw
+        key = keys()
+        n, bits = len(busy), (len(busy) - 1).bit_length()
+        # per vehicle and n for no sender: its backlog as a Processing-role
+        # sender (else inf), ranking key, (key, id) order, rank and floor
+        self.adv = adv = np.append(
+            np.where(role == 1, np.maximum(busy - self.t_send, 0) / US_PER_S, np.inf), np.inf)
+        self.key = adv * self.cap
+        by_key = np.argsort(self.key, kind="stable")
+        rank = np.empty(n + 1, dtype=np.intp)
+        rank[by_key] = np.arange(n + 1)
+        self.floor = np.empty(n + 1)
+        self.floor[by_key] = np.minimum.accumulate(adv[by_key][::-1])[::-1]
+        # the beacons p0 -> p1, then p1 -> p0, as receiver << bits | sender;
+        # a lost one is all ones and sorts last
+        run = np.concatenate(((key & (1 << bits) - 1) << bits | key >> bits, key))
+        run = np.sort(run | np.negative(~ok, dtype=key.dtype))[:np.count_nonzero(ok)]
+        self.src = src = (run & (1 << bits) - 1).astype(np.intp)
+        self.indptr = indptr = np.searchsorted(run >> bits, np.arange(n + 1, dtype=run.dtype))
+        got = np.flatnonzero(np.diff(indptr))  # receivers with a sender
+        low_rank = np.full(n, n)
+        low_rank[got] = np.minimum.reduceat(rank[src], indptr[got])
         self.low_src = by_key[low_rank]
         self.raw = None
 
@@ -323,26 +318,27 @@ class LocalTwins:
         more than the handoff gap; lowest backlog wins, ties by id.  Uses the
         most recent unexpired beacon per neighbor.
 
-        Newest first, a snapshot whose bound misses the gap or is not below
-        the best so far is skipped; else its bound's sender wins if it has
-        the least backlog and no newer snapshot heard it, or else the best
-        sender that no newer snapshot heard."""
-        cap = self.cfg.capacity.local_cu_s
-        need = own_backlog_cu / cap - self.cfg.thresholds.handoff_gap_s
-        best = None
-        shadow = np.zeros(self.cfg.n_vehicles, dtype=bool)  # heard in a newer snapshot
+        Newest first, a snapshot is skipped unless its ``low_src`` sender's
+        floor passes the gap and its key is below the best so far; then that
+        sender wins if it passes the gap itself and no newer snapshot heard
+        it, or else the best sender that no newer snapshot heard."""
+        need = own_backlog_cu / self._cap - self._handoff_gap_s
+        best = shadow = None  # shadow: heard in a newer snapshot
         for snap in reversed(self.beacon_snapshots):
-            if not 0 <= now - snap.heard_at <= self.neighbor_expiry_us:
+            if not 0 <= now - snap.heard_at <= self.neighbor_expiry_us or not len(
+                    c := snap.senders(v)):
                 continue
-            low_s, key, s = snap.bound(v)
-            c = snap.senders(v)
-            if low_s < need and (best is None or (key, s) < best):
-                if snap.adv[s] == low_s and not shadow[s]:
+            if shadow is None:
+                shadow = np.zeros(len(snap.adv), dtype=bool)
+            s = snap.low_src.item(v)
+            key = snap.key.item(s)
+            if snap.floor.item(s) < need and (best is None or (key, s) < best):
+                if snap.adv.item(s) < need and not shadow.item(s):
                     best = (key, s)
                 else:
                     keys = np.where(shadow[c] | (snap.adv[c] >= need), np.inf, snap.key[c])
                     i = keys.argmin()  # senders ascend: the first least key has the lowest id
-                    if keys[i] < np.inf and (best is None or (keys[i], c[i]) < best):
-                        best = (keys[i], c[i])
+                    if keys.item(i) < np.inf and (best is None or (keys.item(i), c.item(i)) < best):
+                        best = (keys.item(i), c.item(i))
             shadow[c] = True
-        return None if best is None else int(best[1])
+        return None if best is None else best[1]

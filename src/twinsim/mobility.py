@@ -79,6 +79,19 @@ def distances(pos: np.ndarray, rsu_pos: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)  # bit-identical to np.linalg.norm(..., axis=1)
 
 
+NEAREST_BLOCK_CELLS = 1 << 16  # distances per block of rows in nearest()
+
+
+def nearest(pos: np.ndarray, rsu_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``argmin`` RSU of each row of ``distances`` and its distance, a block of rows at a time."""
+    rsu, dist = np.empty(len(pos), dtype=np.intp), np.empty(len(pos))
+    step = max(1, NEAREST_BLOCK_CELLS // len(rsu_pos))
+    for i in range(0, len(pos), step):
+        d = distances(pos[i:i + step], rsu_pos)
+        rsu[i:i + step], dist[i:i + step] = d.argmin(axis=1), d.min(axis=1)
+    return rsu, dist
+
+
 def serving_rsu(
     pos: np.ndarray,
     rsu_pos: np.ndarray,
@@ -97,9 +110,7 @@ def serving_rsu(
     rest keep it, which is exact up to ``RoadNetwork.screen_radius``.
     """
     if current is None:
-        d = distances(pos, rsu_pos)
-        nearest = np.argmin(d, axis=1)
-        return nearest, d[np.arange(len(pos)), nearest]
+        return nearest(pos, rsu_pos)
     rsu_x, rsu_y = rsu_pos.T
     dx = pos[:, 0] - rsu_x[current]
     dy = pos[:, 1] - rsu_y[current]
@@ -107,12 +118,10 @@ def serving_rsu(
     rsu = current.copy()
     far = np.flatnonzero(dist >= screen_m)
     if len(far):
-        d = distances(pos[far], rsu_pos)
-        nearest = d.argmin(axis=1)
-        d_near = d.min(axis=1)
+        near, d_near = nearest(pos[far], rsu_pos)
         cur, d_cur = current[far], dist[far]
         keep = (d_cur <= radius) & (d_cur - d_near <= hysteresis_m)
-        rsu[far] = np.where(keep, cur, nearest)
+        rsu[far] = np.where(keep, cur, near)
         dist[far] = np.where(keep, d_cur, d_near)
     return rsu, dist
 
@@ -205,8 +214,10 @@ K = 3  # grid cells per query radius
 def pairs_within(pos: np.ndarray, r: float) -> np.ndarray:
     """Every pair ``(i, j)``, ``i < j``, of the points ``pos`` (n, 2) with
     ``dx*dx + dy*dy <= r*r`` (scipy's ``cKDTree.query_pairs`` set) as an (m, 2)
-    ``intp`` array: ``form_pairs`` of the ``pair_search`` result."""
-    return form_pairs(*pair_search(pos, r))
+    ``intp`` array: the ``form_pairs`` keys of the ``pair_search`` result, unpacked."""
+    bits = (len(pos) - 1).bit_length()
+    key = form_pairs(*pair_search(pos, r)).astype(np.intp)
+    return np.stack((key >> bits, key & ((1 << bits) - 1)), axis=1)
 
 
 def pair_search(pos: np.ndarray, r: float) -> tuple:
@@ -247,9 +258,12 @@ def pair_search(pos: np.ndarray, r: float) -> tuple:
 
 
 def form_pairs(order, per, j, keep) -> np.ndarray:
-    """The (m, 2) pairs of one ``pair_search`` result, as ``pairs_within``."""
+    """The pairs ``p0 < p1`` of one ``pair_search`` of n points, as sorted keys
+    ``p0 << bits | p1`` (``bits = (n - 1).bit_length()``) of the narrowest unsigned type."""
+    bits = (len(order) - 1).bit_length()
+    order = order.astype(np.min_scalar_type((1 << 2 * bits) - 1))
     a, b = np.repeat(order, per)[keep], order[j]
-    out = np.empty((len(keep), 2), dtype=np.intp)
-    np.minimum(a, b, out=out[:, 0])
-    np.maximum(a, b, out=out[:, 1])
-    return out
+    key = np.minimum(a, b) << bits
+    key |= np.maximum(a, b, out=a)
+    key.sort()
+    return key

@@ -6,6 +6,8 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``spawn_fleet``: ``mobility.Fleet``'s spawn, one vehicle at a time;
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
+- ``nearest_rsu``: ``mobility.nearest``, from the whole distance matrix at
+  once;
 - ``screen_radius``: ``RoadNetwork.screen_radius``, from every RSU
   distance;
 - ``pairs_within``: ``mobility.pairs_within``, the vehicle pairs in V2V
@@ -134,6 +136,14 @@ def covering_rsu(
         return None
     d_masked = np.where(covered, d, np.inf)
     return int(np.argmin(d_masked))
+
+
+def nearest_rsu(pos: np.ndarray, rsu_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest RSU of each position (``argmin``'s, so the first of a
+    tie) and its distance, from the whole (n, R) distance matrix."""
+    d = distances(pos, rsu_pos)
+    nearest = d.argmin(axis=1)
+    return nearest, d[np.arange(len(pos)), nearest]
 
 
 def rsu_distances(net: RoadNetwork, position: np.ndarray) -> np.ndarray:

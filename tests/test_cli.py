@@ -50,6 +50,22 @@ def test_sweep_seed_range_parses():
     assert list(cli.build_parser().parse_args(["sweep"]).seeds) == list(range(10))
 
 
+def test_run_and_summarize_print_a_name_and_a_value_per_line(tmp_path, capsys):
+    # printed "tier_PartnerEdge0": tier names were padded to 11 characters
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(SMALL))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    run = capsys.readouterr().out.splitlines()
+    assert main(["summarize", "--in", str(tmp_path / "out")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    for out in (run, summary):
+        assert [len(line.split()) for line in out] == [2] * len(out)
+    assert [line.split()[0] for line in run[:5]] == [
+        "mode", "seed", "duration_s", "generated", "wall_s"]
+    assert "tier_PartnerEdge" in [line.split()[0] for line in summary]
+    assert run[5:] == summary
+
+
 # parses and runs to the end, and no task completes
 NO_TASKS = {"workload": {"task_rate_hz": 0}, "vehicles_per_rsu": 5, "duration_s": 31}
 

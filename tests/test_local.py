@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twinsim import local as local_module, mobility, runner
 from twinsim.edge import ROLES
 from twinsim.local import BeaconSnapshot, decide_local
-from twinsim.mobility import pairs_within
+from twinsim.mobility import form_pairs, pair_search, pairs_within
 from twinsim.runner import Simulation
 from twinsim.scenario import WorkloadConfig, parse_scenario
 
@@ -123,11 +123,34 @@ def v2v_handoff_sim():
     return Simulation(parse_scenario(copy.deepcopy(SCENARIOS["v2v_handoff"])))
 
 
+def pack(pairs, n: int) -> np.ndarray:
+    """``mobility.form_pairs``'s form of the pairs ``(p0, p1)``, ``p0 < p1``,
+    of n vehicles: sorted keys ``p0 << bits | p1`` in the narrowest unsigned
+    type, ``bits = (n - 1).bit_length()``."""
+    bits = (n - 1).bit_length()
+    dtype = np.min_scalar_type((1 << 2 * bits) - 1)
+    return np.sort([p0 << bits | p1 for p0, p1 in np.asarray(pairs).tolist()]).astype(dtype)
+
+
+def unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (m, 2) ``intp`` pairs of sorted ``form_pairs`` keys of n vehicles."""
+    bits = (n - 1).bit_length()
+    pairs = [divmod(k, 1 << bits) for k in keys.tolist()]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def bound(snap, v: int) -> tuple:
+    """The floor, ranking key and id of the sender of least ranking key
+    that ``v`` heard in ``snap`` (inf, inf, n if none), once it is indexed."""
+    s = snap.low_src[v]
+    return snap.floor[s], snap.key[s], s
+
+
 def capture_passes(local):
     """Wrap ``local.beacon_pass`` so that every new snapshot's pairs, formed
-    at pass time, and its loss draws and sender state are kept (the index
-    build drops them from the snapshot).  Returns the list it fills with
-    ``(snapshot, pairs, ok, busy, role)``."""
+    at pass time and unpacked, and its loss draws and sender state are kept
+    (the index build drops them from the snapshot).  Returns the list it
+    fills with ``(snapshot, pairs, ok, busy, role)``."""
     beacon_pass = local.beacon_pass
     passes = []
 
@@ -136,8 +159,8 @@ def capture_passes(local):
         beacon_pass(now, found)
         if local.beacon_snapshots and local.beacon_snapshots[-1] is not before:
             snap = local.beacon_snapshots[-1]
-            pairs, ok, busy, role = snap.raw
-            passes.append((snap, pairs(), ok, busy, role))
+            keys, ok, busy, role = snap.raw
+            passes.append((snap, unpack(keys(), len(busy)), ok, busy, role))
 
     local.beacon_pass = recorded
     return passes
@@ -211,17 +234,51 @@ def test_beacon_index_of_a_fleet_beyond_32_bit_pair_keys():
     busy[[0, 3, 12, 65_536, 69_999]] = [4 * US, US, US, 2 * US, 3 * US]
     role = np.ones(n, dtype=np.int8)
     role[[12, 65_537]] = 0
-    snap = BeaconSnapshot(0, 400, lambda: pairs, ok, busy, role, 10.0)
+    snap = BeaconSnapshot(0, 400, lambda: pack(pairs, n), ok, busy, role, 10.0)
     dst, src = eager_beacons(pairs, ok, n)
     adv = np.where(role == 1, busy / US, np.inf)
     for v in [*np.unique(pairs).tolist(), 1, n - 2]:
         heard = src[dst == v]
         got = snap.senders(v)
         assert got.dtype.kind == "i" and np.array_equal(got, heard)
-        low_s, key, s = snap.bound(v)
-        assert low_s == min(adv[heard].tolist(), default=np.inf)
-        if low_s < np.inf:
+        floor, key, s = bound(snap, v)
+        # no two of these backlogs share a key, so the floor is the least one heard
+        assert floor == min(adv[heard].tolist(), default=np.inf)
+        if floor < np.inf:
             assert (key, s) == min((adv[h] * 10.0, h) for h in heard.tolist())
+
+
+@pytest.mark.parametrize("n, dtype", [(65_536, np.uint32), (65_537, np.uint64)])
+@pytest.mark.parametrize("lost", ["none", "all", "one_way"])
+def test_beacon_index_at_the_pair_key_width_boundary(n, dtype, lost):
+    """Up to 65,536 vehicles a pair key fits 32 bits, from 65,537 on it takes
+    64.  On either side, with every beacon, no beacon or one direction of
+    each pair delivered, the keys that ``form_pairs`` makes of a search
+    unpack to its pairs, and the index gives the eager senders and bounds."""
+    pos = np.zeros((n, 2))
+    pos[:, 0] = np.arange(n) * 10.0
+    pos[[n - 2, n - 1, 6], 0] = 1.0, 2.0, 53.0  # near 0, 0 and 5
+    keys = form_pairs(*pair_search(pos, 5.0))
+    pairs = unpack(keys, n)
+    assert keys.dtype == pack(pairs, n).dtype == dtype and np.array_equal(keys, pack(pairs, n))
+    assert pairs.tolist() == [[0, n - 2], [0, n - 1], [5, 6], [n - 2, n - 1]]
+    m = len(pairs)
+    forward = {"none": [1] * m, "all": [0] * m, "one_way": [1, 0, 0, 1]}[lost]
+    backward = {"none": [1] * m, "all": [0] * m, "one_way": [0, 1, 1, 0]}[lost]
+    ok = np.array(forward + backward, dtype=bool)
+    busy = np.zeros(n, dtype=np.int64)
+    busy[[0, 5, 6, n - 2, n - 1]] = [3 * US, US, 2 * US, 4 * US, 5 * US]
+    role = np.ones(n, dtype=np.int8)
+    role[6] = 0
+    snap = BeaconSnapshot(0, 400, lambda: keys, ok, busy, role, 10.0)
+    dst, src = eager_beacons(pairs, ok, n)
+    adv = np.where(role == 1, busy / US, np.inf)
+    for v in [0, 1, 5, 6, n - 2, n - 1]:
+        heard = src[dst == v]
+        assert np.array_equal(snap.senders(v), heard)
+        floor, key, s = bound(snap, v)
+        assert floor == min(adv[heard].tolist(), default=np.inf)
+        assert (key, s) == min([(adv[h] * 10.0, h) for h in heard.tolist()], default=(np.inf, n))
 
 
 # The property test's LocalTwins: 10 CU/s on board and a 0.25 s handoff gap,
@@ -309,8 +366,9 @@ def test_handoff_candidate_matches_neighbor_table(world):
     equals a NeighborTable fed, oldest first, every beacon it has heard."""
     passes, now, own = world
     local = property_twins()
-    local.beacon_snapshots = [BeaconSnapshot(t, heard, lambda pairs=pairs: pairs, *rest, CAP)
-                              for t, heard, pairs, *rest in passes]
+    local.beacon_snapshots = [
+        BeaconSnapshot(t, heard, functools.partial(pack, pairs, len(busy)), ok, busy, role, CAP)
+        for t, heard, pairs, ok, busy, role in passes]
     n = len(passes[0][4])
     for v in range(n):
         table = NeighborTable(EXPIRY)
@@ -355,9 +413,9 @@ def test_beacon_index_not_built_without_handoff_query(monkeypatch):
 
 def test_formed_pairs_are_those_of_the_pass_positions(monkeypatch):
     """On every beacon pass of the v2v_handoff digest scenario, the pairs
-    its snapshot forms, on a handoff lookup during the run or after it,
-    equal ``pairs_within`` of a copy of the fleet's positions at the pass,
-    though the tick has moved ``Fleet.pos`` in place since."""
+    its snapshot forms as keys, on a handoff lookup during the run or after
+    it, unpack to ``pairs_within`` of a copy of the fleet's positions at the
+    pass, though the tick has moved ``Fleet.pos`` in place since."""
     sim = v2v_handoff_sim()
     local = sim.local
     positions, passes = [], []
@@ -370,10 +428,10 @@ def test_formed_pairs_are_those_of_the_pass_positions(monkeypatch):
     def recorded_pass(now, found):
         beacon_pass(now, found)
         snap = local.beacon_snapshots[-1]
-        pairs, *rest = snap.raw
-        formed = []  # the pairs formed during the run
-        passes.append((pairs, formed))
-        snap.raw = (lambda: formed.append(pairs()) or formed[-1], *rest)
+        keys, *rest = snap.raw
+        formed = []  # the keys formed during the run
+        passes.append((keys, formed))
+        snap.raw = (lambda: formed.append(keys()) or formed[-1], *rest)
 
     monkeypatch.setattr(runner, "pair_search", recorded_search)
     local.beacon_pass = recorded_pass
@@ -381,8 +439,8 @@ def test_formed_pairs_are_those_of_the_pass_positions(monkeypatch):
     assert len(passes) == len(positions) == 31
     assert any(formed for _, formed in passes)
     assert not np.array_equal(positions[0][0], sim.fleet.pos)
-    for (pairs, formed), (pos, r) in zip(passes, positions):
+    for (keys, formed), (pos, r) in zip(passes, positions):
         want = pairs_within(pos, r)
         assert len(want) > 0
-        for got in [*formed, pairs()]:
-            assert np.array_equal(got, want)
+        for got in [*formed, keys()]:
+            assert got.dtype == np.uint32 and np.array_equal(unpack(got, len(pos)), want)

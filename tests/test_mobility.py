@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinsim import runner
+from twinsim import mobility, runner
 from twinsim.kernel import numpy_stream
 from twinsim.mobility import (ConfigError, Fleet, build_grid, distances, pair_search,
                               pairs_within, serving_rsu)
@@ -88,6 +88,44 @@ def test_serving_rsu_matches_covering_rsu_oracle(spacing, radius, hysteresis):
             assert rsu[i] == want
             dx, dy = net.intersections[want] - p
             assert dist[i] == math.sqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("block", [1, 5, 35, 36, 1 << 16])
+def test_blocked_nearest_rsu_matches_unblocked_oracle(block, monkeypatch):
+    """Searched in row blocks of any size, each position's nearest RSU and
+    its distance are those of the whole distance matrix, bit for bit, ties
+    included (on the lattice's half-steps 2 or 4 RSUs are equally near), and
+    so is ``serving_rsu``'s answer from no RSU and past the screen."""
+    net = build_grid(5, 7, 100.0, rsu_radius_m=80.0)
+    rng = np.random.default_rng(5)
+    half_steps = [[x, y] for x in np.arange(0.0, 601.0, 50.0) for y in np.arange(0.0, 401.0, 50.0)]
+    pos = np.concatenate((road_points(net, rng, 500), half_steps))
+    current = rng.integers(len(net.intersections), size=len(pos))
+    args = (pos, net.intersections, net.rsu_radius_m)
+    monkeypatch.setattr(mobility, "NEAREST_BLOCK_CELLS", 1 << 62)  # the whole matrix at once
+    whole = serving_rsu(*args, current, 30.0, net.screen_radius)
+    monkeypatch.setattr(mobility, "NEAREST_BLOCK_CELLS", block)
+    want_rsu, want_dist = oracles.nearest_rsu(pos, net.intersections)
+    for rsu, dist in (mobility.nearest(pos, net.intersections), serving_rsu(*args, None, 30.0)):
+        assert rsu.tolist() == want_rsu.tolist() and dist.tobytes() == want_dist.tobytes()
+    rsu, dist = serving_rsu(*args, current, 30.0, net.screen_radius)
+    assert rsu.tolist() == whole[0].tolist() and dist.tobytes() == whole[1].tobytes()
+
+
+def test_set_up_of_a_large_lattice_holds_no_whole_distance_matrix():
+    """Each vehicle's first RSU comes from row blocks of the vehicles x RSUs
+    distances: on 40 x 40 RSUs with a vehicle each, the whole matrix (2.56M
+    distances of 8 bytes) and its temporaries took the set-up's traced peak
+    to about 80 MB."""
+    cfg = parse_scenario({"grid": {"rows": 40, "cols": 40}, "vehicles_per_rsu": 1,
+                          "duration_s": 31})
+    tracemalloc.start()
+    try:
+        runner.Simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_distances_are_the_axis_1_norm_bit_for_bit():
