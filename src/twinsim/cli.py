@@ -26,15 +26,6 @@ def _load(args, seed: int | None = None) -> ScenarioConfig:
     return cfg
 
 
-def _summary(records: list) -> dict:
-    """``metrics.summarize``, or for a run in which no task completed the
-    counts alone, with None for the response times."""
-    if any(r.completed_us is not None for r in records):
-        return metrics.summarize(records)
-    return {"n_completed": 0, "median_us": None, "tier_counts": dict.fromkeys(metrics.TIERS, 0),
-            "drop_rate": sum(r.dropped for r in records) / max(1, len(records))}
-
-
 def _ms(us: float | None) -> str:
     return "n/a" if us is None else f"{us / 1000:.3f}"
 
@@ -56,7 +47,7 @@ def _print_summary(stats: dict, indices_tail: tuple | None = None) -> None:
 def cmd_run(args) -> int:
     cfg = _load(args, args.seed)
     result = run_showcase(cfg, outdir=args.out)
-    stats = _summary(result.records)
+    stats = metrics.summarize(result.records)
     tail = None
     if result.series.autonomy:
         tail = (result.series.autonomy[-1], result.series.coordination[-1])
@@ -89,7 +80,7 @@ def cmd_summarize(args) -> int:
             rows = list(csv.DictReader(fh))
         if rows:
             tail = float(rows[-1]["autonomy"]), float(rows[-1]["coordination"])
-    _print_summary(_summary(records), tail)
+    _print_summary(metrics.summarize(records), tail)
     return 0
 
 
@@ -112,7 +103,7 @@ def cmd_sweep(args) -> int:
         cfg.seed = seed
         outdir = Path(args.out) / f"seed{seed}" if args.out else None
         result = run_showcase(cfg, outdir=outdir)
-        stats = _summary(result.records)
+        stats = metrics.summarize(result.records)
         if stats["median_us"] is not None:
             medians.append(stats["median_us"])
         print(f"seed={seed} completed={stats['n_completed']} "

@@ -57,15 +57,12 @@ class BeaconSnapshot:
     their order: the first half ``p0 -> p1``, the second half ``p1 -> p0``.
     The first ``senders`` call forms the keys and builds the index that
     replaces these raw arrays, so a pass that no handoff reads forms and
-    sorts nothing: the delivered beacons as ``receiver << bits | sender``,
-    sorted once into rows ``src[indptr[v]:indptr[v + 1]]`` of ascending
-    senders; per receiver ``low_src``, its sender of least ranking key
-    ``(backlog_s * cap, id)`` (n if none); and per vehicle the ``floor`` of
-    the backlogs from it on in that order, its own unless a key is shared.
+    sorts nothing: per vehicle its ranking ``key`` (its backlog in CU as a
+    Processing-role sender, else inf), and each receiver's senders in
+    ``(key, id)`` order, ``src[indptr[v]:indptr[v + 1]]``.
     """
 
-    __slots__ = ("t_send", "heard_at", "raw", "cap", "adv", "key", "floor", "low_src", "src",
-                 "indptr")
+    __slots__ = ("t_send", "heard_at", "raw", "cap", "key", "src", "indptr")
 
     def __init__(self, t_send: int, heard_at: int, keys, ok: np.ndarray,
                  busy: np.ndarray, role: np.ndarray, cap: float):
@@ -75,35 +72,28 @@ class BeaconSnapshot:
         self.cap = cap
 
     def senders(self, v: int) -> np.ndarray:
-        """Senders of the delivered beacons vehicle ``v`` heard, ascending."""
+        """Senders of the delivered beacons vehicle ``v`` heard, in ``(key, id)`` order."""
         if self.raw is not None:
             self._build_index()
         return self.src[self.indptr.item(v):self.indptr.item(v + 1)]
 
     def _build_index(self) -> None:
         keys, ok, busy, role = self.raw
-        key = keys()
+        pairs = keys()
         n, bits = len(busy), (len(busy) - 1).bit_length()
-        # per vehicle and n for no sender: its backlog as a Processing-role
-        # sender (else inf), ranking key, (key, id) order, rank and floor
-        self.adv = adv = np.append(
-            np.where(role == 1, np.maximum(busy - self.t_send, 0) / US_PER_S, np.inf), np.inf)
-        self.key = adv * self.cap
+        low = (1 << bits) - 1
+        self.key = np.where(role == 1, np.maximum(busy - self.t_send, 0) / US_PER_S * self.cap,
+                            np.inf)
         by_key = np.argsort(self.key, kind="stable")
-        rank = np.empty(n + 1, dtype=np.intp)
-        rank[by_key] = np.arange(n + 1)
-        self.floor = np.empty(n + 1)
-        self.floor[by_key] = np.minimum.accumulate(adv[by_key][::-1])[::-1]
-        # the beacons p0 -> p1, then p1 -> p0, as receiver << bits | sender;
-        # a lost one is all ones and sorts last
-        run = np.concatenate(((key & (1 << bits) - 1) << bits | key >> bits, key))
-        run = np.sort(run | np.negative(~ok, dtype=key.dtype))[:np.count_nonzero(ok)]
-        self.src = src = (run & (1 << bits) - 1).astype(np.intp)
-        self.indptr = indptr = np.searchsorted(run >> bits, np.arange(n + 1, dtype=run.dtype))
-        got = np.flatnonzero(np.diff(indptr))  # receivers with a sender
-        low_rank = np.full(n, n)
-        low_rank[got] = np.minimum.reduceat(rank[src], indptr[got])
-        self.low_src = by_key[low_rank]
+        rank = np.empty(n, dtype=pairs.dtype)
+        rank[by_key] = np.arange(n, dtype=pairs.dtype)
+        # the beacons p0 -> p1, then p1 -> p0, as receiver << bits | rank of
+        # the sender; a lost one is all ones and sorts last
+        p0, p1 = pairs >> bits, pairs & low
+        run = np.concatenate((p1 << bits | rank.take(p0), p0 << bits | rank.take(p1)))
+        run = np.sort(run | np.negative(~ok, dtype=pairs.dtype))[:np.count_nonzero(ok)]
+        self.src = by_key.take(run & low)
+        self.indptr = np.searchsorted(run >> bits, np.arange(n + 1, dtype=run.dtype))
         self.raw = None
 
 
@@ -316,29 +306,26 @@ class LocalTwins:
     def handoff_candidate(self, v: int, now: int, own_backlog_cu: float) -> int | None:
         """Processing-role neighbor whose advertised backlog trails ours by
         more than the handoff gap; lowest backlog wins, ties by id.  Uses the
-        most recent unexpired beacon per neighbor.
-
-        Newest first, a snapshot is skipped unless its ``low_src`` sender's
-        floor passes the gap and its key is below the best so far; then that
-        sender wins if it passes the gap itself and no newer snapshot heard
-        it, or else the best sender that no newer snapshot heard."""
-        need = own_backlog_cu / self._cap - self._handoff_gap_s
-        best = shadow = None  # shadow: heard in a newer snapshot
+        most recent unexpired beacon per neighbor: newest first, a snapshot's
+        senders are walked in ``(key, id)`` order up to the first that fails
+        the gap (the test is monotone in the key) or does not beat the best so
+        far, and the first that no newer snapshot heard is the new best."""
+        cap = self._cap
+        need = own_backlog_cu / cap - self._handoff_gap_s
+        best = heard = None  # heard: by a newer snapshot
         for snap in reversed(self.beacon_snapshots):
             if not 0 <= now - snap.heard_at <= self.neighbor_expiry_us or not len(
                     c := snap.senders(v)):
                 continue
-            if shadow is None:
-                shadow = np.zeros(len(snap.adv), dtype=bool)
-            s = snap.low_src.item(v)
-            key = snap.key.item(s)
-            if snap.floor.item(s) < need and (best is None or (key, s) < best):
-                if snap.adv.item(s) < need and not shadow.item(s):
+            if heard is None:
+                heard = np.zeros(len(snap.key), dtype=bool)
+            for i in range(len(c)):
+                s = c.item(i)
+                key = snap.key.item(s)
+                if not key / cap < need or best is not None and (key, s) >= best:
+                    break
+                if not heard.item(s):
                     best = (key, s)
-                else:
-                    keys = np.where(shadow[c] | (snap.adv[c] >= need), np.inf, snap.key[c])
-                    i = keys.argmin()  # senders ascend: the first least key has the lowest id
-                    if keys.item(i) < np.inf and (best is None or (keys.item(i), c.item(i)) < best):
-                        best = (keys.item(i), c.item(i))
-            shadow[c] = True
+                    break
+            heard[c] = True
         return None if best is None else best[1]

@@ -63,10 +63,10 @@ def nearest_rank(values: list[float], q: float) -> float:
 
 
 def summarize(records: list[TaskRecord]) -> dict:
-    """Distribution summary over completed records plus drop accounting."""
+    """Distribution summary over completed records plus drop accounting:
+    None for the response times if no task completed, drop rate 0 for no
+    records."""
     rts = [r.rt_us for r in records if r.completed_us is not None]
-    if not rts:
-        raise ValueError("no completed task records")
     counts = {t: 0 for t in TIERS}
     dropped = 0
     for r in records:
@@ -76,10 +76,10 @@ def summarize(records: list[TaskRecord]) -> dict:
             dropped += 1
     return {
         "n_completed": len(rts),
-        "median_us": median(rts),
-        "p95_us": nearest_rank(rts, 0.95),
-        "iqr_us": nearest_rank(rts, 0.75) - nearest_rank(rts, 0.25),
-        "drop_rate": dropped / len(records),
+        "median_us": median(rts) if rts else None,
+        "p95_us": nearest_rank(rts, 0.95) if rts else None,
+        "iqr_us": nearest_rank(rts, 0.75) - nearest_rank(rts, 0.25) if rts else None,
+        "drop_rate": dropped / max(1, len(records)),
         "tier_counts": counts,
     }
 

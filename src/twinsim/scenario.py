@@ -144,11 +144,16 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str, whole: bool = False):
-    """``value`` if it is a number (JSON true/false is not), else a
-    ConfigError that names the key.  With ``whole``, where the default is an
-    ``int``, it must be a whole number and comes back as an ``int``."""
+    """``value`` if it is a number (JSON true/false is not) that a float can
+    hold, else a ConfigError that names the key.  With ``whole``, where the
+    default is an ``int``, it must be a whole number and comes back as an
+    ``int``."""
     if not _is_number(value):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: integer too large for a float") from None
     if whole and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name}: expected a whole number, got {value!r}")
     return int(value) if whole else value
@@ -339,7 +344,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         return ScenarioConfig()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal of too many digits
         raise ConfigError(f"invalid JSON in {path}: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("scenario file must contain a JSON object")

@@ -45,6 +45,16 @@ def test_summarize_oracle():
     assert s["tier_counts"]["Cloud"] == 0
 
 
+def test_summarize_without_completions():
+    """No completed task: None for every response time and zero tier
+    counts; no records at all: drop rate 0."""
+    none_done = [TaskRecord(0, 0, 0, dropped=True), TaskRecord(1, 0, 0, tier="Edge")]
+    for records, drop_rate in [(none_done, 0.5), ([], 0.0)]:
+        assert summarize(records) == {
+            "n_completed": 0, "median_us": None, "p95_us": None, "iqr_us": None,
+            "drop_rate": drop_rate, "tier_counts": dict.fromkeys(TIERS, 0)}
+
+
 def test_autonomy_series_carry_forward():
     records = [
         done(0, 0, 5 * US, tier="Local"),

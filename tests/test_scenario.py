@@ -580,3 +580,42 @@ def test_geometry_and_speed_bounds_admit_their_limits():
     ]:
         with pytest.raises(ConfigError, match=rf"^{path}: "):
             parse_scenario(data)
+
+
+BIG = 10**400  # an integer literal that no float holds
+
+
+@pytest.mark.parametrize("data,path", [
+    # each raised OverflowError in the finiteness check or in float() (CLI exit 1)
+    ({"duration_s": BIG}, r"duration_s"),
+    ({"duration_s": -BIG}, r"duration_s"),
+    ({"grid": {"rows": BIG}}, r"grid\.rows"),
+    ({"scripted_tasks": [{"device": 0, "at_s": BIG, "cost_cu": 1}]},
+     r"scripted_tasks\[0\]\.at_s"),
+    ({"workload": {"request_bytes": BIG}}, r"workload\.request_bytes"),
+    ({"links": {"v2r": {"max_attempts": BIG}}}, r"links\.v2r\.max_attempts"),
+    ({"hotspot": {"t_end_s": BIG}}, r"hotspot\.t_end_s"),
+    ({"speed_range_mps": [1, BIG]}, r"speed_range_mps\[1\]"),
+])
+def test_integers_too_large_for_a_float_rejected(data, path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    with pytest.raises(ConfigError, match=rf"^{path}: integer too large for a float$"):
+        parse_scenario(data)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert re.search(rf"{path}: integer too large", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ['{"duration_s": %s}' % ("1" * 5000),
+                                  '{"grid": {"rows": -%s}}' % ("9" * 4301)],
+                         ids=["duration_s", "grid.rows"])
+def test_integer_literals_past_the_digit_limit_rejected(text, tmp_path, capsys, monkeypatch):
+    # json.loads raised ValueError, not JSONDecodeError (CLI exit 1)
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(text)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_scenario(scenario)
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
