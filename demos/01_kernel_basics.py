@@ -1,15 +1,14 @@
 """Kernel walkthrough: deterministic event ordering, link pricing, and loss.
 
 The engine runs on an integer microsecond clock.  Events fire in
-(fire_at, seq) order, so two runs with the same inputs replay identically.
+(fire_at, seq) order, and the engine holds the loss stream it is built
+with, so two runs with the same inputs replay identically.
 """
-import random
-
 from twinsim.kernel import Engine, LinkSpec, link_latency, rng_stream
 
 # -- ordering ---------------------------------------------------------------
 
-eng = Engine()
+eng = Engine(rng_stream(0, "loss"))
 log = []
 eng.schedule(5_000, log.append, "timer at 5 ms")
 eng.schedule(2_000, log.append, "timer at 2 ms")
@@ -33,12 +32,11 @@ print(f"  1500 B over R2C: {link_latency(r2c, 1500)} us")
 
 # -- loss, retransmission, conservation ------------------------------------
 
-eng = Engine()
+eng = Engine(rng_stream(0, "loss"))
 received = []
 eng.register("edge", received.append)
-rng = rng_stream(0, "loss")
 for i in range(1000):
-    eng.send("edge", i, 2000, v2r, rng)
+    eng.send("edge", i, 2000, v2r)
 eng.run_until(1_000_000)
 
 m = eng.messages
@@ -50,13 +48,12 @@ assert m.sent == m.delivered + m.dropped + m.in_flight
 # -- determinism ------------------------------------------------------------
 
 def run_once():
-    eng = Engine()
+    eng = Engine(rng_stream(42, "loss"))
     seen = []
     eng.register("sink", seen.append)
-    rng = rng_stream(42, "loss")
     lossy = LinkSpec(1.0, 1e6, loss_prob=0.3, retx_timeout_ms=5.0, max_attempts=2)
     for i in range(50):
-        eng.send("sink", i, 100, lossy, rng)
+        eng.send("sink", i, 100, lossy)
     eng.run_until(100_000)
     return seen
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from .edge import PARAM_RANGES, Policy, UplinkPackage
-from .kernel import US_PER_S
+from .kernel import US_PER_S, rng_stream
 from .local import drop_task
 from .metrics import BELOW_CLOUD, median
 
@@ -44,15 +44,14 @@ class PolicyBlueprint:
         return f"{self.target}:{self.epoch}"
 
 
-def blueprint_to_json(bp: PolicyBlueprint) -> str:
-    # json writes the role_quotas tuple as a list
-    payload = {
+def blueprint_dict(bp: PolicyBlueprint) -> dict:
+    # its object in epochs.jsonl; json writes the role_quotas tuple as a list
+    return {
         "target": bp.target,
         "epoch": bp.epoch,
         "parent": bp.parent_id,
         "params": asdict(bp.policy),
     }
-    return json.dumps(payload, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ class EpochRecord:
         payload = {
             "epoch": self.epoch,
             "rsu": self.rsu_id,
-            "blueprint": json.loads(blueprint_to_json(self.blueprint)),
+            "blueprint": blueprint_dict(self.blueprint),
             "median_rt_us": self.median_rt_us,
             "autonomy": self.autonomy,
             "decision": self.decision,
@@ -225,8 +224,7 @@ class CloudTwin:
         self.engine = world.engine
         self._r2c = cfg.links.r2c
         self.current_rsu = world.current_rsu
-        self.rng_loss = world.rng_loss
-        self.rng_mutation = world.rng_mutation
+        self.rng_mutation = rng_stream(cfg.seed, "mutation")
         self.epoch_us = epoch_us
         regions = range(cfg.n_rsus)
         self.graph = KnowledgeGraph(list(regions), world.net.adjacency)
@@ -257,7 +255,7 @@ class CloudTwin:
         """Send a result to the edge that serves its vehicle now."""
         self.engine.send(self.current_rsu.item(task.origin), ("result", task),
                          self.cfg.workload.response_bytes, self._r2c,
-                         self.rng_loss, on_drop=drop_task)
+                         on_drop=drop_task)
 
     def tally(self, task) -> None:
         """A completed task counts toward its origin region's epoch."""
@@ -285,12 +283,11 @@ class CloudTwin:
             candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
             fractions[r] = candidate.policy.offload_fraction
             self.engine.send(r, ("blueprint", candidate),
-                             self.cfg.workload.blueprint_bytes, self._r2c,
-                             self.rng_loss)
+                             self.cfg.workload.blueprint_bytes, self._r2c)
         nodes = self.graph.nodes
         for d in coordinate(self.graph, fractions, epoch_idx + 1, now + self.epoch_us):
             self.directive_log.append(DirectiveLogEntry(
                 now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
                 nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
             self.engine.send(d.from_rsu, ("directive", d), DIRECTIVE_BYTES,
-                             self._r2c, self.rng_loss)
+                             self._r2c)

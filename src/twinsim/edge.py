@@ -199,7 +199,6 @@ class EdgeTwin:
         self.rsu_id = rsu_id
         self.engine = world.engine
         self.current_rsu = world.current_rsu
-        self.rng_loss = world.rng_loss
         self.held = held
         self.label_log = label_log
         # kernel endpoints: the cloud, then one shared by every vehicle
@@ -237,7 +236,7 @@ class EdgeTwin:
             self.directive = payload[1]
         elif kind == "result":
             self.engine.send(self._vehicles, ("result", payload[1]), self._response_bytes,
-                             self._v2r, self.rng_loss, on_drop=drop_task)
+                             self._v2r, on_drop=drop_task)
 
     def _task(self, task, relayed: bool) -> None:
         now = self.engine.now
@@ -251,7 +250,7 @@ class EdgeTwin:
                     and self.last_utilization > self._util_high
                     and self.thinning.take(directive.fraction)):
                 self.engine.send(directive.to_rsu, ("relay_task", task), self._request_bytes,
-                                 self._e2e, self.rng_loss, on_drop=drop_task)
+                                 self._e2e, on_drop=drop_task)
                 return
             if self.server.backlog_s(now) <= self._backlog_to_cloud_s:
                 finish = self.server.enqueue(now, task.cost_cu)
@@ -259,17 +258,17 @@ class EdgeTwin:
                 self.engine.schedule(finish, self._done, task, kind="compute")
                 return
         self.engine.send(self._cloud, ("task", task), self._request_bytes,
-                         self._r2c, self.rng_loss, on_drop=drop_task)
+                         self._r2c, on_drop=drop_task)
 
     def _done(self, task) -> None:
         self.window.processed_cu += task.cost_cu
         if task.tier == "Edge" and self.current_rsu.item(task.origin) != self.rsu_id:
             # member left during service: forward the result via the cloud relay
             self.engine.send(self._cloud, ("relay_result", task), self._response_bytes,
-                             self._r2c, self.rng_loss, on_drop=drop_task)
+                             self._r2c, on_drop=drop_task)
             return
         self.engine.send(self._vehicles, ("result", task), self._response_bytes,
-                         self._v2r, self.rng_loss, on_drop=drop_task)
+                         self._v2r, on_drop=drop_task)
 
     def _report(self, report: tuple) -> None:
         """report is (device, mean_speed, channel_quality, backlog_cu)."""
@@ -307,7 +306,7 @@ class EdgeTwin:
         self.last_utilization = utilization
         self.label_log.append(LabelLogEntry(now, self.rsu_id, labels, utilization, mean_speed))
         self.engine.send(self._cloud, ("uplink", UplinkPackage(self.rsu_id, labels, utilization)),
-                         cfg.workload.uplink_bytes, self._r2c, self.rng_loss)
+                         cfg.workload.uplink_bytes, self._r2c)
         self.window = FusionWindow()
 
         # role churn follows the fused picture

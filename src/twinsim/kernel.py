@@ -93,9 +93,11 @@ class MessageCounters:
 
 class Engine:
     """Single-threaded event loop. One instance per simulation run; seed
-    sweeps run isolated instances with no shared state."""
+    sweeps run isolated instances with no shared state.  Every loss draw,
+    of a send or of a retransmission, is the next ``loss_rng.random()``."""
 
-    def __init__(self):
+    def __init__(self, loss_rng):
+        self._random = loss_rng.random
         self.now: int = 0
         self._seq: int = 0
         # every pending event of window ``_window`` or earlier is in
@@ -150,39 +152,38 @@ class Engine:
     def register(self, name, handler) -> None:
         self._endpoints[name] = handler
 
-    def send(self, dst, payload, nbytes: int, link: LinkSpec, rng, on_drop=None) -> None:
+    def send(self, dst, payload, nbytes: int, link: LinkSpec, on_drop=None) -> None:
         """Deliver payload to dst after link latency; on loss, retransmit
         after retx_timeout up to max_attempts, then record a drop."""
         handler = self._endpoints.get(dst)
         if handler is None:
             raise RoutingError(f"unknown endpoint: {dst!r}")
         self.messages.sent += 1
-        if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-            self._lost(handler, payload, nbytes, link, rng, 1, on_drop)
+        if link.loss_prob > 0.0 and self._random() < link.loss_prob:
+            self._lost(handler, payload, nbytes, link, 1, on_drop)
         else:
             delay = link.delays.get(nbytes)
             if delay is None:
                 delay = self._delay(link, nbytes)
             self.schedule(self.now + delay, self._deliver, handler, payload, kind="delivery")
 
-    def send_batch(self, dsts: np.ndarray, nbytes: int, link: LinkSpec, rng, deliver,
-                   payload, on_drop=None) -> None:
+    def send_batch(self, dsts: np.ndarray, nbytes: int, link: LinkSpec, deliver,
+                   payload) -> None:
         """Send one message to each endpoint in the array dsts, drawing the
         loss of each in order as ``send`` would.  The messages that get
         through on their first attempt share one delivery event, which calls
         ``deliver`` once with their indices, ascending, in an array; a lost
         message i carries ``payload(i)`` and retransmits on its own, as
-        ``send`` does.  The loss draws all come first, so ``payload`` and
-        ``on_drop`` must not draw from ``rng``."""
+        ``send`` does.  The loss draws all come first."""
         unknown = set(np.asarray(dsts).tolist()).difference(self._endpoints)
         if unknown:
             raise RoutingError(f"unknown endpoint: {unknown.pop()!r}")
         n = len(dsts)
         self.messages.sent += n
-        lost = (np.fromiter(iter(rng.random, None), float, n) < link.loss_prob
+        lost = (np.fromiter(iter(self._random, None), float, n) < link.loss_prob
                 if link.loss_prob > 0.0 else np.zeros(n, dtype=bool))
         for i in np.flatnonzero(lost).tolist():
-            self._lost(self._endpoints[dsts[i]], payload(i), nbytes, link, rng, 1, on_drop)
+            self._lost(self._endpoints[dsts[i]], payload(i), nbytes, link, 1, None)
         delivered = np.flatnonzero(~lost)
         if len(delivered):
             self.schedule(self.now + self._delay(link, nbytes), self._deliver_batch,
@@ -196,7 +197,7 @@ class Engine:
             delay = link.delays[nbytes] = link_latency(link, nbytes)
         return delay
 
-    def _lost(self, handler, payload, nbytes, link, rng, attempt, on_drop) -> None:
+    def _lost(self, handler, payload, nbytes, link, attempt, on_drop) -> None:
         """Attempt number ``attempt`` was lost: retry after the timeout, or
         drop once max_attempts are used up."""
         if attempt >= link.max_attempts:
@@ -205,13 +206,13 @@ class Engine:
                 on_drop(payload)
         else:
             self.schedule(self.now + link.retx_timeout_us, self._retransmit,
-                          handler, payload, nbytes, link, rng, attempt + 1, on_drop,
+                          handler, payload, nbytes, link, attempt + 1, on_drop,
                           kind="retx")
 
-    def _retransmit(self, handler, payload, nbytes, link, rng, attempt, on_drop) -> None:
+    def _retransmit(self, handler, payload, nbytes, link, attempt, on_drop) -> None:
         """Attempt number ``attempt``, after a lost one: one more loss draw."""
-        if rng.random() < link.loss_prob:
-            self._lost(handler, payload, nbytes, link, rng, attempt, on_drop)
+        if self._random() < link.loss_prob:
+            self._lost(handler, payload, nbytes, link, attempt, on_drop)
         else:
             self.schedule(self.now + self._delay(link, nbytes), self._deliver,
                           handler, payload, kind="delivery")

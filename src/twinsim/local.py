@@ -22,7 +22,7 @@ from math import log
 
 import numpy as np
 
-from .kernel import US_PER_S, link_latency
+from .kernel import US_PER_S, link_latency, numpy_stream, rng_stream
 from .metrics import TaskRecord
 from .mobility import form_pairs
 
@@ -40,11 +40,10 @@ def decide_local(cost_cu: float, local_serve_threshold: float, backlog_cu: float
 
 
 def drop_task(payload) -> None:
-    """``on_drop`` of every message that carries a task as its last element:
-    the task is dropped unless it already completed."""
-    task = payload[-1]
-    if task.completed_us is None:
-        task.dropped = True
+    """``on_drop`` of every message that carries a task as its last element.
+    Only one message carries a task at a time, so a task settles once: it
+    completes or it is dropped."""
+    payload[-1].dropped = True
 
 
 class BeaconSnapshot:
@@ -106,9 +105,8 @@ class LocalTwins:
         cfg = self.cfg = world.cfg
         self.engine = world.engine
         self.current_rsu = world.current_rsu
-        self.rng_tasks = world.rng_tasks
-        self.rng_loss = world.rng_loss
-        self.rng_beacons = world.rng_beacons
+        self.rng_tasks = rng_stream(cfg.seed, "tasks")
+        self.rng_beacons = numpy_stream(cfg.seed, "beacons")
         self.edges = edges
         self.held = held
         self._tally = cloud.tally
@@ -188,13 +186,13 @@ class LocalTwins:
         backlog_cu = max(0, self.busy_until.item(v) - now) / US_PER_S * cap
         if decide_local(cost, threshold, backlog_cu, cap, self._backlog_limit_s) == "edge":
             self.engine.send(rsu, ("task", task), self._request_bytes, self._v2r,
-                             self.rng_loss, on_drop=drop_task)
+                             on_drop=drop_task)
             return
         if backlog_cu / cap > self._handoff_gap_s:
             peer = self.handoff_candidate(v, now, backlog_cu)
             if peer is not None:
                 self.engine.send(self.endpoint, ("handoff", peer, task), self._request_bytes,
-                                 self._v2v, self.rng_loss, on_drop=drop_task)
+                                 self._v2v, on_drop=drop_task)
                 return
         self._serve(v, task)
 
@@ -222,7 +220,7 @@ class LocalTwins:
             self.complete(task)
         else:
             self.engine.send(self.endpoint, ("result", task), self.cfg.workload.response_bytes,
-                             self._v2v, self.rng_loss, on_drop=drop_task)
+                             self._v2v, on_drop=drop_task)
 
     # -- vehicle endpoint --------------------------------------------------
 
@@ -235,8 +233,6 @@ class LocalTwins:
             self._serve(payload[1], payload[2])
 
     def complete(self, task: TaskRecord) -> None:
-        if task.completed_us is not None or task.dropped:
-            return
         task.completed_us = self.engine.now
         self._tally(task)
 
@@ -259,7 +255,7 @@ class LocalTwins:
         def payload(v):
             return "report", (v, speed.item(v), cq.item(v), backlog.item(v))
 
-        self.engine.send_batch(rsu, cfg.workload.report_bytes, self._v2r, self.rng_loss,
+        self.engine.send_batch(rsu, cfg.workload.report_bytes, self._v2r,
                                partial(self.held.take_batch, self.edges, self.current_rsu,
                                        batch), payload)
 
@@ -276,7 +272,7 @@ class LocalTwins:
         report = (v, self.mean_speed.item(v), self._report_cq.item(v),
                   self.backlog_cu(v, self.engine.now))
         self.engine.send(self.current_rsu.item(v), ("report", report),
-                         self.cfg.workload.report_bytes, self._v2r, self.rng_loss)
+                         self.cfg.workload.report_bytes, self._v2r)
 
     def beacon_pass(self, now: int, found: tuple) -> None:
         """Batched V2V beacon pass over the vehicle pairs in range, as

@@ -128,37 +128,39 @@ def serving_rsu(
 
 class Fleet:
     """Vectorized vehicle population; behaviorally identical to applying
-    the scalar stepper of tests/oracles.py per vehicle in index order."""
+    the scalar stepper of tests/oracles.py per vehicle in index order.  The
+    spawn and every waypoint draw come from ``rng``; a step is ``dt`` s."""
 
     def __init__(
         self,
         net: RoadNetwork,
         n: int,
         rng: np.random.Generator,
+        dt: float,
         speed_range: tuple[float, float] = (8.0, 15.0),
         spawn_rsu: np.ndarray | None = None,
     ):
         self.net = net
         self.n = n
+        self.rng = rng
         self.speed = rng.uniform(speed_range[0], speed_range[1], size=n)
         self.heading = np.zeros((n, 2))
         self.waypoint = np.zeros(n, dtype=int)
         self.nav_intent = np.zeros(n, dtype=int)
-        self._spawn(rng, spawn_rsu)
+        self._spawn(spawn_rsu)
         # constant after spawn: each report's mean speed is computed once
         self.speed.setflags(write=False)
         # per vehicle, its waypoint's coordinates and its step heading *
-        # speed * dt (``_move`` = speed * dt) at the last dt; rewritten on
-        # waypoint arrival
+        # speed * dt (``_move`` = speed * dt); rewritten on waypoint arrival
         self.target = net.intersections[self.waypoint]
-        self.stride = np.zeros((n, 2))
-        self._dt = self._move = None
+        self._move = self.speed * dt
+        self.stride = self.heading * self._move[:, None]
 
-    def _spawn(self, rng: np.random.Generator, spawn_rsu: np.ndarray | None) -> None:
+    def _spawn(self, spawn_rsu: np.ndarray | None) -> None:
         """Each vehicle at a uniform point of a segment at its spawn RSU's
         intersection (any segment without ``spawn_rsu``), bound for one end;
         draws per vehicle in index order, positions and headings at once."""
-        net = self.net
+        net, rng = self.net, self.rng
         if not net.segments:
             self.pos = np.tile(net.intersections[0], (self.n, 1))
             return
@@ -178,12 +180,8 @@ class Fleet:
         self.heading[:] = [net.heading(a, b) for a, b in zip(*ends.T.tolist())]
         self.waypoint[:] = ends[:, 1]
 
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        net = self.net
-        if dt != self._dt:
-            self._dt = dt
-            self._move = self.speed * dt
-            np.multiply(self.heading, self._move[:, None], out=self.stride)
+    def step(self) -> None:
+        net, rng = self.net, self.rng
         target, pos, move = self.target, self.pos, self._move
         dx = target[:, 0] - pos[:, 0]
         dy = target[:, 1] - pos[:, 1]

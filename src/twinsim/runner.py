@@ -2,13 +2,15 @@
 simulation instance, runs it and returns the run artifacts (task records,
 index series, epoch log).  It holds none of the layers' logic.
 
-The ``Simulation`` builds the world (grid, fleet, RNG streams and
-``current_rsu``, which only its tick writes, in place) and is the read-only
-view the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
-``CloudTwin`` and one ``LocalTwins`` for the fleet and registers each
-one's ``receive`` as a kernel endpoint: edge ``r`` is ``r``, the cloud
-``n_rsus`` and every vehicle ``n_rsus + 1``.  Each tick moves the fleet, updates
-coverage, searches the V2V pairs in range (``pair_search``) and calls into the layers.
+The ``Simulation`` builds the engine and the world (grid, fleet and
+``current_rsu``, which only its tick writes, in place), hands the engine
+the loss stream and the fleet the mobility stream, and is the read-only view
+the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
+``CloudTwin`` and one ``LocalTwins`` for the fleet, which derive their own
+streams, and registers each one's ``receive`` as a kernel endpoint: edge
+``r`` is ``r``, the cloud ``n_rsus`` and every vehicle ``n_rsus + 1``.  Each
+tick moves the fleet, updates coverage, searches the V2V pairs in range
+(``pair_search``) and calls into the layers.
 
 Modes: "layered" runs the full pyramid; "cloud_only" is the centralised
 baseline (local serving off, edge compute disabled, everything relayed to
@@ -70,27 +72,21 @@ class RunResult:
 class Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.engine = Engine()
-        self.rng_tasks = rng_stream(cfg.seed, "tasks")
-        self.rng_loss = rng_stream(cfg.seed, "loss")
-        self.rng_mutation = rng_stream(cfg.seed, "mutation")
-        self.rng_mobility = numpy_stream(cfg.seed, "mobility")
-        self.rng_beacons = numpy_stream(cfg.seed, "beacons")
-
-        self.net = build_grid(cfg.grid.rows, cfg.grid.cols, cfg.grid.spacing_m,
-                              cfg.grid.rsu_radius_m)
-        self.fleet = Fleet(self.net, cfg.n_vehicles, self.rng_mobility,
-                           speed_range=tuple(cfg.speed_range_mps),
-                           spawn_rsu=np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
-        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.net.intersections,
-                                          self.net.rsu_radius_m, None, cfg.grid.hysteresis_m)
-        self._screen_m = self.net.screen_radius
-
+        self.engine = Engine(rng_stream(cfg.seed, "loss"))
         # every period is a whole number of sensing ticks (checked at parse time)
         self._sense_us = round(cfg.periods.sense_ms * 1000)
         self._report_ticks, self._fusion_ticks, self._epoch_ticks = (
             round(period_s * US_PER_S / self._sense_us)
             for period_s in (cfg.periods.report_s, cfg.periods.fusion_s, cfg.periods.epoch_s))
+
+        self.net = build_grid(cfg.grid.rows, cfg.grid.cols, cfg.grid.spacing_m,
+                              cfg.grid.rsu_radius_m)
+        self.fleet = Fleet(self.net, cfg.n_vehicles, numpy_stream(cfg.seed, "mobility"),
+                           self._sense_us / US_PER_S, speed_range=tuple(cfg.speed_range_mps),
+                           spawn_rsu=np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
+        self.current_rsu, _ = serving_rsu(self.fleet.pos, self.net.intersections,
+                                          self.net.rsu_radius_m, None, cfg.grid.hysteresis_m)
+        self._screen_m = self.net.screen_radius
 
         self.cloud = CloudTwin(self, self._epoch_ticks * self._sense_us)
         self.held = HeldReports(cfg.n_vehicles)
@@ -111,7 +107,7 @@ class Simulation:
         self._tick_index = tick = self._tick_index + 1
         now = self.engine.now
         local = self.local
-        self.fleet.step(self._sense_us / US_PER_S, self.rng_mobility)
+        self.fleet.step()
         moved, d_cur = self._update_coverage()
         if len(moved):
             self.held.forget(moved)

@@ -144,16 +144,12 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str, whole: bool = False):
-    """``value`` if it is a number (JSON true/false is not) that a float can
-    hold, else a ConfigError that names the key.  With ``whole``, where the
-    default is an ``int``, it must be a whole number and comes back as an
-    ``int``."""
+    """``value`` if it is a number (JSON true/false is not), else a
+    ConfigError that names the key.  With ``whole``, where the default is an
+    ``int``, it must be a whole number and comes back as an ``int``.
+    ``validate`` checks that a float can hold it."""
     if not _is_number(value):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ConfigError(f"{name}: integer too large for a float") from None
     if whole and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name}: expected a whole number, got {value!r}")
     return int(value) if whole else value
@@ -214,7 +210,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
             device, at_s, cost_cu = (_number(entry.get(k), f"scripted_tasks[{i}].{k}",
                                              whole=k == "device")
                                      for k in ("device", "at_s", "cost_cu"))
-            cfg.scripted_tasks.append(ScriptedTask(device, float(at_s), float(cost_cu)))
+            cfg.scripted_tasks.append(ScriptedTask(device, at_s, cost_cu))
     cfg = _fill(cfg, data)
     validate(cfg)
     return cfg
@@ -247,7 +243,11 @@ def validate(cfg: ScenarioConfig) -> None:
           and abs(sum(p.role_quotas) - 1) < 1e-9,
           "policy.role_quotas", "three non-negative fractions summing to 1")
     for path, value in _numbers(cfg):
-        check(math.isfinite(value), path, "must be finite")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int that no float holds
+            raise ConfigError(f"{path}: integer too large for a float") from None
+        check(finite, path, "must be finite")
     for name, value, hi in (("grid.rows", cfg.grid.rows, MAX_GRID_SIDE),
                             ("grid.cols", cfg.grid.cols, MAX_GRID_SIDE),
                             ("vehicles_per_rsu", cfg.vehicles_per_rsu, MAX_VEHICLES_PER_RSU)):

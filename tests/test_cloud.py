@@ -4,7 +4,7 @@ import random
 import pytest
 
 from twinsim.cloud import (EpochRecord, KnowledgeGraph, PolicyBlueprint,
-                           RegionEvolution, blueprint_to_json, coordinate,
+                           RegionEvolution, coordinate,
                            evaluate_epoch, mutate_blueprint)
 from twinsim.edge import PARAM_RANGES, Policy, UplinkPackage
 
@@ -149,4 +149,12 @@ def test_epoch_record_json():
     assert data["epoch"] == 2
     assert data["rsu"] == 1
     assert data["decision"] == "keep"
-    assert data["blueprint"] == json.loads(blueprint_to_json(bp(target=1, epoch=2)))
+    assert data["blueprint"] == {
+        "target": 1, "epoch": 2, "parent": None,
+        "params": {"local_serve_threshold": 2.0, "offload_fraction": 0.2,
+                   "congestion_speed_threshold": 6.0, "role_quotas": [0.4, 0.4, 0.2]}}
+    # the bytes of one epochs.jsonl line
+    assert rec.to_json() == (
+        '{"epoch":2,"rsu":1,"blueprint":{"target":1,"epoch":2,"parent":null,"params":'
+        '{"local_serve_threshold":2.0,"offload_fraction":0.2,"congestion_speed_threshold":6.0,'
+        '"role_quotas":[0.4,0.4,0.2]}},"median_rt_us":41500.0,"autonomy":0.97,"decision":"keep"}')

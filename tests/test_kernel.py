@@ -55,7 +55,7 @@ def test_link_latency_oracles():
 
 
 def test_event_order_same_timestamp_fifo():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     out = []
     eng.schedule(100, out.append, "a")
     eng.schedule(100, out.append, "b")
@@ -66,7 +66,7 @@ def test_event_order_same_timestamp_fifo():
 
 
 def test_run_until_boundary_inclusive_and_clock_advances():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     out = []
     eng.schedule(10, out.append, 1)
     eng.schedule(11, out.append, 2)
@@ -79,7 +79,7 @@ def test_run_until_boundary_inclusive_and_clock_advances():
 
 
 def test_schedule_in_past_raises_causality_error():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     eng.schedule(100, lambda: None)
     eng.run_until(100)
     with pytest.raises(CausalityError, match="causality violation"):
@@ -87,17 +87,17 @@ def test_schedule_in_past_raises_causality_error():
 
 
 def test_send_unknown_endpoint():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     with pytest.raises(RoutingError):
-        eng.send("nowhere", {}, 100, LinkSpec(1.0, 1e7), random.Random(0))
+        eng.send("nowhere", {}, 100, LinkSpec(1.0, 1e7))
 
 
 def test_lossless_delivery_time():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     got = []
     eng.register("sink", got.append)
     link = LinkSpec(5.0, 1e7)
-    eng.send("sink", "hello", 2000, link, random.Random(0))
+    eng.send("sink", "hello", 2000, link)
     eng.run_until(5_199)
     assert got == []
     eng.run_until(5_200)
@@ -110,20 +110,20 @@ def test_lossless_delivery_time():
 def test_retransmission_delay_and_drop_accounting():
     link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0, max_attempts=3)
     # first attempt lost, second delivered
-    eng = Engine()
+    eng = Engine(ScriptedRng([0.1, 0.9]))
     got = []
     eng.register("sink", got.append)
-    eng.send("sink", "x", 0, link, ScriptedRng([0.1, 0.9]))
+    eng.send("sink", "x", 0, link)
     eng.run_until(24_999)
     assert got == []
     eng.run_until(25_000)  # 20 ms timeout + 5 ms latency
     assert got == ["x"]
 
     # all three attempts lost: drop, on_drop fires
-    eng = Engine()
+    eng = Engine(ScriptedRng([0.1, 0.2, 0.3]))
     eng.register("sink", got.append)
     drops = []
-    eng.send("sink", "y", 0, link, ScriptedRng([0.1, 0.2, 0.3]), on_drop=drops.append)
+    eng.send("sink", "y", 0, link, on_drop=drops.append)
     eng.run_until(1_000_000)
     assert drops == ["y"]
     assert eng.messages.dropped == 1
@@ -131,12 +131,11 @@ def test_retransmission_delay_and_drop_accounting():
 
 
 def test_message_conservation_under_loss():
-    eng = Engine()
+    eng = Engine(random.Random(123))
     eng.register("sink", lambda p: None)
     link = LinkSpec(1.0, 1e7, loss_prob=0.3, retx_timeout_ms=2.0, max_attempts=2)
-    rng = random.Random(123)
     for i in range(500):
-        eng.send("sink", i, 100, link, rng)
+        eng.send("sink", i, 100, link)
     eng.run_until(10_000_000)
     m = eng.messages
     assert m.sent == 500
@@ -145,7 +144,7 @@ def test_message_conservation_under_loss():
 
 
 def test_trace_records_fire_order():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     fired = []
     eng.schedule(5, lambda: fired.append((eng.now, "a")))
     eng.schedule(3, lambda: fired.append((eng.now, "b")))
@@ -195,28 +194,28 @@ def _loss_oracle_run(batched, msgs, max_attempts, draws):
     link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0,
                     max_attempts=max_attempts)
     rng = ScriptedRng(draws)
-    eng = Engine()
-    calls, drops = [], []
+    eng = Engine(rng)
+    calls = []
     for name in ("a", "b", 0, 1):
         eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
     eng.schedule(1_000, lambda: None)
     eng.run_until(1_000)
     fired = record_kinds(eng)
-    on_drop = lambda p: drops.append((eng.now, p))  # noqa: E731
     if batched:
         def deliver(indices):
             assert isinstance(indices, np.ndarray)
             for i in indices.tolist():
                 calls.append((eng.now, *msgs[i]))
-        eng.send_batch(np.array([dst for dst, _ in msgs]), 2000, link, rng, deliver,
-                       lambda i: msgs[i][1], on_drop=on_drop)
+        eng.send_batch(np.array([dst for dst, _ in msgs]), 2000, link, deliver,
+                       lambda i: msgs[i][1])
     else:
         for dst, payload in msgs:
-            eng.send(dst, payload, 2000, link, rng, on_drop=on_drop)
+            eng.send(dst, payload, 2000, link)
     eng.run_until(1_000_000)
     retx = [t for t, kind in fired if kind == "retx"]
+    dropped = sorted({p for _, p in msgs} - {p for *_, p in calls})
     n_delivery_events = sum(kind == "delivery" for _, kind in fired)
-    return calls, retx, drops, eng.messages, rng.values, n_delivery_events
+    return calls, retx, dropped, eng.messages, rng.values, n_delivery_events
 
 
 def test_send_batch_matches_one_at_a_time_sends():
@@ -233,23 +232,23 @@ def test_send_batch_matches_one_at_a_time_sends():
     assert calls == [(6_200, "a", 0), (6_200, "b", 3),
                      (26_200, "b", 1), (26_200, "a", 4)]
     assert retx == [21_000, 21_000, 21_000]
-    assert drops == [(21_000, 2)]
+    assert drops == [2]
     assert (messages.sent, messages.delivered, messages.dropped) == (5, 4, 1)
     assert n_events == 3
     calls, retx, drops, messages, _, n_events = _loss_oracle_run(
         True, *SEND_BATCH_CASES["drop after max_attempts"])
-    assert retx == [] and drops == [(1_000, 1), (1_000, 2), (1_000, 4)]
+    assert retx == [] and drops == [1, 2, 4]
     assert (messages.sent, messages.delivered, messages.dropped, n_events) == (5, 2, 3, 1)
     calls, retx, drops, messages, _, n_events = _loss_oracle_run(True, *SEND_BATCH_CASES["empty"])
     assert (calls, retx, drops, messages.sent, n_events) == ([], [], [], 0, 0)
 
 
 def test_send_batch_unknown_endpoint():
-    eng = Engine()
+    eng = Engine(random.Random(0))
     eng.register("sink", lambda p: None)
     with pytest.raises(RoutingError):
         eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1.0, 1e7),
-                       random.Random(0), lambda indices: None, lambda i: i)
+                       lambda indices: None, lambda i: i)
 
 
 # Where an event goes, from the clock ``now`` when it is scheduled:
@@ -334,11 +333,11 @@ def test_windowed_event_set_matches_heap_oracle(events, cuts):
     ``run_until``, over ties, events at ``now``, into the current, next and
     far windows, long runs of empty windows and cuts mid-window, on window
     boundaries and before every pending event."""
-    oracle = HeapEngine()
+    oracle = HeapEngine(random.Random(0))
     expected = _replay(oracle, events, cuts,
                        lambda: oracle._heap[0][0] if oracle._heap else oracle.now)
     # the windowed engine runs to the oracle's cut times
-    got = _replay(Engine(), events, [("at", t_end) for t_end, _, _ in expected[2][:-1]],
+    got = _replay(Engine(random.Random(0)), events, [("at", t_end) for t_end, _, _ in expected[2][:-1]],
                   None)
     assert got == expected
     assert len(expected[0]) == len(events)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import math
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinsim import local as local_module, mobility, runner
+from twinsim import cloud, edge, local as local_module, mobility, runner
+from twinsim.kernel import US_PER_S
 from twinsim.edge import ROLES
 from twinsim.local import BeaconSnapshot, decide_local
 from twinsim.mobility import form_pairs, pair_search, pairs_within
@@ -41,14 +43,14 @@ def test_reports_carry_oracle_speed_and_channel_quality():
     latest, out_of_cycle = {}, []
     send_batch, send = engine.send_batch, engine.send
 
-    def checked_batch(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
+    def checked_batch(dsts, nbytes, link, deliver, payload):
         for v, rsu in enumerate(dsts):
             _, (device, speed, cq, _) = payload(v)
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
             assert speed == window_mean_speed(float(sim.fleet.speed[v]), ticks)
             assert cq == channel_quality(d, sim.net.rsu_radius_m)
             latest[device] = (speed, cq)
-        return send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop)
+        return send_batch(dsts, nbytes, link, deliver, payload)
 
     def checked_send(dst, payload, *args, **kwargs):
         if payload[0] == "report":
@@ -450,3 +452,36 @@ def test_formed_pairs_are_those_of_the_pass_positions(monkeypatch):
         assert len(want) > 0
         for got in [*formed, keys()]:
             assert got.dtype == np.uint32 and np.array_equal(unpack(got, len(pos)), want)
+
+
+def test_every_task_settles_once_under_loss(monkeypatch):
+    """Only one message carries a task at a time, so a task completes or is
+    dropped once.  On v2r and v2v links that lose 30% and never retransmit,
+    every task id settles exactly once, and every task has settled once the
+    run drains."""
+    settled, dropped_kinds = collections.Counter(), set()
+    drop_task = local_module.drop_task
+
+    def dropping(payload):
+        settled[payload[-1].task_id] += 1
+        dropped_kinds.add(payload[0])
+        drop_task(payload)
+
+    for module in (local_module, edge, cloud):
+        monkeypatch.setattr(module, "drop_task", dropping)
+    lossy = {"loss_prob": 0.3, "max_attempts": 1}
+    sim = Simulation(parse_scenario({**copy.deepcopy(SCENARIOS["v2v_handoff"]),
+                                     "links": {"v2r": lossy, "v2v": lossy}}))
+    complete = sim.local.complete
+
+    def completing(task):
+        settled[task.task_id] += 1
+        complete(task)
+
+    sim.local.complete = completing
+    result = sim.run()
+    sim.engine.run_until(sim.cfg.duration_us + 3600 * US_PER_S)
+    assert dropped_kinds == {"task", "handoff", "result"}
+    assert result.completed > 0 and result.dropped > 0
+    assert sorted(settled) == [r.task_id for r in result.records]
+    assert set(settled.values()) == {1}

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -272,9 +273,9 @@ def test_step_vehicle_consumes_waypoint_on_arrival(grid):
 
 def test_fleet_matches_scalar_stepper(grid):
     """The vectorized fleet replays step_vehicle per vehicle in index order."""
-    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"))
-    rng_a = numpy_stream(3, "walk")
-    rng_b = numpy_stream(3, "walk")
+    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"), 0.1)
+    # the scalar stepper draws from a copy of the fleet's generator after the spawn
+    rng = copy.deepcopy(fleet.rng)
 
     scalars = [
         VehicleState(i, fleet.pos[i].copy(), float(fleet.speed[i]),
@@ -283,9 +284,9 @@ def test_fleet_matches_scalar_stepper(grid):
         for i in range(fleet.n)
     ]
     for _ in range(400):
-        fleet.step(0.1, rng_a)
+        fleet.step()
         for v in scalars:
-            step_vehicle(v, 0.1, rng_b, grid)
+            step_vehicle(v, 0.1, rng, grid)
     for i, v in enumerate(scalars):
         assert np.array_equal(fleet.pos[i], v.position)
         assert np.array_equal(fleet.heading[i], v.heading)
@@ -296,18 +297,16 @@ def test_fleet_matches_scalar_stepper(grid):
 def test_fleet_step_keeps_speed_and_caches_strides(grid):
     """Stepping never writes a speed; each vehicle's cached waypoint
     coordinates and step heading * speed * dt follow its waypoint
-    arrivals and a change of dt."""
-    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"))
+    arrivals."""
+    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"), 0.1)
     speed = fleet.speed.copy()
-    rng = numpy_stream(3, "walk")
     arrivals = 0
-    for tick in range(400):
-        dt = 0.1 if tick < 300 else 0.25
+    for _ in range(400):
         waypoint = fleet.waypoint.copy()
-        fleet.step(dt, rng)
+        fleet.step()
         arrivals += int((fleet.waypoint != waypoint).sum())
         assert np.array_equal(fleet.target, grid.intersections[fleet.waypoint])
-        assert np.array_equal(fleet.stride, fleet.heading * (fleet.speed * dt)[:, None])
+        assert np.array_equal(fleet.stride, fleet.heading * (fleet.speed * 0.1)[:, None])
     assert arrivals > 10
     assert not fleet.speed.flags.writeable
     assert np.array_equal(fleet.speed, speed)
@@ -315,7 +314,7 @@ def test_fleet_step_keeps_speed_and_caches_strides(grid):
 
 def test_fleet_spawns_on_region_segments(grid):
     spawn = np.repeat(np.arange(6), 10)
-    fleet = Fleet(grid, 60, numpy_stream(0, "mobility"), spawn_rsu=spawn)
+    fleet = Fleet(grid, 60, numpy_stream(0, "mobility"), 0.1, spawn_rsu=spawn)
     # each vehicle starts on one of the segments at its assigned RSU's
     # intersection, bound for one of that segment's ends
     for i in range(60):
@@ -343,7 +342,7 @@ def test_fleet_spawn_matches_scalar_oracle(net, spawn):
     n = 97
     spawn_rsu = np.arange(n) % len(net.intersections) if spawn else None
     rng = numpy_stream(11, "mobility")
-    fleet = Fleet(net, n, rng, speed_range=(8.0, 15.0), spawn_rsu=spawn_rsu)
+    fleet = Fleet(net, n, rng, 0.1, speed_range=(8.0, 15.0), spawn_rsu=spawn_rsu)
     ref_rng = numpy_stream(11, "mobility")
     speed = ref_rng.uniform(8.0, 15.0, size=n)
     pos, heading, waypoint, nav_intent = oracles.spawn_fleet(net, n, ref_rng, spawn_rsu)

@@ -168,7 +168,7 @@ def test_batched_reports_match_per_vehicle_fields():
     send_batch = sim.engine.send_batch
     checked = {"reports": 0, "backlogged": 0}
 
-    def checking_send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
+    def checking_send_batch(dsts, nbytes, link, deliver, payload):
         now = sim.engine.now
         assert dsts.tolist() == sim.current_rsu.tolist()
         for v in range(sim.cfg.n_vehicles):
@@ -184,7 +184,7 @@ def test_batched_reports_match_per_vehicle_fields():
             assert all(type(x) is float for x in (mean_speed, cq, backlog))
             checked["backlogged"] += backlog > 0
         checked["reports"] += len(dsts)
-        return send_batch(dsts, nbytes, link, rng, deliver, payload, on_drop)
+        return send_batch(dsts, nbytes, link, deliver, payload)
 
     sim.engine.send_batch = checking_send_batch
     sim.run()
@@ -202,14 +202,14 @@ def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
         sim = _backlogged_two_rsu_sim(links={"v2r": {"base_latency_ms": v2r_latency_ms}})
         send_batch, lost = sim.engine.send_batch, []
 
-        def sending(dsts, nbytes, link, rng, deliver, payload, on_drop=None):
+        def sending(dsts, nbytes, link, deliver, payload):
             if batched:
                 def lost_payload(i):
                     lost.append(i)
                     return payload(i)
-                return send_batch(dsts, nbytes, link, rng, deliver, lost_payload, on_drop)
+                return send_batch(dsts, nbytes, link, deliver, lost_payload)
             for i, dst in enumerate(dsts):
-                sim.engine.send(dst, payload(i), nbytes, link, rng, on_drop)
+                sim.engine.send(dst, payload(i), nbytes, link)
         sim.engine.send_batch = sending
         roles = []
 
@@ -270,3 +270,23 @@ def test_one_endpoint_per_twin(monkeypatch):
     owners = [*sim.edges, sim.cloud, sim.local]
     assert [registered[i].__self__ for i in range(n_rsus + 2)] == owners
     assert all(h.__func__.__name__ == "receive" for h in registered.values())
+
+
+def test_simulations_from_one_config_stay_apart(tmp_path):
+    """Two simulations built from one ``cfg`` and advanced in alternating 5 s
+    slices each write the artifacts of a fresh run of that ``cfg``: no random
+    stream and no link-delay cache is shared between runs."""
+    cfg = parse_scenario({"seed": 5, "duration_s": 61.0, "vehicles_per_rsu": 40,
+                          "hotspot": {"region": 1, "t_end_s": 61}})
+    sims = [Simulation(cfg), Simulation(cfg)]
+    for t_us in range(5 * US, cfg.duration_us + 5 * US, 5 * US):
+        for sim in sims:
+            sim.engine.run_until(min(t_us, cfg.duration_us))
+    for i, sim in enumerate(sims):
+        sim.run().write(tmp_path / str(i))
+    run_showcase(cfg, tmp_path / "fresh")
+    for name in ("tasks.csv", "indices.csv", "epochs.jsonl"):
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        assert fresh.count(b"\n") > 1
+        assert (tmp_path / "0" / name).read_bytes() == fresh, name
+        assert (tmp_path / "1" / name).read_bytes() == fresh, name

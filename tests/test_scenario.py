@@ -607,6 +607,20 @@ def test_integers_too_large_for_a_float_rejected(data, path, tmp_path, capsys, m
     assert re.search(rf"{path}: integer too large", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cfg,path", [
+    (ScenarioConfig(duration_s=BIG), "duration_s"),
+    (ScenarioConfig(vehicles_per_rsu=-BIG), "vehicles_per_rsu"),
+    (ScenarioConfig(speed_range_mps=(1, BIG)), r"speed_range_mps\[1\]"),
+], ids=["duration_s", "vehicles_per_rsu", "speed_range_mps"])
+def test_python_built_integers_too_large_for_a_float_rejected(cfg, path, monkeypatch):
+    """A configuration built in Python meets the same check as scenario JSON,
+    in ``validate`` and so in ``run_showcase``."""
+    monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
+    for check in (validate, runner.run_showcase):
+        with pytest.raises(ConfigError, match=rf"^{path}: integer too large for a float$"):
+            check(cfg)
+
+
 @pytest.mark.parametrize("text", ['{"duration_s": %s}' % ("1" * 5000),
                                   '{"grid": {"rows": -%s}}' % ("9" * 4301)],
                          ids=["duration_s", "grid.rows"])
