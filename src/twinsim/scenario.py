@@ -217,8 +217,12 @@ def parse_scenario(data: dict) -> ScenarioConfig:
 
 
 def _numbers(obj, path: str = ""):
-    """``(path, value)`` of every number in configuration object ``obj``."""
+    """``(path, value)`` of every number in ``obj``; ConfigError for an int no float holds."""
     if _is_number(obj):
+        try:
+            float(obj)
+        except OverflowError:  # an int that no float holds
+            raise ConfigError(f"{path}: integer too large for a float") from None
         yield path, obj
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
@@ -233,6 +237,7 @@ def validate(cfg: ScenarioConfig) -> None:
         if not cond:
             raise ConfigError(f"{name}: {msg}")
 
+    numbers = list(_numbers(cfg))
     # the one check of the policy: blueprints and edges trust it from here
     # on; before the finiteness check, so that a NaN reads as out of range
     p = cfg.policy
@@ -242,12 +247,8 @@ def validate(cfg: ScenarioConfig) -> None:
     check(len(p.role_quotas) == 3 and min(p.role_quotas) >= 0
           and abs(sum(p.role_quotas) - 1) < 1e-9,
           "policy.role_quotas", "three non-negative fractions summing to 1")
-    for path, value in _numbers(cfg):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int that no float holds
-            raise ConfigError(f"{path}: integer too large for a float") from None
-        check(finite, path, "must be finite")
+    for path, value in numbers:
+        check(math.isfinite(value), path, "must be finite")
     for name, value, hi in (("grid.rows", cfg.grid.rows, MAX_GRID_SIDE),
                             ("grid.cols", cfg.grid.cols, MAX_GRID_SIDE),
                             ("vehicles_per_rsu", cfg.vehicles_per_rsu, MAX_VEHICLES_PER_RSU)):

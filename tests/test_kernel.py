@@ -123,9 +123,9 @@ def test_retransmission_delay_and_drop_accounting():
     eng = Engine(ScriptedRng([0.1, 0.2, 0.3]))
     eng.register("sink", got.append)
     drops = []
-    eng.send("sink", "y", 0, link, on_drop=drops.append)
+    eng.send("sink", "y", 0, link, on_drop=lambda p: drops.append((eng.now, p)))
     eng.run_until(1_000_000)
-    assert drops == ["y"]
+    assert drops == [(40_000, "y")]  # the third attempt, two timeouts in
     assert eng.messages.dropped == 1
     assert eng.messages.in_flight == 0
 
@@ -190,12 +190,13 @@ SEND_BATCH_CASES = {
 
 def _loss_oracle_run(batched, msgs, max_attempts, draws):
     """``msgs`` over a lossy link with scripted loss draws, sent one at a
-    time or as one batch (its destinations as an array)."""
+    time or as one batch (its destinations as an array).  Sent one at a
+    time, their ``on_drop`` records ``(time, payload)`` of each drop."""
     link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0,
                     max_attempts=max_attempts)
     rng = ScriptedRng(draws)
     eng = Engine(rng)
-    calls = []
+    calls, drops = [], []
     for name in ("a", "b", 0, 1):
         eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
     eng.schedule(1_000, lambda: None)
@@ -210,12 +211,14 @@ def _loss_oracle_run(batched, msgs, max_attempts, draws):
                        lambda i: msgs[i][1])
     else:
         for dst, payload in msgs:
-            eng.send(dst, payload, 2000, link)
+            eng.send(dst, payload, 2000, link, on_drop=lambda p: drops.append((eng.now, p)))
     eng.run_until(1_000_000)
     retx = [t for t, kind in fired if kind == "retx"]
     dropped = sorted({p for _, p in msgs} - {p for *_, p in calls})
+    if not batched:
+        assert sorted(p for _, p in drops) == dropped
     n_delivery_events = sum(kind == "delivery" for _, kind in fired)
-    return calls, retx, dropped, eng.messages, rng.values, n_delivery_events
+    return calls, retx, dropped, eng.messages, rng.values, n_delivery_events, drops
 
 
 def test_send_batch_matches_one_at_a_time_sends():
@@ -227,7 +230,11 @@ def test_send_batch_matches_one_at_a_time_sends():
         # the first-attempt deliveries (at 1000 + 5200 us) share one event
         first = sum(t == 6_200 for t, *_ in single[0])
         assert batch[5] == single[5] - first + (first > 0), case
-    calls, retx, drops, messages, _, n_events = _loss_oracle_run(True, *SEND_BATCH_CASES["mixed"])
+    # a dropped message's on_drop fires at its last lost attempt
+    assert _loss_oracle_run(False, *SEND_BATCH_CASES["mixed"])[6] == [(21_000, 2)]
+    assert _loss_oracle_run(False, *SEND_BATCH_CASES["drop after max_attempts"])[6] == [
+        (1_000, 1), (1_000, 2), (1_000, 4)]
+    calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(True, *SEND_BATCH_CASES["mixed"])
     # first attempts land at 1000 + 5200 us, retries 20 ms later
     assert calls == [(6_200, "a", 0), (6_200, "b", 3),
                      (26_200, "b", 1), (26_200, "a", 4)]
@@ -235,11 +242,11 @@ def test_send_batch_matches_one_at_a_time_sends():
     assert drops == [2]
     assert (messages.sent, messages.delivered, messages.dropped) == (5, 4, 1)
     assert n_events == 3
-    calls, retx, drops, messages, _, n_events = _loss_oracle_run(
+    calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(
         True, *SEND_BATCH_CASES["drop after max_attempts"])
     assert retx == [] and drops == [1, 2, 4]
     assert (messages.sent, messages.delivered, messages.dropped, n_events) == (5, 2, 3, 1)
-    calls, retx, drops, messages, _, n_events = _loss_oracle_run(True, *SEND_BATCH_CASES["empty"])
+    calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(True, *SEND_BATCH_CASES["empty"])
     assert (calls, retx, drops, messages.sent, n_events) == ([], [], [], 0, 0)
 
 

@@ -10,6 +10,7 @@ import pytest
 from twinsim import runner
 from twinsim.cli import main
 from twinsim.cloud import DIRECTIVE_BYTES
+from twinsim.edge import Policy
 from twinsim.kernel import link_latency
 from twinsim.mobility import ConfigError
 from twinsim.scenario import (MAX_DISTANCE_CELLS, MAX_DURATION_S, MAX_GRID_SIDE,
@@ -596,6 +597,7 @@ BIG = 10**400  # an integer literal that no float holds
     ({"links": {"v2r": {"max_attempts": BIG}}}, r"links\.v2r\.max_attempts"),
     ({"hotspot": {"t_end_s": BIG}}, r"hotspot\.t_end_s"),
     ({"speed_range_mps": [1, BIG]}, r"speed_range_mps\[1\]"),
+    ({"policy": {"role_quotas": [BIG, 0.0, 0.0]}}, r"policy\.role_quotas\[0\]"),
 ])
 def test_integers_too_large_for_a_float_rejected(data, path, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(runner, "Simulation", lambda *a, **k: pytest.fail("simulation built"))
@@ -611,7 +613,9 @@ def test_integers_too_large_for_a_float_rejected(data, path, tmp_path, capsys, m
     (ScenarioConfig(duration_s=BIG), "duration_s"),
     (ScenarioConfig(vehicles_per_rsu=-BIG), "vehicles_per_rsu"),
     (ScenarioConfig(speed_range_mps=(1, BIG)), r"speed_range_mps\[1\]"),
-], ids=["duration_s", "vehicles_per_rsu", "speed_range_mps"])
+    (ScenarioConfig(policy=Policy(role_quotas=(BIG, 0.0, 0.0))),
+     r"policy\.role_quotas\[0\]"),
+], ids=["duration_s", "vehicles_per_rsu", "speed_range_mps", "policy.role_quotas"])
 def test_python_built_integers_too_large_for_a_float_rejected(cfg, path, monkeypatch):
     """A configuration built in Python meets the same check as scenario JSON,
     in ``validate`` and so in ``run_showcase``."""
