@@ -1,4 +1,4 @@
-"""Pinned artifact digests: short runs of five scenarios must reproduce these
+"""Pinned artifact digests: short runs of seven scenarios must reproduce these
 sha256 values byte for byte.
 
 The determinism criterion only compares two reruns of the same code, so a
@@ -35,6 +35,18 @@ SCENARIOS = {
     "evolution": {"seed": 4, "duration_s": 26, "vehicles_per_rsu": 50,
                   "periods": {"epoch_s": 5}},
 }
+# the sensing leg: v2v_handoff with 5 s epochs, so blueprints are applied
+# within the run.  At 2-5 m/s every region's fused mean speed is below the
+# congestion threshold, and each of its 36 label entries reads Congestion;
+# this catches the mutants where fuse_labels never adds Congestion,
+# localize_policy returns the policy unchanged, or the edge passes
+# congestion_active=False
+SCENARIOS["congestion"] = {**SCENARIOS["v2v_handoff"], "periods": {"epoch_s": 5},
+                           "speed_range_mps": [2, 5]}
+# the same at the default speeds, where no label entry reads Congestion;
+# this catches a fusion window whose speed sum stays 0 (every region would
+# read Congestion and localize its blueprints)
+SCENARIOS["localize"] = {**SCENARIOS["v2v_handoff"], "periods": {"epoch_s": 5}}
 
 DIGESTS = {
     "layered": {
@@ -62,6 +74,16 @@ DIGESTS = {
         "indices.csv": "eeaed92c71e10fb202ea792b13f2d399b125278e7e1a9ae593ec32958b163694",
         "epochs.jsonl": "46256622bc505c3d90936a798c4f88996f2ad121ace06186da9b50bbd2b60573",
     },
+    "congestion": {
+        "tasks.csv": "199c5514986c529dc48dbb645beff76a74cfe1e852658ce42708fe835817b6f4",
+        "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
+        "epochs.jsonl": "089fda02a1cfad5f542473245dcf2b53dd2a22324ba5978266042934b9adeb7a",
+    },
+    "localize": {
+        "tasks.csv": "4b3d7ff27e163ccf433d8af5abd363b3f6eb76d9e537de6fe6cabc1a66537f4e",
+        "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
+        "epochs.jsonl": "13902ef72b6991cf313500d78b9be9b36ba94c621e1318c46a6393a1fe464cc4",
+    },
 }
 
 # final (sent, delivered, dropped) message counters, beacons included
@@ -71,7 +93,12 @@ MESSAGES = {
     "hotspot": (2417065, 2299326, 116525),
     "v2v_handoff": (2129332, 2023891, 104237),
     "evolution": (117052, 111368, 5383),
+    "congestion": (2131827, 2026241, 104384),
+    "localize": (2129744, 2024305, 104236),
 }
+
+# label entries that read Congestion, out of each run's label log
+CONGESTION = {"congestion": (36, 36), "localize": (0, 36)}
 
 
 def run_counting_handoffs(name, outdir):
@@ -104,3 +131,6 @@ def test_pinned_digests(name, tmp_path):
         assert len(result.directive_log) >= 1
     if name == "v2v_handoff":
         assert handoffs > 0
+    if name in CONGESTION:
+        labels = [e.labels for e in result.label_log]
+        assert (sum("Congestion" in x for x in labels), len(labels)) == CONGESTION[name]
