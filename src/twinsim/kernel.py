@@ -130,7 +130,11 @@ class Engine:
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_at <= t_end (inclusive), in
-        (fire_at, seq) order; leaves the clock at t_end."""
+        (fire_at, seq) order; leaves the clock at t_end, which must not be
+        before it."""
+        if t_end_us < self.now:
+            raise CausalityError(
+                f"causality violation: run until {t_end_us} us but clock is {self.now} us")
         processed = 0
         heap, windows = self._heap, self._windows
         while True:

@@ -286,6 +286,9 @@ class HeapEngine(Engine):
         return seq
 
     def run_until(self, t_end_us: int) -> int:
+        if t_end_us < self.now:
+            raise CausalityError(
+                f"causality violation: run until {t_end_us} us but clock is {self.now} us")
         processed = 0
         heap = self._heap
         while heap and heap[0][0] <= t_end_us:

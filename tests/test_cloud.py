@@ -100,6 +100,26 @@ def test_mutation_respects_ranges_and_quota_sum():
         parent = child
 
 
+class FixedGauss:
+    """A mutation ``rng`` whose every Gaussian draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def gauss(self, mu, sigma):
+        return self.value
+
+
+def test_mutation_quota_floor_staffs_processing():
+    # acquisition 0.4 + 0.5 = 0.9 leaves 0.1, shared 1:5 as (0.0167, 0.0833):
+    # processing is raised to its 0.05 floor at coordination's expense.
+    # Default quotas never reach the floor, and a floor of 0.06 gives
+    # (0.9, 0.06, 0.04), so only the exact triple pins it
+    parent = PolicyBlueprint(0, 3, None, Policy(role_quotas=(0.4, 0.1, 0.5)))
+    child = mutate_blueprint(parent, 4, FixedGauss(0.5))
+    assert child.policy.role_quotas == (0.9, 0.05, 0.05)
+
+
 def test_mutation_deterministic_under_seed():
     a = mutate_blueprint(bp(), 1, random.Random(5))
     b = mutate_blueprint(bp(), 1, random.Random(5))

@@ -86,6 +86,20 @@ def test_schedule_in_past_raises_causality_error():
         eng.schedule(99, lambda: None)
 
 
+def test_run_until_in_past_raises_causality_error():
+    # setting the clock back would let an event at 60 fire after one at 100
+    eng = Engine(random.Random(0))
+    out = []
+    eng.schedule(100, out.append, 100)
+    eng.run_until(200)
+    with pytest.raises(CausalityError, match="causality violation"):
+        eng.run_until(50)
+    assert eng.now == 200
+    with pytest.raises(CausalityError):
+        eng.schedule(60, out.append, 60)
+    assert eng.run_until(200) == 0 and out == [100]
+
+
 def test_send_unknown_endpoint():
     eng = Engine(random.Random(0))
     with pytest.raises(RoutingError):
