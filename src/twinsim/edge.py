@@ -271,7 +271,7 @@ class EdgeTwin:
                          self._v2r, on_drop=drop_task)
 
     def _report(self, report: tuple) -> None:
-        """report is (device, mean_speed, channel_quality, backlog_cu)."""
+        """report is (device, speed, channel_quality, backlog_cu)."""
         device = report[0]
         if self.current_rsu.item(device) != self.rsu_id:
             return

@@ -4,11 +4,11 @@ drop, status reports and the V2V beacon pass.  All vehicles share one
 kernel endpoint: a result names its vehicle by its task's origin, a handoff
 ``("handoff", peer, task)`` by the peer that serves it.
 
-A status report goes up every second with the vehicle's mean speed over the
-1 s window, its channel quality at the report tick and its local queue
+A status report goes up every second with the vehicle's speed (it keeps its
+spawn speed), its channel quality at the report tick and its local queue
 backlog, plus immediately on an RSU handover or when the local queue backlog
-exceeds the trigger threshold.  A vehicle keeps its spawn speed, so the mean
-speed is computed once; the runner hands the report tick's distances in.
+exceeds the trigger threshold; the runner hands the report tick's distances
+in.
 The serving edge adds the speeds to its fusion window and ranks its vehicles
 for roles by the channel quality and idle compute of their latest report.
 The scalar models of channel quality and of the neighbour table that the
@@ -101,7 +101,7 @@ class LocalTwins:
     runner's read-only view.  Construction schedules the first task arrival
     of every vehicle and every scripted task."""
 
-    def __init__(self, world, edges: list, held, cloud, report_ticks: int):
+    def __init__(self, world, edges: list, held, cloud):
         cfg = self.cfg = world.cfg
         self.engine = world.engine
         self.current_rsu = world.current_rsu
@@ -115,10 +115,8 @@ class LocalTwins:
         self.records: list[TaskRecord] = []
         self.busy_until = np.zeros(n, dtype=np.int64)
         self.backlog_triggered = np.zeros(n, dtype=bool)
-        # each report's mean speed: the mean of one sample per tick of the
-        # report window, in the order numpy sums an (n, report_ticks) row
-        speed = world.fleet.speed[:, None]
-        self.mean_speed = np.repeat(speed, report_ticks, axis=1).mean(axis=1)
+        # each vehicle's speed, which the fleet never changes after spawn
+        self.speed = world.fleet.speed
         # channel quality of the latest report tick; None until the first
         self._report_cq: np.ndarray | None = None
         # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
@@ -245,7 +243,7 @@ class LocalTwins:
         through reach their edges in one delivery event; a lost one
         retransmits as a report tuple."""
         cfg = self.cfg
-        speed = self.mean_speed
+        speed = self.speed
         self._report_cq = cq = np.clip(1.0 - d_rel, 0.0, 1.0)
         backlog = (np.maximum(self.busy_until - now, 0) / US_PER_S
                    * cfg.capacity.local_cu_s)
@@ -269,7 +267,7 @@ class LocalTwins:
         report tick's speed and channel quality with the current backlog."""
         if self._report_cq is None:
             return
-        report = (v, self.mean_speed.item(v), self._report_cq.item(v),
+        report = (v, self.speed.item(v), self._report_cq.item(v),
                   self.backlog_cu(v, self.engine.now))
         self.engine.send(self.current_rsu.item(v), ("report", report),
                          self.cfg.workload.report_bytes, self._v2r)

@@ -148,7 +148,7 @@ class Fleet:
         self.waypoint = np.zeros(n, dtype=int)
         self.nav_intent = np.zeros(n, dtype=int)
         self._spawn(spawn_rsu)
-        # constant after spawn: each report's mean speed is computed once
+        # constant after spawn, so the status reports carry it as it is
         self.speed.setflags(write=False)
         # per vehicle, its waypoint's coordinates and its step heading *
         # speed * dt (``_move`` = speed * dt); rewritten on waypoint arrival

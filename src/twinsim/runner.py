@@ -94,7 +94,7 @@ class Simulation:
         self.edges = [EdgeTwin(r, self, self.held, self.label_log,
                                self._fusion_ticks * self._sense_us)
                       for r in range(cfg.n_rsus)]
-        self.local = LocalTwins(self, self.edges, self.held, self.cloud, self._report_ticks)
+        self.local = LocalTwins(self, self.edges, self.held, self.cloud)
         for e in self.edges:
             self.engine.register(e.rsu_id, e.receive)
         self.engine.register(cfg.n_rsus, self.cloud.receive)

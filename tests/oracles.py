@@ -17,8 +17,8 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``eager_beacons``: the per-receiver sender index that
   ``local.BeaconSnapshot`` builds on its first lookup;
 - ``rsu_distances``: the distances ``mobility.serving_rsu`` returns;
-- ``channel_quality`` and ``window_mean_speed``: the channel quality and
-  mean speed of each ``LocalTwins`` status report;
+- ``channel_quality``: the channel quality of each ``LocalTwins`` status
+  report;
 - ``index_series``: ``metrics.build_index_series``, one record at a time;
 - ``HeapEngine``: ``kernel.Engine``'s event set, one heap of every pending
   event;
@@ -181,12 +181,6 @@ def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:
 
 def channel_quality(distance_m: float, radius_m: float) -> float:
     return min(1.0, max(0.0, 1.0 - distance_m / radius_m))
-
-
-def window_mean_speed(speed: float, ticks: int) -> float:
-    """Mean speed of one report window: the vehicle's speed sampled once per
-    sensing tick of the window, averaged as numpy averages a row."""
-    return float(np.mean([speed] * ticks))
 
 
 @dataclass

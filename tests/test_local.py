@@ -17,8 +17,7 @@ from twinsim.mobility import form_pairs, pair_search, pairs_within
 from twinsim.runner import Simulation
 from twinsim.scenario import WorkloadConfig, parse_scenario
 
-from oracles import (NeighborEntry, NeighborTable, channel_quality, eager_beacons,
-                     rsu_distances, window_mean_speed)
+from oracles import NeighborEntry, NeighborTable, channel_quality, eager_beacons, rsu_distances
 from test_digests import SCENARIOS
 
 US = 1_000_000
@@ -32,14 +31,13 @@ def test_channel_quality_linear_and_clipped():
 
 
 def test_reports_carry_oracle_speed_and_channel_quality():
-    """Each batched 1 Hz report carries the oracle's mean speed of its
-    vehicle's report window and the oracle's channel quality at its
-    distance to its serving RSU; each out-of-cycle report carries those of
-    the latest batch."""
+    """Each batched 1 Hz report carries its vehicle's speed, as the fleet
+    holds it, and the oracle's channel quality at its distance to its
+    serving RSU; each out-of-cycle report carries those of the latest
+    batch."""
     sim = Simulation(parse_scenario({"seed": 0, "duration_s": 31.0,
                                      "vehicles_per_rsu": 20}))
     engine = sim.engine
-    ticks = round(sim.cfg.periods.report_s * 1000 / sim.cfg.periods.sense_ms)
     latest, out_of_cycle = {}, []
     send_batch, send = engine.send_batch, engine.send
 
@@ -47,7 +45,7 @@ def test_reports_carry_oracle_speed_and_channel_quality():
         for v, rsu in enumerate(dsts):
             _, (device, speed, cq, _) = payload(v)
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
-            assert speed == window_mean_speed(float(sim.fleet.speed[v]), ticks)
+            assert speed == sim.fleet.speed[v]
             assert cq == channel_quality(d, sim.net.rsu_radius_m)
             latest[device] = (speed, cq)
         return send_batch(dsts, nbytes, link, deliver, payload)

@@ -8,7 +8,7 @@ from twinsim.mobility import ConfigError
 from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import GridConfig, ScenarioConfig, parse_scenario
 
-from oracles import channel_quality, rsu_distances, window_mean_speed
+from oracles import channel_quality, rsu_distances
 
 US = 1_000_000
 
@@ -172,16 +172,14 @@ def test_batched_reports_match_per_vehicle_fields():
         now = sim.engine.now
         assert dsts.tolist() == sim.current_rsu.tolist()
         for v in range(sim.cfg.n_vehicles):
-            kind, (device, mean_speed, cq, backlog) = payload(v)
+            kind, (device, speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
             rsu = dsts[v]
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
-            # 1 s report windows of 100 ms ticks
-            assert mean_speed == window_mean_speed(float(sim.fleet.speed[v]), 10)
-            assert mean_speed == pytest.approx(sim.fleet.speed[v])
+            assert speed == sim.fleet.speed[v]
             assert cq == channel_quality(d, sim.net.rsu_radius_m)
             assert backlog == local.backlog_cu(v, now)
-            assert all(type(x) is float for x in (mean_speed, cq, backlog))
+            assert all(type(x) is float for x in (speed, cq, backlog))
             checked["backlogged"] += backlog > 0
         checked["reports"] += len(dsts)
         return send_batch(dsts, nbytes, link, deliver, payload)
