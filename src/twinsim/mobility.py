@@ -129,24 +129,21 @@ def serving_rsu(
 class Fleet:
     """Vectorized vehicle population; behaviorally identical to applying
     the scalar stepper of tests/oracles.py per vehicle in index order.  The
-    spawn and every waypoint draw come from ``rng``; a step is ``dt`` s."""
+    spawn and every waypoint draw come from ``rng``; a step is ``dt`` s.
+    Vehicle ``i`` spawns at the intersection of RSU ``spawn_rsu[i]``."""
 
     def __init__(
         self,
         net: RoadNetwork,
-        n: int,
         rng: np.random.Generator,
         dt: float,
-        speed_range: tuple[float, float] = (8.0, 15.0),
-        spawn_rsu: np.ndarray | None = None,
+        speed_range: tuple[float, float],
+        spawn_rsu: np.ndarray,
     ):
         self.net = net
-        self.n = n
+        self.n = n = len(spawn_rsu)
         self.rng = rng
         self.speed = rng.uniform(speed_range[0], speed_range[1], size=n)
-        self.heading = np.zeros((n, 2))
-        self.waypoint = np.zeros(n, dtype=int)
-        self.nav_intent = np.zeros(n, dtype=int)
         self._spawn(spawn_rsu)
         # constant after spawn, so the status reports carry it as it is
         self.speed.setflags(write=False)
@@ -156,28 +153,27 @@ class Fleet:
         self._move = self.speed * dt
         self.stride = self.heading * self._move[:, None]
 
-    def _spawn(self, spawn_rsu: np.ndarray | None) -> None:
+    def _spawn(self, spawn_rsu: np.ndarray) -> None:
         """Each vehicle at a uniform point of a segment at its spawn RSU's
-        intersection (any segment without ``spawn_rsu``), bound for one end;
-        draws per vehicle in index order, positions and headings at once."""
-        net, rng = self.net, self.rng
+        intersection, bound for one end: three draws for the whole fleet,
+        the segments, the directions and the offsets."""
+        net, rng, n = self.net, self.rng, self.n
+        self.heading = np.zeros((n, 2))
+        self.waypoint = np.zeros(n, dtype=int)
         if not net.segments:
-            self.pos = np.tile(net.intersections[0], (self.n, 1))
+            self.pos = np.tile(net.intersections[0], (n, 1))
             return
-        choices = ([range(len(net.segments))] * self.n if spawn_rsu is None else
-                   [net.incident[r] for r in spawn_rsu.tolist()])
-        ends, u = np.empty((self.n, 2), dtype=int), np.empty(self.n)
-        for i, segs in enumerate(choices):
-            a, b = net.segments[segs[int(rng.integers(len(segs)))]]
-            if rng.integers(2):
-                a, b = b, a
-            u[i] = rng.uniform()
-            ends[i] = a, b
-            nxt = net.adjacency[b]
-            self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
+        # every intersection's segments, one after another, in id order
+        count = np.array([len(segs) for segs in net.incident.values()])
+        flat = np.array([s for segs in net.incident.values() for s in segs])
+        first = np.cumsum(count) - count
+        ends = np.array(net.segments)[flat[first[spawn_rsu] + rng.integers(count[spawn_rsu])]]
+        flip = rng.integers(2, size=n).astype(bool)
+        ends[flip] = ends[flip, ::-1]
+        u = rng.uniform(size=n)
         pa, pb = net.intersections[ends[:, 0]], net.intersections[ends[:, 1]]
         self.pos = pa + u[:, None] * (pb - pa)
-        self.heading[:] = [net.heading(a, b) for a, b in zip(*ends.T.tolist())]
+        self.heading[:] = [net.heading(a, b) for a, b in ends.tolist()]
         self.waypoint[:] = ends[:, 1]
 
     def step(self) -> None:
@@ -200,8 +196,6 @@ class Fleet:
             wp = adj[int(rng.integers(len(adj)))]
             self.waypoint[i] = wp
             target[i] = net.intersections[wp]
-            nxt = net.adjacency[wp]
-            self.nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
             self.heading[i] = net.heading(node, wp)
             self.stride[i] = self.heading[i] * move[i]
 

@@ -81,9 +81,9 @@ class Simulation:
 
         self.net = build_grid(cfg.grid.rows, cfg.grid.cols, cfg.grid.spacing_m,
                               cfg.grid.rsu_radius_m)
-        self.fleet = Fleet(self.net, cfg.n_vehicles, numpy_stream(cfg.seed, "mobility"),
-                           self._sense_us / US_PER_S, speed_range=tuple(cfg.speed_range_mps),
-                           spawn_rsu=np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
+        self.fleet = Fleet(self.net, numpy_stream(cfg.seed, "mobility"), self._sense_us / US_PER_S,
+                           tuple(cfg.speed_range_mps),
+                           np.repeat(np.arange(cfg.n_rsus), cfg.vehicles_per_rsu))
         self.current_rsu, _ = serving_rsu(self.fleet.pos, self.net.intersections,
                                           self.net.rsu_radius_m, None, cfg.grid.hysteresis_m)
         self._screen_m = self.net.screen_radius

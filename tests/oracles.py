@@ -3,7 +3,8 @@
 Each model here is the per-vehicle statement of a rule that the simulator
 evaluates in bulk; the tests check the runtime code against it:
 
-- ``spawn_fleet``: ``mobility.Fleet``'s spawn, one vehicle at a time;
+- ``spawn_fleet``: ``mobility.Fleet``'s spawn, one vehicle at a time
+  after the same three bulk draws;
 - ``VehicleState``/``step_vehicle``: ``mobility.Fleet.step``;
 - ``covering_rsu``: ``mobility.serving_rsu``;
 - ``nearest_rsu``: ``mobility.nearest``, from the whole distance matrix at
@@ -47,43 +48,38 @@ class VehicleState:
     speed: float               # m/s
     heading: np.ndarray        # unit vector
     waypoint: int              # intersection id ahead
-    nav_intent: int            # planned intersection after the waypoint
 
 
 def spawn_fleet(
     net: RoadNetwork,
-    n: int,
     rng: np.random.Generator,
-    spawn_rsu: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Position, heading, waypoint and nav intent of ``n`` vehicles, each on a
-    uniform point of a segment at its spawn RSU's intersection (of any
-    segment without ``spawn_rsu``, or where that intersection has none),
-    rescanning the segments and computing the heading per vehicle."""
-    pos, heading = np.zeros((n, 2)), np.zeros((n, 2))
-    waypoint, nav_intent = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    spawn_rsu: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Position, heading and waypoint of each vehicle, on a uniform point of
+    a segment at its spawn RSU's intersection (at that intersection if the
+    network has no segment), rescanning the segments and computing the
+    heading per vehicle.  It draws what ``mobility.Fleet`` draws, in its
+    order: every vehicle's segment among its intersection's, then every
+    direction, then every offset."""
+    n = len(spawn_rsu)
+    pos, heading, waypoint = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n, dtype=int)
+    if not net.segments:
+        pos[:] = net.intersections[0]
+        return pos, heading, waypoint
+    segs = [[s for s, ends in enumerate(net.segments) if node in ends] for node in spawn_rsu]
+    pick = rng.integers([len(c) for c in segs])
+    flip = rng.integers(2, size=n)
+    u = rng.uniform(size=n)
     for i in range(n):
-        node = None if spawn_rsu is None else int(spawn_rsu[i])
-        segs = [s for s, (a, b) in enumerate(net.segments) if node in (a, b)]
-        if segs:
-            seg = segs[int(rng.integers(len(segs)))]
-        elif net.segments:
-            seg = int(rng.integers(len(net.segments)))
-        else:
-            pos[i] = net.intersections[0]
-            continue
-        a, b = net.segments[seg]
-        if rng.integers(2):
+        a, b = net.segments[segs[i][pick[i]]]
+        if flip[i]:
             a, b = b, a
-        u = float(rng.uniform())
         pa, pb = net.intersections[a], net.intersections[b]
-        pos[i] = pa + u * (pb - pa)
+        pos[i] = pa + u[i] * (pb - pa)
         direction = pb - pa
         heading[i] = direction / np.linalg.norm(direction)
         waypoint[i] = b
-        nxt = net.adjacency[b]
-        nav_intent[i] = nxt[int(rng.integers(len(nxt)))]
-    return pos, heading, waypoint, nav_intent
+    return pos, heading, waypoint
 
 
 def step_vehicle(
@@ -93,8 +89,8 @@ def step_vehicle(
     net: RoadNetwork,
 ) -> VehicleState:
     """Advance speed*dt toward the waypoint.  On arrival the tick is consumed
-    there: a new waypoint is drawn uniformly among adjacent intersections and
-    the nav intent is re-drawn one hop further."""
+    there, and a new waypoint is drawn uniformly among adjacent
+    intersections."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     target = net.intersections[v.waypoint]
@@ -108,8 +104,6 @@ def step_vehicle(
         adj = net.adjacency[v.waypoint]
         if adj:
             v.waypoint = adj[int(rng.integers(len(adj)))]
-            nxt = net.adjacency[v.waypoint]
-            v.nav_intent = nxt[int(rng.integers(len(nxt)))]
             direction = net.intersections[v.waypoint] - v.position
             norm = float(np.linalg.norm(direction))
             v.heading = direction / norm if norm > 0 else v.heading

@@ -3,9 +3,10 @@ sha256 values byte for byte.
 
 The determinism criterion only compares two reruns of the same code, so a
 change that alters RNG draw order or event order would pass it silently.
-These digests were computed before the report path was batched; a change
-that is meant to keep behaviour must keep them, and a change to modelled
-behaviour updates them and says why in CHANGES.md.
+These digests were last re-pinned when the fleet's spawn became three bulk
+draws and its unread navigation-intent draws went; a change that is meant
+to keep behaviour must keep them, and a change to modelled behaviour
+updates them and says why in CHANGES.md.
 """
 import copy
 import hashlib
@@ -52,51 +53,51 @@ SCENARIOS["localize"] = {**SCENARIOS["v2v_handoff"], "periods": {"epoch_s": 5}}
 
 DIGESTS = {
     "layered": {
-        "tasks.csv": "e66ce3bbb7d9ae07cfefd4746bbf02ff10b6e0b25db6b0e6cfd1a2e44bd84f2b",
+        "tasks.csv": "1ff0834fd11c3c6da2ad9ab3318d4fe1da0a96c1befb0ab6a49a3bbd84d3898b",
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
-        "epochs.jsonl": "307d00f3dd08043b53e6228ce0aa9b49ee0941e0b4209a78481c6c2ee1327b6b",
+        "epochs.jsonl": "a96b54a1f5eab88d68ebe3b0b65ee574bb48be871c86589418770ba9a0e32b0f",
     },
     "cloud_only": {
-        "tasks.csv": "c1840becbe7d60b125f5d9ef0a4071960858ac4c29604f5c08a0561986e93eaf",
+        "tasks.csv": "9165b764b0e1b2d8f91cdd4844c7247a8f4b91e5d312bf2b6a5bb50ce4f72e59",
         "indices.csv": "3037558c00eed61999bdce3cdbbc5ae8c32bd8cefe55514088b4e98ab10ca277",
-        "epochs.jsonl": "16f3b26b8eeba29a1af4f4d7257083bb484b1aab9dfdae23a908761fbd5b2ba1",
+        "epochs.jsonl": "4a7a334059210021b8bdc9008a5943f881b86522ef0e727dd1a2e329729e9200",
     },
     "hotspot": {
-        "tasks.csv": "ef36ebed20345d234db3e10747715200dd942a684be80b62ec60ea469146ae1c",
-        "indices.csv": "5bdfe4c3259ffee2e8543cc617bfbf535ad6a9d5b94272a9e4e158c7d9d04f16",
-        "epochs.jsonl": "b525f2885b03c9aa09e52fb1aa073dd5b62cdbe01bf63eaef7acd511670703e3",
+        "tasks.csv": "dfad4a8c601f17f9ee472e86bfdd7025be31a5ad799136f385046e8efac98d31",
+        "indices.csv": "521883067057b680d75adc592aa3d113efeb004b10f3a5491c42fe5259c63456",
+        "epochs.jsonl": "3dc877675cc34061ae84d078ee8a4d08be9d8422407a94323ba44516a881ca91",
     },
     "v2v_handoff": {
-        "tasks.csv": "e66b575321dfc76a10d76a8282c4575f146dd12e943ce618b7102fb831ae1076",
+        "tasks.csv": "a0cdffc526ca770f210dc4b57d0d028722dd85c7880a55faf4b66558269e68cf",
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
-        "epochs.jsonl": "e47e74c022047c419d0f19ceeb2d58f0e1b99ef5e07ff2dfd288dab2c8f52da1",
+        "epochs.jsonl": "cac174c4ef3602d93b37c8238b95c1e163ebac3e032c9fa0ae4aab609a7a102b",
     },
     "evolution": {
-        "tasks.csv": "46b68d049475e964e1ebebe6ef2a4cd3fa020f09881642a3b4643f10f502e8cc",
+        "tasks.csv": "5b9087a26dd13fc20281eafd0fdcbb7af41722800b112ffc318aac69de66ce09",
         "indices.csv": "eeaed92c71e10fb202ea792b13f2d399b125278e7e1a9ae593ec32958b163694",
-        "epochs.jsonl": "46256622bc505c3d90936a798c4f88996f2ad121ace06186da9b50bbd2b60573",
+        "epochs.jsonl": "7d14cb2ce729c007a208d4809a4079b42e81a8f34be589cbaeb490574be487e3",
     },
     "congestion": {
-        "tasks.csv": "199c5514986c529dc48dbb645beff76a74cfe1e852658ce42708fe835817b6f4",
+        "tasks.csv": "e0de1f984a4c04e8e12e052ebfb7fe8302a109f3ce481c9b0cfa3ffc7c01db27",
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
-        "epochs.jsonl": "089fda02a1cfad5f542473245dcf2b53dd2a22324ba5978266042934b9adeb7a",
+        "epochs.jsonl": "8515f800ca0f6a2b27499b1e4816f7e88329cd0b1bd05253ecb65855c22ef0f2",
     },
     "localize": {
-        "tasks.csv": "4b3d7ff27e163ccf433d8af5abd363b3f6eb76d9e537de6fe6cabc1a66537f4e",
+        "tasks.csv": "fa6c17c89c7c6f6b9e04dddd05767fd7d68f9e24ebb583dc62c2a8877136bc9a",
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
-        "epochs.jsonl": "13902ef72b6991cf313500d78b9be9b36ba94c621e1318c46a6393a1fe464cc4",
+        "epochs.jsonl": "0647204ab940cabe4ef1d8b7d9be4520a482fb168d5bbcdf486db1d416bb2af7",
     },
 }
 
 # final (sent, delivered, dropped) message counters, beacons included
 MESSAGES = {
-    "layered": (2117186, 2013124, 102860),
-    "cloud_only": (2141486, 2036845, 103423),
-    "hotspot": (2417065, 2299326, 116525),
-    "v2v_handoff": (2129332, 2023891, 104237),
-    "evolution": (117052, 111368, 5383),
-    "congestion": (2131827, 2026241, 104384),
-    "localize": (2129744, 2024305, 104236),
+    "layered": (2121105, 2016868, 103035),
+    "cloud_only": (2133948, 2029721, 103012),
+    "hotspot": (2436024, 2317490, 117312),
+    "v2v_handoff": (2134134, 2028454, 104479),
+    "evolution": (115719, 110099, 5318),
+    "congestion": (2122619, 2017526, 103889),
+    "localize": (2134997, 2029314, 104481),
 }
 
 # label entries that read Congestion, out of each run's label log

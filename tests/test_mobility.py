@@ -262,25 +262,28 @@ def test_step_vehicle_consumes_waypoint_on_arrival(grid):
         speed=10.0,
         heading=np.array([1.0, 0.0]),
         waypoint=1,
-        nav_intent=2,
     )
     step_vehicle(v, 2.0, rng, grid)
     # arrived at node 1 and drew a fresh waypoint among its neighbors
     np.testing.assert_allclose(v.position, grid.intersections[1])
     assert v.waypoint in grid.adjacency[1]
-    assert v.nav_intent in grid.adjacency[v.waypoint]
+
+
+def fleet_of(net, n, seed, dt=0.1):
+    """A fleet of ``n`` vehicles spread over the RSUs of ``net`` in turn."""
+    return Fleet(net, numpy_stream(seed, "mobility"), dt, (8.0, 15.0),
+                 np.arange(n) % len(net.intersections))
 
 
 def test_fleet_matches_scalar_stepper(grid):
     """The vectorized fleet replays step_vehicle per vehicle in index order."""
-    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"), 0.1)
+    fleet = fleet_of(grid, 40, 3)
     # the scalar stepper draws from a copy of the fleet's generator after the spawn
     rng = copy.deepcopy(fleet.rng)
 
     scalars = [
         VehicleState(i, fleet.pos[i].copy(), float(fleet.speed[i]),
-                     fleet.heading[i].copy(), int(fleet.waypoint[i]),
-                     int(fleet.nav_intent[i]))
+                     fleet.heading[i].copy(), int(fleet.waypoint[i]))
         for i in range(fleet.n)
     ]
     for _ in range(400):
@@ -291,14 +294,13 @@ def test_fleet_matches_scalar_stepper(grid):
         assert np.array_equal(fleet.pos[i], v.position)
         assert np.array_equal(fleet.heading[i], v.heading)
         assert int(fleet.waypoint[i]) == v.waypoint
-        assert int(fleet.nav_intent[i]) == v.nav_intent
 
 
 def test_fleet_step_keeps_speed_and_caches_strides(grid):
     """Stepping never writes a speed; each vehicle's cached waypoint
     coordinates and step heading * speed * dt follow its waypoint
     arrivals."""
-    fleet = Fleet(grid, 40, numpy_stream(3, "mobility"), 0.1)
+    fleet = fleet_of(grid, 40, 3)
     speed = fleet.speed.copy()
     arrivals = 0
     for _ in range(400):
@@ -314,7 +316,7 @@ def test_fleet_step_keeps_speed_and_caches_strides(grid):
 
 def test_fleet_spawns_on_region_segments(grid):
     spawn = np.repeat(np.arange(6), 10)
-    fleet = Fleet(grid, 60, numpy_stream(0, "mobility"), 0.1, spawn_rsu=spawn)
+    fleet = Fleet(grid, numpy_stream(0, "mobility"), 0.1, (8.0, 15.0), spawn)
     # each vehicle starts on one of the segments at its assigned RSU's
     # intersection, bound for one of that segment's ends
     for i in range(60):
@@ -335,22 +337,24 @@ def test_fleet_spawns_on_region_segments(grid):
     build_grid(1, 1, 1000.0), build_grid(1, 2, 1000.0), build_grid(3, 1, 750.0),
     build_grid(2, 3, 1000.0), build_grid(7, 5, 333.3),
 ], ids=["1x1", "1x2", "3x1", "2x3", "7x5"])
-@pytest.mark.parametrize("spawn", [False, True], ids=["anywhere", "spawn_rsu"])
-def test_fleet_spawn_matches_scalar_oracle(net, spawn):
-    """Positions, headings, waypoints, nav intents and the generator's state
-    after the spawn are those of the per-vehicle oracle, bit for bit."""
-    n = 97
-    spawn_rsu = np.arange(n) % len(net.intersections) if spawn else None
+@pytest.mark.parametrize("layout", ["by_region", "spawn_rsu"])
+def test_fleet_spawn_matches_scalar_oracle(net, layout):
+    """Positions, headings, waypoints and the generator's state after the
+    spawn are those of the per-vehicle oracle, bit for bit, with the
+    vehicles spread over the RSUs in turn (spawn_rsu) or in blocks, as the
+    runner spawns them (by_region).  On 1x1 there is no segment, and only
+    the speeds are drawn."""
+    n, k = 97, len(net.intersections)
+    spawn_rsu = np.arange(n) % k if layout == "spawn_rsu" else np.arange(n) * k // n
     rng = numpy_stream(11, "mobility")
-    fleet = Fleet(net, n, rng, 0.1, speed_range=(8.0, 15.0), spawn_rsu=spawn_rsu)
+    fleet = Fleet(net, rng, 0.1, (8.0, 15.0), spawn_rsu)
     ref_rng = numpy_stream(11, "mobility")
     speed = ref_rng.uniform(8.0, 15.0, size=n)
-    pos, heading, waypoint, nav_intent = oracles.spawn_fleet(net, n, ref_rng, spawn_rsu)
+    pos, heading, waypoint = oracles.spawn_fleet(net, ref_rng, spawn_rsu)
     assert np.array_equal(fleet.speed, speed)
     assert np.array_equal(fleet.pos, pos)
     assert np.array_equal(fleet.heading, heading)
     assert np.array_equal(fleet.waypoint, waypoint)
-    assert np.array_equal(fleet.nav_intent, nav_intent)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
