@@ -7,13 +7,12 @@ kernel endpoint: a result names its vehicle by its task's origin, a handoff
 A status report goes up every second with the vehicle's speed (it keeps its
 spawn speed), its channel quality at the report tick and its local queue
 backlog, plus immediately on an RSU handover or when the local queue backlog
-exceeds the trigger threshold; the runner hands the report tick's distances
-in.
-The serving edge adds the speeds to its fusion window and ranks its vehicles
-for roles by the channel quality and idle compute of their latest report.
-The scalar models of channel quality and of the neighbour table that the
-per-vehicle arrays stand in for live in tests/oracles.py, where the tests
-check this module against them.
+exceeds the trigger threshold.  The runner hands the report tick's
+distances in.  The serving edge adds the speeds to its fusion window and
+ranks its vehicles for roles by the channel quality and idle compute of
+their latest report.  The scalar models of channel quality and of the
+neighbour table that the per-vehicle arrays stand in for live in
+tests/oracles.py, where the tests check this module against them.
 """
 from __future__ import annotations
 
