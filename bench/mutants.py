@@ -5,8 +5,9 @@
 Each mutant in ``MUTANTS`` replaces one line of a file under ``src/`` in a
 scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` (a temporary
 directory per mutant), then runs pytest there, stopping at the first
-failure, on ``tests/test_digests.py`` or on the tests named next to the
-mutant.  A mutant that fails them is killed; one that passes them survives.
+failure, on the pinned digests of ``tests/test_digests.py`` or on the
+tests named next to the mutant.  A mutant that fails them is killed; one
+that passes them survives.
 The script prints one line per mutant, then the survivors, and exits 1 if
 any survives, or if the list has gone stale: a mutant's line is not found
 exactly once in its file, or its tests do not run.  See DeMillo, Lipton &
@@ -22,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGESTS = "tests/test_digests.py"
+DIGESTS = "tests/test_digests.py::test_pinned_digests"
 
 # (name, file under src/twinsim, line as written there (stripped), its
 # replacement, the tests that must catch it)

@@ -16,6 +16,7 @@ WARMUP_US = 5_000_000
 
 def _reduce(result):
     completed = [r for r in result.records if r.completed_us is not None]
+    after_warmup = [r.rt_us for r in completed if r.created_us > WARMUP_US]
     return {
         "stats": summarize(result.records),
         "autonomy": list(result.series.autonomy),
@@ -26,7 +27,7 @@ def _reduce(result):
         "in_flight": result.in_flight,
         "wall_s": result.wall_time_s,
         "min_rt_us": min((r.rt_us for r in completed), default=None),
-        "mean_rt_after_warmup_us": mean(r.rt_us for r in completed if r.created_us > WARMUP_US),
+        "mean_rt_after_warmup_us": mean(after_warmup) if after_warmup else None,
         "tiers": {r.tier for r in completed},
         "messages": (result.messages.sent, result.messages.delivered,
                      result.messages.dropped, result.messages.in_flight),

@@ -10,7 +10,6 @@ updates them and says why in CHANGES.md.
 """
 import copy
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -137,17 +136,3 @@ def test_pinned_digests(name, tmp_path):
     if name in CONGESTION:
         labels = [e.labels for e in result.label_log]
         assert (sum("Congestion" in x for x in labels), len(labels)) == CONGESTION[name]
-
-
-def test_every_mutant_changes_one_line():
-    """``bench/mutants.py`` audits these digests; each of its mutants must
-    still name exactly one line of the program, or it no longer tests it."""
-    path = Path(__file__).parents[1] / "bench" / "mutants.py"
-    spec = importlib.util.spec_from_file_location("mutants", path)
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
-    src = Path(__file__).parents[1] / "src" / "twinsim"
-    for name, file, old, new, tests in mutants.MUTANTS:
-        source = (src / file).read_text()
-        assert mutants.mutate(source, old, new) != source, name
-        assert (Path(__file__).parents[1] / tests.split("::")[0]).is_file(), name
