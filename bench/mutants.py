@@ -34,9 +34,9 @@ MUTANTS = [
     ("localize_is_identity", "edge.py",
      "if not congestion_active or shift <= 0:", "if True:", DIGESTS),
     ("edge_never_congested", "edge.py",
-     'congestion_active="Congestion" in self.labels)', "congestion_active=False)", DIGESTS),
+     'congested = "Congestion" in self.labels[r]', "congested = False", DIGESTS),
     ("fusion_speed_sum_zero", "edge.py",
-     "w.speed_sum = total", "w.speed_sum = 0.0", DIGESTS),
+     "np.add.at(self.speed_sum, at, speed[kept])", "pass", DIGESTS),
     # reached only from a parent with a small processing quota
     ("quota_floor_0.06", "cloud.py",
      "proc = 0.05", "proc = 0.06", "tests/test_cloud.py"),
@@ -51,8 +51,11 @@ MUTANTS = [
     ("no_backlog_reports", "local.py",
      "self._send_report(server_vehicle)", "pass", DIGESTS),
     ("no_relay_of_results", "edge.py",
-     'if task.tier == "Edge" and self.current_rsu.item(task.origin) != self.rsu_id:',
+     'if task.tier == "Edge" and self.current_rsu.item(task.origin) != r:',
      "if False:", DIGESTS),
+    ("relay_served_at_origin", "edge.py",
+     "self._task(payload[1], payload[2], True)",
+     "self._task(payload[2].origin_rsu, payload[2], True)", DIGESTS),
     ("rollback_tolerance_1.5", "cloud.py",
      "tolerance: float = 1.05) -> str:", "tolerance: float = 1.5) -> str:", DIGESTS),
 ]

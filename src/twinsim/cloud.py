@@ -3,8 +3,8 @@ and utilization, (1+1)-style blueprint evolution with rollback, and
 overload/underload pairing directives.  A blueprint is an ``edge.Policy``
 with its lineage: the target region, the epoch and the parent blueprint.
 
-``CloudTwin``, the kernel endpoint after the last RSU, owns the cloud FIFO
-and the results it routes to a vehicle's current RSU, the uplink ingest,
+``CloudTwin``, the kernel endpoint ``CLOUD``, owns the cloud FIFO and the
+results it sends back to the edge layer (``EDGES``), the uplink ingest,
 each region's per-epoch completion tallies, and the epoch boundary.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from .edge import PARAM_RANGES, Policy, UplinkPackage
-from .kernel import US_PER_S, rng_stream
+from .kernel import EDGES, US_PER_S, rng_stream
 from .local import drop_task
 from .metrics import BELOW_CLOUD, median
 
@@ -34,7 +34,7 @@ def clamp(x: float, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class PolicyBlueprint:
-    target: int | str                 # rsu id, or "global"
+    target: int                       # the region's rsu id
     epoch: int
     parent_id: str | None
     policy: Policy
@@ -65,7 +65,6 @@ class OffloadDirective:
 
 @dataclass
 class RegionNode:
-    rsu_id: int
     labels: tuple[str, ...] = ("Normal",)
     utilization: float = 0.0
 
@@ -75,7 +74,7 @@ class KnowledgeGraph:
     edges follow RSU adjacency."""
 
     def __init__(self, rsu_ids: list[int], adjacency: dict[int, list[int]]):
-        self.nodes = {r: RegionNode(r) for r in rsu_ids}
+        self.nodes = {r: RegionNode() for r in rsu_ids}
         self.adjacency = adjacency
 
     def ingest(self, package: UplinkPackage) -> None:
@@ -223,7 +222,6 @@ class CloudTwin:
         cfg = self.cfg = world.cfg
         self.engine = world.engine
         self._r2c = cfg.links.r2c
-        self.current_rsu = world.current_rsu
         self.rng_mutation = rng_stream(cfg.seed, "mutation")
         self.epoch_us = epoch_us
         regions = range(cfg.n_rsus)
@@ -252,10 +250,9 @@ class CloudTwin:
             self.graph.ingest(payload[1])
 
     def _route_result(self, task) -> None:
-        """Send a result to the edge that serves its vehicle now."""
-        self.engine.send(self.current_rsu.item(task.origin), ("result", task),
-                         self.cfg.workload.response_bytes, self._r2c,
-                         on_drop=drop_task)
+        """Send a result to the edge layer, which passes it on to its vehicle."""
+        self.engine.send(EDGES, ("result", task), self.cfg.workload.response_bytes,
+                         self._r2c, on_drop=drop_task)
 
     def tally(self, task) -> None:
         """A completed task counts toward its origin region's epoch."""
@@ -282,12 +279,11 @@ class CloudTwin:
         for r in sorted(self.evolutions):
             candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
             fractions[r] = candidate.policy.offload_fraction
-            self.engine.send(r, ("blueprint", candidate),
+            self.engine.send(EDGES, ("blueprint", candidate),
                              self.cfg.workload.blueprint_bytes, self._r2c)
         nodes = self.graph.nodes
         for d in coordinate(self.graph, fractions, epoch_idx + 1, now + self.epoch_us):
             self.directive_log.append(DirectiveLogEntry(
                 now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
                 nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
-            self.engine.send(d.from_rsu, ("directive", d), DIRECTIVE_BYTES,
-                             self._r2c)
+            self.engine.send(EDGES, ("directive", d), DIRECTIVE_BYTES, self._r2c)

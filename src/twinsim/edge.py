@@ -1,9 +1,9 @@
-"""Edge twins: one ``EdgeTwin`` per RSU, whose kernel endpoint is its RSU
-index.  It owns its population's roles, regional fusion and labels, task
-scheduling (FIFO server, counter thinning to a partner edge, cloud
-overflow), results to vehicles, the uplink package, and the localization of
-the cloud's blueprints and directives.  An RSU's population is the vehicles
-it serves (``current_rsu[v] == rsu_id``).
+"""Edge twins: one vectorized ``EdgeTwins`` for the twins of every RSU,
+behind the one kernel endpoint ``EDGES``.  It owns each region's roles,
+fusion and labels, task scheduling (FIFO server, counter thinning to a
+partner edge, cloud overflow), results to vehicles, the uplink package, and
+the localization of the cloud's blueprints and directives.  An RSU's
+population is the vehicles it serves (``current_rsu[v] == r``).
 
 ``Policy`` is the one policy type: the scenario's initial policy, the policy
 a cloud blueprint carries, and the edge's localized copy of it.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import US_PER_S
+from .kernel import CLOUD, EDGES, US_PER_S, VEHICLES
 from .local import drop_task
 
 ROLES = ("acquisition", "processing", "coordination")
@@ -116,14 +116,6 @@ class ThinningCounter:
         return False
 
 
-@dataclass
-class FusionWindow:
-    """Accumulators for the current 5 s fusion window."""
-    speed_sum: float = 0.0
-    speed_count: int = 0
-    processed_cu: float = 0.0
-
-
 class EdgeServer:
     """Single shared FIFO queue at fixed CU/s capacity."""
 
@@ -151,69 +143,40 @@ class LabelLogEntry:
     mean_speed: float
 
 
-class HeldReports:
-    """Per vehicle, whether its serving edge holds a report of it, that
-    report's channel quality and backlog, and its role (index into ``ROLES``).
-    Only the edge layer writes these arrays."""
+class EdgeTwins:
+    """The twins of every RSU.  Per region, indexed by RSU: the policy, the
+    pending cloud blueprint (applied at fusion), the cloud's latest
+    directive, the fused labels, the last utilization and mean speed, one
+    ``EdgeServer``, one ``ThinningCounter`` and the sums of the current
+    fusion window, all in lists but the speed sums and counts, which are
+    arrays that a report batch adds to.  Per vehicle, in arrays that only
+    this layer writes: whether its serving edge holds a report of it, that
+    report's channel quality and backlog, and its role (index into
+    ``ROLES``).  ``world`` is the runner's read-only view."""
 
-    def __init__(self, n: int):
+    def __init__(self, world, window_us: int):
+        cfg = self.cfg = world.cfg
+        self.engine = world.engine
+        self.current_rsu = world.current_rsu
+        n, m = cfg.n_vehicles, cfg.n_rsus
         self.has = np.zeros(n, dtype=bool)
         self.cq = np.zeros(n)
         self.backlog = np.zeros(n)
         self.role = np.zeros(n, dtype=np.int8)
-
-    def forget(self, moved: np.ndarray) -> None:
-        """Vehicles that changed RSU start at their new edge unreported."""
-        self.has[moved] = False
-        self.role[moved] = 0
-
-    def take_batch(self, edges: list, current_rsu: np.ndarray, batch: tuple,
-                   v: np.ndarray) -> None:
-        """The reports of vehicles ``v`` (ascending) that got through from a
-        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as the edges'
-        ``_report`` takes them one by one in that order: a report counts at
-        the edge it was sent to if that edge still serves its vehicle."""
-        rsu, speed, cq, backlog = batch
-        kept = v[rsu[v] == current_rsu[v]]
-        self.has[kept] = True
-        self.cq[kept] = cq[kept]
-        self.backlog[kept] = backlog[kept]
-        at, speed = rsu[kept], speed[kept]
-        for e in edges:
-            mine = speed[at == e.rsu_id].tolist()
-            w = e.window
-            total = w.speed_sum
-            for s in mine:
-                total += s
-            w.speed_sum = total
-            w.speed_count += len(mine)
-
-
-class EdgeTwin:
-    """The twin of RSU ``rsu_id``; ``held`` and ``label_log`` are shared by
-    every edge twin, ``world`` is the runner's read-only view."""
-
-    def __init__(self, rsu_id: int, world, held: HeldReports, label_log: list,
-                 window_us: int):
-        cfg = self.cfg = world.cfg
-        self.rsu_id = rsu_id
-        self.engine = world.engine
-        self.current_rsu = world.current_rsu
-        self.held = held
-        self.label_log = label_log
-        # kernel endpoints: the cloud, then one shared by every vehicle
-        self._cloud = cfg.n_rsus
-        self._vehicles = cfg.n_rsus + 1
+        self.policy = [cfg.policy] * m
+        self.pending_blueprint = [None] * m
+        self.directive = [None] * m
+        self.labels = [("Normal",)] * m
+        self.last_utilization = [0.0] * m
+        self.last_mean_speed = [0.0] * m
+        self.server = [EdgeServer(cfg.capacity.edge_cu_s) for _ in range(m)]
+        self.thinning = [ThinningCounter() for _ in range(m)]
+        # the current fusion window: report speeds and their count, CU served
+        self.speed_sum = np.zeros(m)
+        self.speed_count = np.zeros(m, dtype=np.int64)
+        self.processed_cu = [0.0] * m
+        self.label_log: list[LabelLogEntry] = []
         self._window_cu = cfg.capacity.edge_cu_s * window_us / US_PER_S
-        self.server = EdgeServer(cfg.capacity.edge_cu_s)
-        self.thinning = ThinningCounter()
-        self.policy = cfg.policy
-        self.pending_blueprint = None  # a cloud PolicyBlueprint, applied at fusion
-        self.directive = None          # the cloud's latest OffloadDirective
-        self.window = FusionWindow()
-        self.labels: tuple = ("Normal",)
-        self.last_utilization = 0.0
-        self.last_mean_speed: float | None = None
         # what each task reads
         self._serves = cfg.mode != "cloud_only"
         self._util_high = cfg.thresholds.util_high
@@ -223,96 +186,127 @@ class EdgeTwin:
         self._v2r, self._r2c, self._e2e = cfg.links.v2r, cfg.links.r2c, cfg.links.e2e
 
     def receive(self, payload) -> None:
+        """Each message names its region: a task by its ``origin_rsu``, a
+        relayed task by its ``to_rsu``, a report by its leading RSU, a
+        blueprint by its ``target``, a directive by its ``from_rsu``; a
+        result from the cloud goes on to its vehicle."""
         kind = payload[0]
         if kind == "task":
-            self._task(payload[1], False)
+            self._task(payload[1].origin_rsu, payload[1], False)
         elif kind == "relay_task":
-            self._task(payload[1], True)
+            self._task(payload[1], payload[2], True)
         elif kind == "report":
             self._report(payload[1])
         elif kind == "blueprint":
-            self.pending_blueprint = payload[1]
+            self.pending_blueprint[payload[1].target] = payload[1]
         elif kind == "directive":
-            self.directive = payload[1]
+            self.directive[payload[1].from_rsu] = payload[1]
         elif kind == "result":
-            self.engine.send(self._vehicles, ("result", payload[1]), self._response_bytes,
+            self.engine.send(VEHICLES, ("result", payload[1]), self._response_bytes,
                              self._v2r, on_drop=drop_task)
 
-    def _task(self, task, relayed: bool) -> None:
+    def _task(self, r: int, task, relayed: bool) -> None:
         now = self.engine.now
         if not relayed:
             task.edge_arrival_us = now
-            task.overloaded_at_arrival = "Overload" in self.labels
+            task.overloaded_at_arrival = "Overload" in self.labels[r]
         # cloud_only relays every task to the cloud
         if self._serves:
-            directive = self.directive
+            directive = self.directive[r]
             if (not relayed and directive is not None and now < directive.expires_at_us
-                    and self.last_utilization > self._util_high
-                    and self.thinning.take(directive.fraction)):
-                self.engine.send(directive.to_rsu, ("relay_task", task), self._request_bytes,
-                                 self._e2e, on_drop=drop_task)
+                    and self.last_utilization[r] > self._util_high
+                    and self.thinning[r].take(directive.fraction)):
+                self.engine.send(EDGES, ("relay_task", directive.to_rsu, task),
+                                 self._request_bytes, self._e2e, on_drop=drop_task)
                 return
-            if self.server.backlog_s(now) <= self._backlog_to_cloud_s:
-                finish = self.server.enqueue(now, task.cost_cu)
+            server = self.server[r]
+            if server.backlog_s(now) <= self._backlog_to_cloud_s:
+                finish = server.enqueue(now, task.cost_cu)
                 task.tier = "PartnerEdge" if relayed else "Edge"
-                self.engine.schedule(finish, self._done, task, kind="compute")
+                self.engine.schedule(finish, self._done, r, task, kind="compute")
                 return
-        self.engine.send(self._cloud, ("task", task), self._request_bytes,
+        self.engine.send(CLOUD, ("task", task), self._request_bytes,
                          self._r2c, on_drop=drop_task)
 
-    def _done(self, task) -> None:
-        self.window.processed_cu += task.cost_cu
-        if task.tier == "Edge" and self.current_rsu.item(task.origin) != self.rsu_id:
+    def _done(self, r: int, task) -> None:
+        self.processed_cu[r] += task.cost_cu
+        if task.tier == "Edge" and self.current_rsu.item(task.origin) != r:
             # member left during service: forward the result via the cloud relay
-            self.engine.send(self._cloud, ("relay_result", task), self._response_bytes,
+            self.engine.send(CLOUD, ("relay_result", task), self._response_bytes,
                              self._r2c, on_drop=drop_task)
             return
-        self.engine.send(self._vehicles, ("result", task), self._response_bytes,
+        self.engine.send(VEHICLES, ("result", task), self._response_bytes,
                          self._v2r, on_drop=drop_task)
 
     def _report(self, report: tuple) -> None:
-        """report is (device, speed, channel_quality, backlog_cu)."""
-        device = report[0]
-        if self.current_rsu.item(device) != self.rsu_id:
+        """report is (rsu, device, speed, channel_quality, backlog_cu); it
+        counts at edge ``rsu`` if that edge still serves the device."""
+        r, device = report[0], report[1]
+        if self.current_rsu.item(device) != r:
             return
-        w = self.window
-        w.speed_sum += report[1]
-        w.speed_count += 1
-        held = self.held
-        held.has[device] = True
-        held.cq[device] = report[2]
-        held.backlog[device] = report[3]
+        self.speed_sum[r] += report[2]
+        self.speed_count[r] += 1
+        self.has[device] = True
+        self.cq[device] = report[3]
+        self.backlog[device] = report[4]
+
+    def take_batch(self, batch: tuple, v: np.ndarray) -> None:
+        """The reports of vehicles ``v`` (ascending) that got through from a
+        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as ``_report``
+        takes them one by one in that order: ``np.add.at`` adds the speeds
+        in index order, so each region's sum is that of in-order adds."""
+        rsu, speed, cq, backlog = batch
+        kept = v[rsu[v] == self.current_rsu[v]]
+        self.has[kept] = True
+        self.cq[kept] = cq[kept]
+        self.backlog[kept] = backlog[kept]
+        at = rsu[kept]
+        np.add.at(self.speed_sum, at, speed[kept])
+        self.speed_count += np.bincount(at, minlength=len(self.speed_count))
+
+    def forget(self, moved: np.ndarray) -> None:
+        """Vehicles that changed RSU start at their new edge unreported."""
+        self.has[moved] = False
+        self.role[moved] = 0
 
     def fuse_and_uplink(self, now: int) -> None:
-        """Close the fusion window; reassign the population's roles."""
+        """Close every region's fusion window, in region order: adopt its
+        pending blueprint, fuse its labels, log them and uplink them, then
+        reassign its members' roles.  One stable ``argsort`` of
+        ``current_rsu`` lists each region's members in ascending id."""
         cfg = self.cfg
-        # policy descent takes effect only at window boundaries
-        if self.pending_blueprint is not None:
-            self.policy = localize_policy(self.pending_blueprint.policy,
-                                          congestion_active="Congestion" in self.labels)
-            self.pending_blueprint = None
-        w = self.window
-        utilization = min(1.0, w.processed_cu / self._window_cu)
-        if w.speed_count:
-            mean_speed = w.speed_sum / w.speed_count
-            self.last_mean_speed = mean_speed
-            labels = fuse_labels(mean_speed, utilization,
-                                 self.policy.congestion_speed_threshold,
-                                 cfg.thresholds.util_high, cfg.thresholds.util_low)
-        else:
-            mean_speed = self.last_mean_speed if self.last_mean_speed is not None else 0.0
-            labels = ("Normal",)
-        self.labels = labels
-        self.last_utilization = utilization
-        self.label_log.append(LabelLogEntry(now, self.rsu_id, labels, utilization, mean_speed))
-        self.engine.send(self._cloud, ("uplink", UplinkPackage(self.rsu_id, labels, utilization)),
-                         cfg.workload.uplink_bytes, self._r2c)
-        self.window = FusionWindow()
+        util_high, util_low = cfg.thresholds.util_high, cfg.thresholds.util_low
+        sums, counts = self.speed_sum.tolist(), self.speed_count.tolist()
+        self.speed_sum[:] = 0.0
+        self.speed_count[:] = 0
+        members = np.argsort(self.current_rsu, kind="stable")
+        ends = np.bincount(self.current_rsu, minlength=len(sums)).cumsum().tolist()
+        start = 0
+        for r, end in enumerate(ends):
+            # policy descent takes effect only at window boundaries
+            blueprint = self.pending_blueprint[r]
+            if blueprint is not None:
+                congested = "Congestion" in self.labels[r]
+                self.policy[r] = localize_policy(blueprint.policy, congested)
+                self.pending_blueprint[r] = None
+            policy = self.policy[r]
+            utilization = min(1.0, self.processed_cu[r] / self._window_cu)
+            self.processed_cu[r] = 0.0
+            if counts[r]:
+                mean_speed = self.last_mean_speed[r] = sums[r] / counts[r]
+                labels = fuse_labels(mean_speed, utilization, policy.congestion_speed_threshold,
+                                     util_high, util_low)
+            else:
+                mean_speed, labels = self.last_mean_speed[r], ("Normal",)
+            self.labels[r] = labels
+            self.last_utilization[r] = utilization
+            self.label_log.append(LabelLogEntry(now, r, labels, utilization, mean_speed))
+            self.engine.send(CLOUD, ("uplink", UplinkPackage(r, labels, utilization)),
+                             cfg.workload.uplink_bytes, self._r2c)
 
-        # role churn follows the fused picture
-        held = self.held
-        ids = np.flatnonzero(self.current_rsu == self.rsu_id)
-        has = held.has[ids]
-        held.role[ids] = assign_roles(
-            ids, self.policy.role_quotas, np.where(has, held.cq[ids], 0.0),
-            np.where(has, cfg.capacity.local_cu_s - held.backlog[ids], 0.0))
+            # role churn follows the fused picture
+            ids, start = members[start:end], end
+            has = self.has[ids]
+            self.role[ids] = assign_roles(
+                ids, policy.role_quotas, np.where(has, self.cq[ids], 0.0),
+                np.where(has, cfg.capacity.local_cu_s - self.backlog[ids], 0.0))

@@ -21,6 +21,8 @@ import numpy as np
 US_PER_S = 1_000_000
 # width of one event-set window: 2**16 us, about 65.5 ms
 WINDOW_BITS = 16
+# the kernel endpoints of the three twin layers
+EDGES, CLOUD, VEHICLES = 0, 1, 2
 
 
 class CausalityError(Exception):
@@ -171,23 +173,22 @@ class Engine:
                 delay = self._delay(link, nbytes)
             self.schedule(self.now + delay, self._deliver, handler, payload, kind="delivery")
 
-    def send_batch(self, dsts: np.ndarray, nbytes: int, link: LinkSpec, deliver,
+    def send_batch(self, dst, n: int, nbytes: int, link: LinkSpec, deliver,
                    payload) -> None:
-        """Send one message to each endpoint in the array dsts, drawing the
-        loss of each in order as ``send`` would.  The messages that get
-        through on their first attempt share one delivery event, which calls
-        ``deliver`` once with their indices, ascending, in an array; a lost
-        message i carries ``payload(i)`` and retransmits on its own, as
-        ``send`` does.  The loss draws all come first."""
-        unknown = set(np.asarray(dsts).tolist()).difference(self._endpoints)
-        if unknown:
-            raise RoutingError(f"unknown endpoint: {unknown.pop()!r}")
-        n = len(dsts)
+        """Send ``n`` messages to endpoint ``dst``, drawing the loss of each
+        in order as ``send`` would.  The messages that get through on their
+        first attempt share one delivery event, which calls ``deliver`` once
+        with their indices, ascending, in an array; a lost message i carries
+        ``payload(i)`` and retransmits on its own to ``dst``, as ``send``
+        does.  The loss draws all come first."""
+        handler = self._endpoints.get(dst)
+        if handler is None:
+            raise RoutingError(f"unknown endpoint: {dst!r}")
         self.messages.sent += n
         lost = (np.fromiter(iter(self._random, None), float, n) < link.loss_prob
                 if link.loss_prob > 0.0 else np.zeros(n, dtype=bool))
         for i in np.flatnonzero(lost).tolist():
-            self._lost(self._endpoints[dsts[i]], payload(i), nbytes, link, 1, None)
+            self._lost(handler, payload(i), nbytes, link, 1, None)
         delivered = np.flatnonzero(~lost)
         if len(delivered):
             self.schedule(self.now + self._delay(link, nbytes), self._deliver_batch,

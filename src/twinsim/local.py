@@ -1,18 +1,19 @@
 """Local twins: one vectorized ``LocalTwins`` for every vehicle's twin.  It
 owns task arrivals, placement, the local queue, V2V handoff, completion and
-drop, status reports and the V2V beacon pass.  All vehicles share one
-kernel endpoint: a result names its vehicle by its task's origin, a handoff
-``("handoff", peer, task)`` by the peer that serves it.
+drop, status reports and the V2V beacon pass.  All vehicles share the one
+kernel endpoint ``VEHICLES``: a result names its vehicle by its task's
+origin, a handoff ``("handoff", peer, task)`` by the peer that serves it.
 
 A status report goes up every second with the vehicle's speed (it keeps its
 spawn speed), its channel quality at the report tick and its local queue
 backlog, plus immediately on an RSU handover or when the local queue backlog
-exceeds the trigger threshold.  The runner hands the report tick's
-distances in.  The serving edge adds the speeds to its fusion window and
-ranks its vehicles for roles by the channel quality and idle compute of
-their latest report.  The scalar models of channel quality and of the
-neighbour table that the per-vehicle arrays stand in for live in
-tests/oracles.py, where the tests check this module against them.
+exceeds the trigger threshold.  A report goes to ``EDGES`` and names its
+serving RSU first.  The runner hands the report tick's distances in.  The
+serving edge adds the speeds to its fusion window and ranks its vehicles
+for roles by the channel quality and idle compute of their latest report.
+The scalar models of channel quality and of the neighbour table that the
+per-vehicle arrays stand in for live in tests/oracles.py, where the tests
+check this module against them.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from math import log
 
 import numpy as np
 
-from .kernel import US_PER_S, link_latency, numpy_stream, rng_stream
+from .kernel import EDGES, US_PER_S, VEHICLES, link_latency, numpy_stream, rng_stream
 from .metrics import TaskRecord
 from .mobility import form_pairs
 
@@ -100,16 +101,14 @@ class LocalTwins:
     runner's read-only view.  Construction schedules the first task arrival
     of every vehicle and every scripted task."""
 
-    def __init__(self, world, edges: list, held, cloud):
+    def __init__(self, world, edges, cloud):
         cfg = self.cfg = world.cfg
         self.engine = world.engine
         self.current_rsu = world.current_rsu
         self.rng_tasks = rng_stream(cfg.seed, "tasks")
         self.rng_beacons = numpy_stream(cfg.seed, "beacons")
         self.edges = edges
-        self.held = held
         self._tally = cloud.tally
-        self.endpoint = cfg.n_rsus + 1
         n = cfg.n_vehicles
         self.records: list[TaskRecord] = []
         self.busy_until = np.zeros(n, dtype=np.int64)
@@ -179,16 +178,16 @@ class LocalTwins:
         task = TaskRecord(len(self.records), v, now, None, None, False, rsu, None, False, cost)
         self.records.append(task)
         cap = self._cap
-        threshold = self.edges[rsu].policy.local_serve_threshold if self._layered else 0.0
+        threshold = self.edges.policy[rsu].local_serve_threshold if self._layered else 0.0
         backlog_cu = max(0, self.busy_until.item(v) - now) / US_PER_S * cap
         if decide_local(cost, threshold, backlog_cu, cap, self._backlog_limit_s) == "edge":
-            self.engine.send(rsu, ("task", task), self._request_bytes, self._v2r,
+            self.engine.send(EDGES, ("task", task), self._request_bytes, self._v2r,
                              on_drop=drop_task)
             return
         if backlog_cu / cap > self._handoff_gap_s:
             peer = self.handoff_candidate(v, now, backlog_cu)
             if peer is not None:
-                self.engine.send(self.endpoint, ("handoff", peer, task), self._request_bytes,
+                self.engine.send(VEHICLES, ("handoff", peer, task), self._request_bytes,
                                  self._v2v, on_drop=drop_task)
                 return
         self._serve(v, task)
@@ -216,7 +215,7 @@ class LocalTwins:
         if server_vehicle == task.origin:
             self.complete(task)
         else:
-            self.engine.send(self.endpoint, ("result", task), self.cfg.workload.response_bytes,
+            self.engine.send(VEHICLES, ("result", task), self.cfg.workload.response_bytes,
                              self._v2v, on_drop=drop_task)
 
     # -- vehicle endpoint --------------------------------------------------
@@ -238,9 +237,9 @@ class LocalTwins:
     def emit_reports(self, now: int, d_rel: np.ndarray) -> None:
         """1 Hz status reports of every vehicle, in vehicle order, with the
         channel quality at distance ``d_rel`` (in RSU radii) from its serving
-        RSU, sent as one batch whose fields stay in arrays: those that get
-        through reach their edges in one delivery event; a lost one
-        retransmits as a report tuple."""
+        RSU, sent to ``EDGES`` as one batch whose fields stay in arrays:
+        those that get through reach the edge layer in one delivery event; a
+        lost one retransmits as a report tuple."""
         cfg = self.cfg
         speed = self.speed
         self._report_cq = cq = np.clip(1.0 - d_rel, 0.0, 1.0)
@@ -250,11 +249,10 @@ class LocalTwins:
         batch = (rsu, speed, cq, backlog)
 
         def payload(v):
-            return "report", (v, speed.item(v), cq.item(v), backlog.item(v))
+            return "report", (rsu.item(v), v, speed.item(v), cq.item(v), backlog.item(v))
 
-        self.engine.send_batch(rsu, cfg.workload.report_bytes, self._v2r,
-                               partial(self.held.take_batch, self.edges, self.current_rsu,
-                                       batch), payload)
+        self.engine.send_batch(EDGES, len(rsu), cfg.workload.report_bytes, self._v2r,
+                               partial(self.edges.take_batch, batch), payload)
 
     def handover(self, moved: np.ndarray) -> None:
         """Vehicles that changed RSU this tick report to their new edge."""
@@ -266,10 +264,9 @@ class LocalTwins:
         report tick's speed and channel quality with the current backlog."""
         if self._report_cq is None:
             return
-        report = (v, self.speed.item(v), self._report_cq.item(v),
+        report = (self.current_rsu.item(v), v, self.speed.item(v), self._report_cq.item(v),
                   self.backlog_cu(v, self.engine.now))
-        self.engine.send(self.current_rsu.item(v), ("report", report),
-                         self.cfg.workload.report_bytes, self._v2r)
+        self.engine.send(EDGES, ("report", report), self.cfg.workload.report_bytes, self._v2r)
 
     def beacon_pass(self, now: int, found: tuple) -> None:
         """Batched V2V beacon pass over the vehicle pairs in range, as
@@ -290,7 +287,7 @@ class LocalTwins:
             latency = link_latency(v2v, self.cfg.workload.beacon_bytes)
             self.beacon_snapshots.append(BeaconSnapshot(
                 now, now + latency, partial(form_pairs, *found), ok, self.busy_until.copy(),
-                self.held.role.copy(), self.cfg.capacity.local_cu_s))
+                self.edges.role.copy(), self.cfg.capacity.local_cu_s))
         snapshots = self.beacon_snapshots
         while snapshots and now - snapshots[0].heard_at > self.neighbor_expiry_us:
             snapshots.pop(0)

@@ -148,11 +148,10 @@ def tasks_csv(records: list[TaskRecord]) -> str:
     """One row per record in (created_us, task_id) order, as ``csv.writer``
     would write it: no field needs quoting, and None is an empty field.  The
     tier, the completion time and the response time are written only on
-    completed rows."""
-    rows = sorted(records, key=attrgetter("task_id"))
-    rows.sort(key=attrgetter("created_us"))  # stable: ties stay in task_id order
+    completed rows.  ``records`` come in id order, which is that order: ids
+    are issued in event order."""
     lines = [",".join(TASKS_HEADER) + "\n"]
-    for r in rows:
+    for r in records:
         done = r.completed_us is not None
         lines.append(f"{r.task_id},{r.origin},{r.created_us},"
                      f"{r.completed_us if done else ''},{r.tier if done else ''},"

@@ -5,10 +5,10 @@ index series, epoch log).  It holds none of the layers' logic.
 The ``Simulation`` builds the engine and the world (grid, fleet and
 ``current_rsu``, which only its tick writes, in place), hands the engine
 the loss stream and the fleet the mobility stream, and is the read-only view
-the layers read it from.  It builds one ``EdgeTwin`` per RSU, one
-``CloudTwin`` and one ``LocalTwins`` for the fleet, which derive their own
-streams, and registers each one's ``receive`` as a kernel endpoint: edge
-``r`` is ``r``, the cloud ``n_rsus`` and every vehicle ``n_rsus + 1``.  Each
+the layers read it from.  It builds one object per twin layer, the
+``EdgeTwins`` of every RSU, the ``CloudTwin`` and the ``LocalTwins`` of the
+fleet, which derive their own streams, and registers each one's ``receive``
+as the layer's kernel endpoint: ``EDGES``, ``CLOUD`` and ``VEHICLES``.  Each
 tick moves the fleet, updates coverage, searches the V2V pairs in range
 (``pair_search``) and calls into the layers.
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from . import kernel, metrics
 from .cloud import CloudTwin, DirectiveLogEntry, EpochRecord
-from .edge import EdgeTwin, HeldReports, LabelLogEntry
-from .kernel import US_PER_S, Engine, rng_stream, numpy_stream
+from .edge import EdgeTwins, LabelLogEntry
+from .kernel import CLOUD, EDGES, US_PER_S, VEHICLES, Engine, rng_stream, numpy_stream
 from .local import LocalTwins
 from .metrics import TaskRecord, build_index_series
 from .mobility import Fleet, build_grid, pair_search, serving_rsu
@@ -89,16 +89,11 @@ class Simulation:
         self._screen_m = self.net.screen_radius
 
         self.cloud = CloudTwin(self, self._epoch_ticks * self._sense_us)
-        self.held = HeldReports(cfg.n_vehicles)
-        self.label_log: list[LabelLogEntry] = []
-        self.edges = [EdgeTwin(r, self, self.held, self.label_log,
-                               self._fusion_ticks * self._sense_us)
-                      for r in range(cfg.n_rsus)]
-        self.local = LocalTwins(self, self.edges, self.held, self.cloud)
-        for e in self.edges:
-            self.engine.register(e.rsu_id, e.receive)
-        self.engine.register(cfg.n_rsus, self.cloud.receive)
-        self.engine.register(cfg.n_rsus + 1, self.local.receive)
+        self.edges = EdgeTwins(self, self._fusion_ticks * self._sense_us)
+        self.local = LocalTwins(self, self.edges, self.cloud)
+        self.engine.register(EDGES, self.edges.receive)
+        self.engine.register(CLOUD, self.cloud.receive)
+        self.engine.register(VEHICLES, self.local.receive)
 
         self._tick_index = 0
         self.engine.schedule(self._sense_us, self._tick, kind="tick")
@@ -110,14 +105,13 @@ class Simulation:
         self.fleet.step()
         moved, d_cur = self._update_coverage()
         if len(moved):
-            self.held.forget(moved)
+            self.edges.forget(moved)
             local.handover(moved)
         if tick % self._report_ticks == 0:
             local.beacon_pass(now, pair_search(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
             local.emit_reports(now, d_cur / self.net.rsu_radius_m)
         if tick % self._fusion_ticks == 0:
-            for e in self.edges:
-                e.fuse_and_uplink(now)
+            self.edges.fuse_and_uplink(now)
         if tick % self._epoch_ticks == 0:
             self.cloud.epoch_boundary(now, tick // self._epoch_ticks - 1)
         nxt = now + self._sense_us
@@ -145,7 +139,7 @@ class Simulation:
             series=series,
             epoch_records=self.cloud.epoch_records,
             directive_log=self.cloud.directive_log,
-            label_log=self.label_log,
+            label_log=self.edges.label_log,
             messages=self.engine.messages,
             wall_time_s=wall,
         )

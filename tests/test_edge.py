@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from twinsim.edge import (ROLES, EdgeServer, Policy, ThinningCounter, assign_roles,
                           fuse_labels, largest_remainder_seats, localize_policy)
+from twinsim.runner import Simulation
+from twinsim.scenario import parse_scenario
 
 
 def test_largest_remainder_oracle():
@@ -118,3 +120,26 @@ def test_local_policy_is_frozen():
     policy = Policy(2.0, 0.2, 6.0, (0.4, 0.4, 0.2))
     with pytest.raises(AttributeError):
         policy.offload_fraction = 0.5
+
+
+def test_take_batch_adds_speeds_in_order():
+    """A batch adds a region's speeds in vehicle order, as ``_report`` does
+    one report at a time: 1e16 and then sixteen 1.0 sum to 1e16, each 1.0
+    lost to rounding, where a pairwise ``sum`` would keep them."""
+    speed = np.array([1e16] + [1.0] * 16)
+    n = len(speed)
+    assert speed.sum() == np.add.reduceat(speed, [0])[0] == 1.0000000000000016e16
+
+    def edges():
+        cfg = parse_scenario({"grid": {"rows": 1, "cols": 1}, "vehicles_per_rsu": n,
+                              "duration_s": 31.0})
+        return Simulation(cfg).edges
+
+    batched, single = edges(), edges()
+    rsu, cq, backlog = np.zeros(n, dtype=np.intp), np.full(n, 0.5), np.full(n, 2.0)
+    batched.take_batch((rsu, speed, cq, backlog), np.arange(n))
+    for v in range(n):
+        single._report((0, v, speed.item(v), 0.5, 2.0))
+    assert batched.speed_sum.tolist() == single.speed_sum.tolist() == [1e16]
+    assert batched.speed_count.tolist() == single.speed_count.tolist() == [n]
+    assert batched.has.all() and single.has.all()

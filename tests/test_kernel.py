@@ -183,36 +183,38 @@ def record_kinds(eng) -> list:
 
 
 MSGS = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
-# name -> (messages, max_attempts, scripted loss draws; loss below 0.5)
+# name -> (messages, max_attempts, scripted loss draws; loss below 0.5,
+# endpoint)
 SEND_BATCH_CASES = {
     # first attempts: ok, lost, lost, ok, lost; the retries of messages 1
     # and 4 get through and message 2 is lost again, which exhausts
     # max_attempts=2 and drops it
-    "mixed": (MSGS, 2, [0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6]),
+    "mixed": (MSGS, 2, [0.9, 0.1, 0.2, 0.7, 0.4, 0.8, 0.3, 0.6], "layer"),
     # every first attempt lost: no batch delivery event; retries ok, lost
     # (dropped), ok
-    "all lost": (MSGS[:3], 2, [0.1, 0.2, 0.3, 0.9, 0.4, 0.8]),
+    "all lost": (MSGS[:3], 2, [0.1, 0.2, 0.3, 0.9, 0.4, 0.8], "layer"),
     # one attempt only: each lost message is dropped at once
-    "drop after max_attempts": (MSGS, 1, [0.9, 0.1, 0.2, 0.7, 0.4]),
-    "empty": ([], 2, []),
-    # integer endpoints, passed to the batch as an int array: lost, ok, ok,
-    # lost; retries ok, lost (dropped)
-    "array destinations": ([(0, "p"), (1, "q"), (0, "r"), (1, "s")], 2,
-                           [0.1, 0.9, 0.6, 0.2, 0.7, 0.3]),
+    "drop after max_attempts": (MSGS, 1, [0.9, 0.1, 0.2, 0.7, 0.4], "layer"),
+    "empty": ([], 2, [], "layer"),
+    # an integer endpoint whose messages name integer regions: lost, ok,
+    # ok, lost; retries ok, lost (dropped)
+    "integer endpoint": ([(0, "p"), (1, "q"), (0, "r"), (1, "s")], 2,
+                         [0.1, 0.9, 0.6, 0.2, 0.7, 0.3], 0),
 }
 
 
-def _loss_oracle_run(batched, msgs, max_attempts, draws):
-    """``msgs`` over a lossy link with scripted loss draws, sent one at a
-    time or as one batch (its destinations as an array).  Sent one at a
-    time, their ``on_drop`` records ``(time, payload)`` of each drop."""
+def _loss_oracle_run(batched, msgs, max_attempts, draws, dst):
+    """``msgs``, each ``(name, payload)``, to endpoint ``dst`` over a lossy
+    link with scripted loss draws, sent one at a time or as one batch.  The
+    endpoint records ``(time, name, payload)`` of each message, as the
+    endpoint of a twin layer reads the region a message names.  Sent one at
+    a time, their ``on_drop`` records ``(time, payload)`` of each drop."""
     link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0,
                     max_attempts=max_attempts)
     rng = ScriptedRng(draws)
     eng = Engine(rng)
     calls, drops = [], []
-    for name in ("a", "b", 0, 1):
-        eng.register(name, lambda p, name=name: calls.append((eng.now, name, p)))
+    eng.register(dst, lambda msg: calls.append((eng.now, *msg)))
     eng.schedule(1_000, lambda: None)
     eng.run_until(1_000)
     fired = record_kinds(eng)
@@ -221,11 +223,10 @@ def _loss_oracle_run(batched, msgs, max_attempts, draws):
             assert isinstance(indices, np.ndarray)
             for i in indices.tolist():
                 calls.append((eng.now, *msgs[i]))
-        eng.send_batch(np.array([dst for dst, _ in msgs]), 2000, link, deliver,
-                       lambda i: msgs[i][1])
+        eng.send_batch(dst, len(msgs), 2000, link, deliver, lambda i: msgs[i])
     else:
-        for dst, payload in msgs:
-            eng.send(dst, payload, 2000, link, on_drop=lambda p: drops.append((eng.now, p)))
+        for msg in msgs:
+            eng.send(dst, msg, 2000, link, on_drop=lambda m: drops.append((eng.now, m[1])))
     eng.run_until(1_000_000)
     retx = [t for t, kind in fired if kind == "retx"]
     dropped = sorted({p for _, p in msgs} - {p for *_, p in calls})
@@ -268,8 +269,10 @@ def test_send_batch_unknown_endpoint():
     eng = Engine(random.Random(0))
     eng.register("sink", lambda p: None)
     with pytest.raises(RoutingError):
-        eng.send_batch(["sink", "nowhere"], 100, LinkSpec(1.0, 1e7),
+        eng.send_batch("nowhere", 2, 100, LinkSpec(1.0, 1e7),
                        lambda indices: None, lambda i: i)
+    # nothing was counted or scheduled before the check
+    assert eng.messages.sent == 0 and eng.run_until(1_000_000) == 0
 
 
 # Where an event goes, from the clock ``now`` when it is scheduled:

@@ -41,18 +41,18 @@ def test_reports_carry_oracle_speed_and_channel_quality():
     latest, out_of_cycle = {}, []
     send_batch, send = engine.send_batch, engine.send
 
-    def checked_batch(dsts, nbytes, link, deliver, payload):
-        for v, rsu in enumerate(dsts):
-            _, (device, speed, cq, _) = payload(v)
+    def checked_batch(dst, n, nbytes, link, deliver, payload):
+        for v in range(n):
+            _, (rsu, device, speed, cq, _) = payload(v)
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
             assert speed == sim.fleet.speed[v]
             assert cq == channel_quality(d, sim.net.rsu_radius_m)
             latest[device] = (speed, cq)
-        return send_batch(dsts, nbytes, link, deliver, payload)
+        return send_batch(dst, n, nbytes, link, deliver, payload)
 
     def checked_send(dst, payload, *args, **kwargs):
         if payload[0] == "report":
-            device, speed, cq, _ = payload[1]
+            _, device, speed, cq, _ = payload[1]
             assert (speed, cq) == latest[device]
             out_of_cycle.append(device)
         return send(dst, payload, *args, **kwargs)

@@ -139,8 +139,9 @@ def _csv_writer_tasks(records):
 def test_tasks_csv_matches_csv_writer():
     rng = random.Random(5)
     records = []
-    for i in rng.sample(range(400), 400):  # shuffled ids, many created_us ties
-        created = rng.randrange(0, 50) * 1000
+    # in id order, as a run issues them, with many created_us ties
+    created_us = sorted(rng.randrange(0, 50) * 1000 for _ in range(400))
+    for i, created in enumerate(created_us):
         rec = TaskRecord(i, rng.randrange(30), created)
         kind = rng.randrange(3)
         if rng.randrange(2):
@@ -157,14 +158,14 @@ def test_tasks_csv_matches_csv_writer():
 
 def test_tasks_csv_shape():
     records = [
-        done(1, 100, 5000, tier="Local", origin=3),
         TaskRecord(0, 2, 50, dropped=True),
+        done(1, 100, 5000, tier="Local", origin=3),
         TaskRecord(2, 1, 200),  # still in flight: blank completion fields
     ]
     text = tasks_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == "task_id,origin,created_us,completed_us,tier,rt_us,dropped"
-    # sorted by (created_us, task_id)
+    # in id order, which is (created_us, task_id) order
     assert lines[1] == "0,2,50,,,,1"
     assert lines[2] == "1,3,100,5000,Local,4900,0"
     assert lines[3] == "2,1,200,,,,0"

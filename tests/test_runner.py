@@ -1,14 +1,16 @@
+import copy
 import hashlib
 
 import pytest
 
-from twinsim.kernel import Engine
+from twinsim.kernel import CLOUD, EDGES, VEHICLES, Engine
 from twinsim.metrics import summarize
 from twinsim.mobility import ConfigError
 from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import GridConfig, ScenarioConfig, parse_scenario
 
 from oracles import channel_quality, rsu_distances
+from test_digests import SCENARIOS
 
 US = 1_000_000
 
@@ -168,21 +170,21 @@ def test_batched_reports_match_per_vehicle_fields():
     send_batch = sim.engine.send_batch
     checked = {"reports": 0, "backlogged": 0}
 
-    def checking_send_batch(dsts, nbytes, link, deliver, payload):
+    def checking_send_batch(dst, n, nbytes, link, deliver, payload):
         now = sim.engine.now
-        assert dsts.tolist() == sim.current_rsu.tolist()
-        for v in range(sim.cfg.n_vehicles):
-            kind, (device, speed, cq, backlog) = payload(v)
+        assert dst == EDGES and n == sim.cfg.n_vehicles
+        assert [payload(v)[1][0] for v in range(n)] == sim.current_rsu.tolist()
+        for v in range(n):
+            kind, (rsu, device, speed, cq, backlog) = payload(v)
             assert kind == "report" and device == v
-            rsu = dsts[v]
             d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
             assert speed == sim.fleet.speed[v]
             assert cq == channel_quality(d, sim.net.rsu_radius_m)
             assert backlog == local.backlog_cu(v, now)
             assert all(type(x) is float for x in (speed, cq, backlog))
             checked["backlogged"] += backlog > 0
-        checked["reports"] += len(dsts)
-        return send_batch(dsts, nbytes, link, deliver, payload)
+        checked["reports"] += n
+        return send_batch(dst, n, nbytes, link, deliver, payload)
 
     sim.engine.send_batch = checking_send_batch
     sim.run()
@@ -192,34 +194,33 @@ def test_batched_reports_match_per_vehicle_fields():
 
 @pytest.mark.parametrize("v2r_latency_ms", [5, 250])
 def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
-    """Delivering a report batch from its arrays (``HeldReports.take_batch``)
+    """Delivering a report batch from its arrays (``EdgeTwins.take_batch``)
     leaves every edge window, held report, role and task record as sending
-    each report on its own (``Engine.send`` to ``EdgeTwin.receive``) does.
+    each report on its own (``Engine.send`` to ``EdgeTwins.receive``) does.
     At 250 ms some vehicles change RSU while their report is in flight."""
     def run(batched):
         sim = _backlogged_two_rsu_sim(links={"v2r": {"base_latency_ms": v2r_latency_ms}})
         send_batch, lost = sim.engine.send_batch, []
 
-        def sending(dsts, nbytes, link, deliver, payload):
+        def sending(dst, n, nbytes, link, deliver, payload):
             if batched:
                 def lost_payload(i):
                     lost.append(i)
                     return payload(i)
-                return send_batch(dsts, nbytes, link, deliver, lost_payload)
-            for i, dst in enumerate(dsts):
+                return send_batch(dst, n, nbytes, link, deliver, lost_payload)
+            for i in range(n):
                 sim.engine.send(dst, payload(i), nbytes, link)
         sim.engine.send_batch = sending
         roles = []
 
-        def recording(fuse):
-            def recording_fuse(now):
-                fuse(now)
-                roles.append(sim.held.role.tolist())
-            return recording_fuse
-        for e in sim.edges:
-            e.fuse_and_uplink = recording(e.fuse_and_uplink)
+        edges, fuse = sim.edges, sim.edges.fuse_and_uplink
+
+        def recording_fuse(now):
+            fuse(now)
+            roles.append(edges.role.tolist())
+        edges.fuse_and_uplink = recording_fuse
         result = sim.run()
-        held = (sim.held.has.tolist(), sim.held.cq.tolist(), sim.held.backlog.tolist())
+        held = (edges.has.tolist(), edges.cq.tolist(), edges.backlog.tolist())
         return result, roles, held, len(lost)
 
     (batched, roles_b, held_b, lost), (single, roles_s, held_s, _) = run(True), run(False)
@@ -256,18 +257,31 @@ def test_every_vehicle_covered_at_smallest_radius():
     assert ticks == 310
 
 
-def test_one_endpoint_per_twin(monkeypatch):
-    """Edge ``r`` is endpoint ``r``, the cloud ``n_rsus`` and every vehicle
-    shares ``n_rsus + 1``: each a twin object's bound ``receive``."""
+def test_one_endpoint_per_layer(monkeypatch):
+    """Every RSU's edge twin shares ``EDGES``, the cloud is ``CLOUD`` and
+    every vehicle shares ``VEHICLES``: each a twin object's bound
+    ``receive``."""
     registered = {}
     monkeypatch.setattr(Engine, "register",
                         lambda eng, name, handler: registered.setdefault(name, handler))
     sim = _backlogged_two_rsu_sim()
-    n_rsus = sim.cfg.n_rsus
-    assert sorted(registered) == list(range(n_rsus + 2))
-    owners = [*sim.edges, sim.cloud, sim.local]
-    assert [registered[i].__self__ for i in range(n_rsus + 2)] == owners
+    assert sim.cfg.n_rsus == 2
+    assert sorted(registered) == sorted((EDGES, CLOUD, VEHICLES)) == [0, 1, 2]
+    owners = [sim.edges, sim.cloud, sim.local]
+    assert [registered[i].__self__ for i in (EDGES, CLOUD, VEHICLES)] == owners
     assert all(h.__func__.__name__ == "receive" for h in registered.values())
+
+
+def test_records_come_in_id_and_creation_order():
+    """Task ids are issued in event order, so a run's records, which
+    ``tasks_csv`` writes as they come, are in id order and in
+    ``created_us`` order."""
+    result = run_showcase(parse_scenario(copy.deepcopy(SCENARIOS["hotspot"])))
+    records = result.records
+    assert len(records) > 1000
+    assert [r.task_id for r in records] == list(range(len(records)))
+    created = [r.created_us for r in records]
+    assert all(a <= b for a, b in zip(created, created[1:]))
 
 
 def test_simulations_from_one_config_stay_apart(tmp_path):
