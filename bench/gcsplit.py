@@ -13,8 +13,12 @@ untraced child with that checkout's own ``perfbench/child.py``: its
 ``RunResult.write`` calls (each into a temporary directory, digested after),
 each call followed by ``reference_work()``.  A ``gc.callbacks`` hook counts
 every collection that starts, by generation and by where it starts: in a
-reference call, in the set-ups, in the run or in the writes.  The replay
-adds no GC-tracked allocation of its own to the calls it labels.
+reference call, in the set-ups, in the run or in the writes.  A second line
+splits the reference calls by the timed call that each follows, the one
+whose scaled time it enters: a set-up, a slice of the run or a write (the
+``Stopwatch``'s opening call, before the first set-up, counts with the
+set-ups).  The replay adds no GC-tracked allocation of its own to the calls
+it labels.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 REGIONS = ("reference", "setup", "run", "write")
+TIMED = REGIONS[1:]
 
 
 def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
@@ -42,11 +47,14 @@ def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
     from twinsim.scenario import parse_scenario
 
     counts = {region: [0] * 3 for region in REGIONS}
+    after = {call: [0] * 3 for call in TIMED}
     where = ["setup"]
+    follows = where[:]
     reference = child.reference_work
 
     def labelled_reference():
         outer, where[0] = where[0], "reference"
+        follows[0] = outer
         try:
             return reference()
         finally:
@@ -55,6 +63,8 @@ def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
     def on_gc(phase, info):
         if phase == "start":
             counts[where[0]][info["generation"]] += 1
+            if where[0] == "reference":
+                after[follows[0]][info["generation"]] += 1
 
     child.reference_work = labelled_reference
     cfg = parse_scenario(workloads.scenario(workload, seed, duration_s))
@@ -74,7 +84,7 @@ def replay(root: Path, workload: str, seed: int, duration_s: float) -> dict:
             watch.call("write", result.write, outdir)
             child.sha256_of(Path(outdir))
     gc.callbacks.remove(on_gc)
-    return counts
+    return {**counts, "reference after": after}
 
 
 def side(root: Path, args) -> dict:
@@ -105,6 +115,9 @@ def main(argv=None) -> int:
     for name, counts in sides.items():
         print(f"  {name:<7}" + "  ".join(f"{region} {'/'.join(map(str, counts[region]))}"
                                          for region in REGIONS))
+        after = counts["reference after"]
+        print(f"  {name:<7}reference after " + "  ".join(
+            f"{call} {'/'.join(map(str, after[call]))}" for call in TIMED))
     same = sides["base"] == sides["change"]
     print("  same on both sides" if same else "  the sides differ")
     return 0

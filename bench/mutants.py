@@ -46,10 +46,10 @@ MUTANTS = [
     ("roles_ignore_idle_compute", "edge.py",
      "by_idle = rest[np.lexsort((ids[rest], -idle_compute[rest]))]",
      "by_idle = rest[np.lexsort((ids[rest],))]", DIGESTS),
-    ("no_handover_reports", "local.py",
-     "self._send_report(v)", "pass", DIGESTS),
+    ("no_handover_reports", "runner.py",
+     "local.send_reports(moved, now)", "pass", DIGESTS),
     ("no_backlog_reports", "local.py",
-     "self._send_report(server_vehicle)", "pass", DIGESTS),
+     "self.send_reports(np.array([server_vehicle]), now)", "pass", DIGESTS),
     ("no_relay_of_results", "edge.py",
      'if task.tier == "Edge" and self.current_rsu.item(task.origin) != r:',
      "if False:", DIGESTS),
@@ -58,6 +58,18 @@ MUTANTS = [
      "self._task(payload[2].origin_rsu, payload[2], True)", DIGESTS),
     ("rollback_tolerance_1.5", "cloud.py",
      "tolerance: float = 1.05) -> str:", "tolerance: float = 1.5) -> str:", DIGESTS),
+    # the report batch: rows index the batch's vehicles, lost rows retry,
+    # and a row whose vehicle left its RSU in flight does not count
+    ("report_rows_as_vehicles", "edge.py",
+     "kept = rows[rsu[rows] == self.current_rsu[v[rows]]]",
+     "kept = rows[rsu[rows] == self.current_rsu[rows]]",
+     "tests/test_edge.py::test_take_batch_rows_are_not_vehicle_ids"),
+    ("batch_never_retries", "kernel.py",
+     "if attempt < link.max_attempts:", "if False:",
+     "tests/test_kernel.py::test_send_batch_matches_one_at_a_time_sends"),
+    ("no_stale_report_filter", "edge.py",
+     "kept = rows[rsu[rows] == self.current_rsu[v[rows]]]", "kept = rows",
+     "tests/test_runner.py::test_report_batch_delivery_matches_one_at_a_time_reports[250]"),
 ]
 
 

@@ -3,7 +3,9 @@ behind the one kernel endpoint ``EDGES``.  It owns each region's roles,
 fusion and labels, task scheduling (FIFO server, counter thinning to a
 partner edge, cloud overflow), results to vehicles, the uplink package, and
 the localization of the cloud's blueprints and directives.  An RSU's
-population is the vehicles it serves (``current_rsu[v] == r``).
+population is the vehicles it serves (``current_rsu[v] == r``).  Status
+reports come as rows of report batches, which the kernel hands straight to
+``take_batch``; every other message comes through ``EDGES``.
 
 ``Policy`` is the one policy type: the scenario's initial policy, the policy
 a cloud blueprint carries, and the edge's localized copy of it.
@@ -187,16 +189,14 @@ class EdgeTwins:
 
     def receive(self, payload) -> None:
         """Each message names its region: a task by its ``origin_rsu``, a
-        relayed task by its ``to_rsu``, a report by its leading RSU, a
-        blueprint by its ``target``, a directive by its ``from_rsu``; a
-        result from the cloud goes on to its vehicle."""
+        relayed task by its ``to_rsu``, a blueprint by its ``target``, a
+        directive by its ``from_rsu``; a result from the cloud goes on to its
+        vehicle.  Reports come in batches, to ``take_batch``."""
         kind = payload[0]
         if kind == "task":
             self._task(payload[1].origin_rsu, payload[1], False)
         elif kind == "relay_task":
             self._task(payload[1], payload[2], True)
-        elif kind == "report":
-            self._report(payload[1])
         elif kind == "blueprint":
             self.pending_blueprint[payload[1].target] = payload[1]
         elif kind == "directive":
@@ -238,28 +238,17 @@ class EdgeTwins:
         self.engine.send(VEHICLES, ("result", task), self._response_bytes,
                          self._v2r, on_drop=drop_task)
 
-    def _report(self, report: tuple) -> None:
-        """report is (rsu, device, speed, channel_quality, backlog_cu); it
-        counts at edge ``rsu`` if that edge still serves the device."""
-        r, device = report[0], report[1]
-        if self.current_rsu.item(device) != r:
-            return
-        self.speed_sum[r] += report[2]
-        self.speed_count[r] += 1
-        self.has[device] = True
-        self.cq[device] = report[3]
-        self.backlog[device] = report[4]
-
-    def take_batch(self, batch: tuple, v: np.ndarray) -> None:
-        """The reports of vehicles ``v`` (ascending) that got through from a
-        batch of ``(rsu, speed, cq, backlog)`` arrays, taken as ``_report``
-        takes them one by one in that order: ``np.add.at`` adds the speeds
-        in index order, so each region's sum is that of in-order adds."""
-        rsu, speed, cq, backlog = batch
-        kept = v[rsu[v] == self.current_rsu[v]]
-        self.has[kept] = True
-        self.cq[kept] = cq[kept]
-        self.backlog[kept] = backlog[kept]
+    def take_batch(self, batch: tuple, rows: np.ndarray) -> None:
+        """The rows ``rows`` (ascending) that got through of a report batch of
+        ``(v, rsu, speed, cq, backlog)`` arrays.  A row counts at edge ``rsu``
+        if that edge still serves its vehicle; ``np.add.at`` adds the speeds
+        in row order, so each region's sum is that of one-by-one adds."""
+        v, rsu, speed, cq, backlog = batch
+        kept = rows[rsu[rows] == self.current_rsu[v[rows]]]
+        ids = v[kept]
+        self.has[ids] = True
+        self.cq[ids] = cq[kept]
+        self.backlog[ids] = backlog[kept]
         at = rsu[kept]
         np.add.at(self.speed_sum, at, speed[kept])
         self.speed_count += np.bincount(at, minlength=len(self.speed_count))

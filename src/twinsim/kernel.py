@@ -173,26 +173,30 @@ class Engine:
                 delay = self._delay(link, nbytes)
             self.schedule(self.now + delay, self._deliver, handler, payload, kind="delivery")
 
-    def send_batch(self, dst, n: int, nbytes: int, link: LinkSpec, deliver,
-                   payload) -> None:
-        """Send ``n`` messages to endpoint ``dst``, drawing the loss of each
-        in order as ``send`` would.  The messages that get through on their
-        first attempt share one delivery event, which calls ``deliver`` once
-        with their indices, ascending, in an array; a lost message i carries
-        ``payload(i)`` and retransmits on its own to ``dst``, as ``send``
-        does.  The loss draws all come first."""
-        handler = self._endpoints.get(dst)
-        if handler is None:
-            raise RoutingError(f"unknown endpoint: {dst!r}")
+    def send_batch(self, n: int, nbytes: int, link: LinkSpec, deliver) -> None:
+        """Send ``n`` messages, the rows ``0..n-1`` of one batch.  Each attempt
+        of the batch draws the loss of each of its rows, in row order, as
+        ``send`` would: the rows that get through share one delivery event,
+        which calls ``deliver`` with their indices, ascending, in an array;
+        the lost rows retry together in one ``retx`` event after the timeout,
+        or are dropped once max_attempts are used up."""
         self.messages.sent += n
-        lost = (np.fromiter(iter(self._random, None), float, n) < link.loss_prob
-                if link.loss_prob > 0.0 else np.zeros(n, dtype=bool))
-        for i in np.flatnonzero(lost).tolist():
-            self._lost(handler, payload(i), nbytes, link, 1, None)
-        delivered = np.flatnonzero(~lost)
-        if len(delivered):
+        self._attempt_batch(np.arange(n), nbytes, link, deliver, 1)
+
+    def _attempt_batch(self, rows, nbytes, link, deliver, attempt) -> None:
+        """Attempt number ``attempt`` of the batch rows ``rows``."""
+        if link.loss_prob > 0.0:
+            lost = np.fromiter(iter(self._random, None), float, len(rows)) < link.loss_prob
+            if np.count_nonzero(lost):
+                retry, rows = rows[lost], rows[~lost]
+                if attempt < link.max_attempts:
+                    self.schedule(self.now + link.retx_timeout_us, self._attempt_batch,
+                                  retry, nbytes, link, deliver, attempt + 1, kind="retx")
+                else:
+                    self.messages.dropped += len(retry)
+        if len(rows):
             self.schedule(self.now + self._delay(link, nbytes), self._deliver_batch,
-                          deliver, delivered, kind="delivery")
+                          deliver, rows, kind="delivery")
 
     @staticmethod
     def _delay(link: LinkSpec, nbytes: int) -> int:
@@ -226,9 +230,9 @@ class Engine:
         self.messages.delivered += 1
         handler(payload)
 
-    def _deliver_batch(self, deliver, indices: np.ndarray) -> None:
-        self.messages.delivered += len(indices)
-        deliver(indices)
+    def _deliver_batch(self, deliver, rows: np.ndarray) -> None:
+        self.messages.delivered += len(rows)
+        deliver(rows)
 
     def account_batch(self, sent: int, delivered: int, dropped: int) -> None:
         """Bulk message accounting for batched exchanges (V2V beacons) that

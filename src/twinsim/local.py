@@ -7,10 +7,12 @@ origin, a handoff ``("handoff", peer, task)`` by the peer that serves it.
 A status report goes up every second with the vehicle's speed (it keeps its
 spawn speed), its channel quality at the report tick and its local queue
 backlog, plus immediately on an RSU handover or when the local queue backlog
-exceeds the trigger threshold.  A report goes to ``EDGES`` and names its
-serving RSU first.  The runner hands the report tick's distances in.  The
-serving edge adds the speeds to its fusion window and ranks its vehicles
-for roles by the channel quality and idle compute of their latest report.
+exceeds the trigger threshold.  Every report is a row of a report batch,
+which names each row's vehicle and serving RSU: the 1 Hz batch holds every
+vehicle, a handover batch the vehicles that moved, a backlog batch one.  The
+runner hands the report tick's distances in.  The serving edge adds the
+speeds to its fusion window and ranks its vehicles for roles by the channel
+quality and idle compute of their latest report.
 The scalar models of channel quality and of the neighbour table that the
 per-vehicle arrays stand in for live in tests/oracles.py, where the tests
 check this module against them.
@@ -117,6 +119,8 @@ class LocalTwins:
         self.speed = world.fleet.speed
         # channel quality of the latest report tick; None until the first
         self._report_cq: np.ndarray | None = None
+        # the vehicles of every 1 Hz report batch
+        self._vehicles = np.arange(n)
         # beacon snapshots: one per 1 Hz pass, standing in for per-vehicle
         # neighbor tables (indexed lazily on handoff attempts)
         self.beacon_snapshots: list[BeaconSnapshot] = []
@@ -135,7 +139,7 @@ class LocalTwins:
         self._backlog_limit_s = t.local_backlog_s
         self._handoff_gap_s = t.handoff_gap_s
         self._duration_us = cfg.duration_us
-        self._request_bytes = w.request_bytes
+        self._request_bytes, self._report_bytes = w.request_bytes, w.report_bytes
         self._v2r, self._v2v = cfg.links.v2r, cfg.links.v2v
 
         if self._rate > 0:
@@ -192,10 +196,6 @@ class LocalTwins:
                 return
         self._serve(v, task)
 
-    def backlog_cu(self, v: int, now_us: int) -> float:
-        """Work left in vehicle ``v``'s local queue at ``now_us``, in CU."""
-        return max(0, self.busy_until.item(v) - now_us) / US_PER_S * self._cap
-
     def _serve(self, server_vehicle: int, task: TaskRecord) -> None:
         now = self.engine.now
         cap = self._cap
@@ -208,7 +208,7 @@ class LocalTwins:
         # floats over the capacity)
         over = (finish - now) / US_PER_S * cap / cap > self._backlog_limit_s
         if over and not self.backlog_triggered.item(server_vehicle):
-            self._send_report(server_vehicle)
+            self.send_reports(np.array([server_vehicle]), now)
         self.backlog_triggered[server_vehicle] = over
 
     def _local_done(self, server_vehicle: int, task: TaskRecord) -> None:
@@ -235,38 +235,24 @@ class LocalTwins:
     # -- reports, beacons --------------------------------------------------
 
     def emit_reports(self, now: int, d_rel: np.ndarray) -> None:
-        """1 Hz status reports of every vehicle, in vehicle order, with the
-        channel quality at distance ``d_rel`` (in RSU radii) from its serving
-        RSU, sent to ``EDGES`` as one batch whose fields stay in arrays:
-        those that get through reach the edge layer in one delivery event; a
-        lost one retransmits as a report tuple."""
-        cfg = self.cfg
-        speed = self.speed
-        self._report_cq = cq = np.clip(1.0 - d_rel, 0.0, 1.0)
-        backlog = (np.maximum(self.busy_until - now, 0) / US_PER_S
-                   * cfg.capacity.local_cu_s)
-        rsu = self.current_rsu.copy()
-        batch = (rsu, speed, cq, backlog)
+        """1 Hz status reports of every vehicle, with the channel quality at
+        distance ``d_rel`` (in RSU radii) from its serving RSU."""
+        self._report_cq = np.clip(1.0 - d_rel, 0.0, 1.0)
+        self.send_reports(self._vehicles, now)
 
-        def payload(v):
-            return "report", (rsu.item(v), v, speed.item(v), cq.item(v), backlog.item(v))
-
-        self.engine.send_batch(EDGES, len(rsu), cfg.workload.report_bytes, self._v2r,
-                               partial(self.edges.take_batch, batch), payload)
-
-    def handover(self, moved: np.ndarray) -> None:
-        """Vehicles that changed RSU this tick report to their new edge."""
-        for v in moved:
-            self._send_report(v)
-
-    def _send_report(self, v: int) -> None:
-        """Out-of-cycle report (RSU handover, backlog trigger): the latest
-        report tick's speed and channel quality with the current backlog."""
-        if self._report_cq is None:
+    def send_reports(self, v: np.ndarray, now: int) -> None:
+        """Status reports of the vehicles ``v`` (ascending) to the edge layer,
+        as one batch of ``(v, rsu, speed, cq, backlog)`` arrays: each
+        vehicle's serving RSU, its speed, its channel quality at the latest
+        report tick and its backlog now.  Nothing goes before the first report
+        tick."""
+        cq = self._report_cq
+        if cq is None:
             return
-        report = (self.current_rsu.item(v), v, self.speed.item(v), self._report_cq.item(v),
-                  self.backlog_cu(v, self.engine.now))
-        self.engine.send(EDGES, ("report", report), self.cfg.workload.report_bytes, self._v2r)
+        backlog = np.maximum(self.busy_until[v] - now, 0) / US_PER_S * self._cap
+        batch = (v, self.current_rsu[v], self.speed[v], cq[v], backlog)
+        self.engine.send_batch(len(v), self._report_bytes, self._v2r,
+                               partial(self.edges.take_batch, batch))
 
     def beacon_pass(self, now: int, found: tuple) -> None:
         """Batched V2V beacon pass over the vehicle pairs in range, as

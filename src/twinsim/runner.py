@@ -10,7 +10,8 @@ the layers read it from.  It builds one object per twin layer, the
 fleet, which derive their own streams, and registers each one's ``receive``
 as the layer's kernel endpoint: ``EDGES``, ``CLOUD`` and ``VEHICLES``.  Each
 tick moves the fleet, updates coverage, searches the V2V pairs in range
-(``pair_search``) and calls into the layers.
+(``pair_search``) and calls into the layers: the vehicles that changed RSU
+send one report batch, and at a report tick every vehicle does.
 
 Modes: "layered" runs the full pyramid; "cloud_only" is the centralised
 baseline (local serving off, edge compute disabled, everything relayed to
@@ -106,7 +107,7 @@ class Simulation:
         moved, d_cur = self._update_coverage()
         if len(moved):
             self.edges.forget(moved)
-            local.handover(moved)
+            local.send_reports(moved, now)
         if tick % self._report_ticks == 0:
             local.beacon_pass(now, pair_search(self.fleet.pos, self.cfg.thresholds.v2v_range_m))
             local.emit_reports(now, d_cur / self.net.rsu_radius_m)

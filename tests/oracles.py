@@ -20,6 +20,7 @@ evaluates in bulk; the tests check the runtime code against it:
 - ``rsu_distances``: the distances ``mobility.serving_rsu`` returns;
 - ``channel_quality``: the channel quality of each ``LocalTwins`` status
   report;
+- ``take_report``: ``edge.EdgeTwins.take_batch``, one report at a time;
 - ``index_series``: ``metrics.build_index_series``, one record at a time;
 - ``HeapEngine``: ``kernel.Engine``'s event set, one heap of every pending
   event;
@@ -175,6 +176,20 @@ def pairs_within(pos: np.ndarray, r: float) -> set[tuple[int, int]]:
 
 def channel_quality(distance_m: float, radius_m: float) -> float:
     return min(1.0, max(0.0, 1.0 - distance_m / radius_m))
+
+
+def take_report(edges, report: tuple) -> None:
+    """``report`` is (rsu, device, speed, channel_quality, backlog_cu); it
+    counts at edge ``rsu`` of ``edges`` if that edge still serves the
+    device."""
+    r, device = report[0], report[1]
+    if edges.current_rsu.item(device) != r:
+        return
+    edges.speed_sum[r] += report[2]
+    edges.speed_count[r] += 1
+    edges.has[device] = True
+    edges.cq[device] = report[3]
+    edges.backlog[device] = report[4]
 
 
 @dataclass

@@ -1,13 +1,19 @@
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twinsim.edge import (ROLES, EdgeServer, Policy, ThinningCounter, assign_roles,
-                          fuse_labels, largest_remainder_seats, localize_policy)
+from twinsim.edge import (ROLES, EdgeServer, EdgeTwins, Policy, ThinningCounter,
+                          assign_roles, fuse_labels, largest_remainder_seats, localize_policy)
+from twinsim.kernel import US_PER_S, Engine, LinkSpec, MessageCounters
 from twinsim.runner import Simulation
 from twinsim.scenario import parse_scenario
+
+from test_kernel import ScriptedRng
 
 
 def test_largest_remainder_oracle():
@@ -123,9 +129,9 @@ def test_local_policy_is_frozen():
 
 
 def test_take_batch_adds_speeds_in_order():
-    """A batch adds a region's speeds in vehicle order, as ``_report`` does
-    one report at a time: 1e16 and then sixteen 1.0 sum to 1e16, each 1.0
-    lost to rounding, where a pairwise ``sum`` would keep them."""
+    """A batch adds a region's speeds in row order, as the oracle does one
+    report at a time: 1e16 and then sixteen 1.0 sum to 1e16, each 1.0 lost
+    to rounding, where a pairwise ``sum`` would keep them."""
     speed = np.array([1e16] + [1.0] * 16)
     n = len(speed)
     assert speed.sum() == np.add.reduceat(speed, [0])[0] == 1.0000000000000016e16
@@ -137,9 +143,49 @@ def test_take_batch_adds_speeds_in_order():
 
     batched, single = edges(), edges()
     rsu, cq, backlog = np.zeros(n, dtype=np.intp), np.full(n, 0.5), np.full(n, 2.0)
-    batched.take_batch((rsu, speed, cq, backlog), np.arange(n))
+    batched.take_batch((np.arange(n), rsu, speed, cq, backlog), np.arange(n))
     for v in range(n):
-        single._report((0, v, speed.item(v), 0.5, 2.0))
+        oracles.take_report(single, (0, v, speed.item(v), 0.5, 2.0))
     assert batched.speed_sum.tolist() == single.speed_sum.tolist() == [1e16]
     assert batched.speed_count.tolist() == single.speed_count.tolist() == [n]
     assert batched.has.all() and single.has.all()
+
+
+def test_take_batch_rows_are_not_vehicle_ids():
+    """A report batch of vehicles 3, 7 and 11 (rows 0, 1 and 2): vehicle 11
+    has moved to RSU 0 when the batch lands, and row 1 is lost once and
+    retried.  The edge holds, sums and counts what the oracle does when each
+    report is sent on its own."""
+    cfg = parse_scenario({"grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 6,
+                          "duration_s": 31.0})
+    link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0, max_attempts=2)
+    v = np.array([3, 7, 11])
+
+    def run(batched):
+        current_rsu = np.repeat(np.arange(2), 6)
+        # first attempts: ok, lost, ok; the retry of row 1 gets through
+        rng = ScriptedRng([0.9, 0.1, 0.9, 0.9])
+        engine = Engine(rng)
+        edges = EdgeTwins(SimpleNamespace(cfg=cfg, engine=engine, current_rsu=current_rsu),
+                          US_PER_S)
+        batch = (v, current_rsu[v], np.array([8.5, 9.25, 11.0]), np.array([0.9, 0.5, 0.1]),
+                 np.array([0.0, 1.5, 3.0]))
+        engine.schedule(1, current_rsu.__setitem__, 11, 0)
+        if batched:
+            engine.send_batch(len(v), 100, link, functools.partial(edges.take_batch, batch))
+        else:
+            engine.register("oracle", functools.partial(oracles.take_report, edges))
+            for i in range(len(v)):
+                report = (batch[1], batch[0], *batch[2:])
+                engine.send("oracle", tuple(x.item(i) for x in report), 100, link)
+        engine.run_until(US_PER_S)
+        assert engine.messages == MessageCounters(3, 3, 0) and rng.values == []
+        return edges
+
+    batched, single = run(True), run(False)
+    for name in ("has", "cq", "backlog", "speed_sum", "speed_count"):
+        assert getattr(batched, name).tolist() == getattr(single, name).tolist(), name
+    assert np.flatnonzero(batched.has).tolist() == [3, 7]
+    assert batched.speed_sum.tolist() == [8.5, 9.25]
+    assert batched.speed_count.tolist() == [1, 1]
+    assert batched.cq[[3, 7]].tolist() == [0.9, 0.5]

@@ -200,7 +200,7 @@ def test_runner_sends_no_messages():
 
 def test_runner_message_call_is_caught():
     tree = ast.parse("self.engine.send(1, ('task', t), 10, link, rng)\n"
-                     "eng.send_batch(dsts, 10, link, rng, deliver, payload)\n"
+                     "eng.send_batch(10, 100, link, deliver)\n"
                      "account_batch(2, 1, 1)\n"
                      "self.engine.schedule(5, tick)\nsender.sends += 1\n")
     assert set(message_calls(tree)) == MESSAGE_CALLS

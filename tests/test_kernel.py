@@ -184,7 +184,7 @@ def record_kinds(eng) -> list:
 
 MSGS = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4)]
 # name -> (messages, max_attempts, scripted loss draws; loss below 0.5,
-# endpoint)
+# endpoint of the one-at-a-time sends[, retransmission timeout in ms])
 SEND_BATCH_CASES = {
     # first attempts: ok, lost, lost, ok, lost; the retries of messages 1
     # and 4 get through and message 2 is lost again, which exhausts
@@ -200,16 +200,22 @@ SEND_BATCH_CASES = {
     # ok, lost; retries ok, lost (dropped)
     "integer endpoint": ([(0, "p"), (1, "q"), (0, "r"), (1, "s")], 2,
                          [0.1, 0.9, 0.6, 0.2, 0.7, 0.3], 0),
+    # the timeout equals the first-attempt delay (5.2 ms), so each retry
+    # fires at the microsecond of the deliveries of the attempt before it:
+    # first attempts ok, lost, lost, ok, lost; retries lost, ok, ok; the
+    # third attempt of message 1 gets through
+    "retry with delivery": (MSGS, 3, [0.9, 0.1, 0.2, 0.7, 0.4, 0.3, 0.8, 0.6, 0.7],
+                            "layer", 5.2),
 }
 
 
-def _loss_oracle_run(batched, msgs, max_attempts, draws, dst):
-    """``msgs``, each ``(name, payload)``, to endpoint ``dst`` over a lossy
-    link with scripted loss draws, sent one at a time or as one batch.  The
-    endpoint records ``(time, name, payload)`` of each message, as the
-    endpoint of a twin layer reads the region a message names.  Sent one at
-    a time, their ``on_drop`` records ``(time, payload)`` of each drop."""
-    link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=20.0,
+def _loss_oracle_run(batched, msgs, max_attempts, draws, dst, retx_timeout_ms=20.0):
+    """``msgs``, each ``(name, payload)``, over a lossy link with scripted
+    loss draws, sent one at a time to endpoint ``dst`` or as one batch.  The
+    endpoint records ``(time, name, payload)`` of each message, and so does
+    the batch's ``deliver`` for each of its rows.  Sent one at a time, their
+    ``on_drop`` records ``(time, payload)`` of each drop."""
+    link = LinkSpec(5.0, 1e7, loss_prob=0.5, retx_timeout_ms=retx_timeout_ms,
                     max_attempts=max_attempts)
     rng = ScriptedRng(draws)
     eng = Engine(rng)
@@ -219,11 +225,11 @@ def _loss_oracle_run(batched, msgs, max_attempts, draws, dst):
     eng.run_until(1_000)
     fired = record_kinds(eng)
     if batched:
-        def deliver(indices):
-            assert isinstance(indices, np.ndarray)
-            for i in indices.tolist():
+        def deliver(rows):
+            assert isinstance(rows, np.ndarray)
+            for i in rows.tolist():
                 calls.append((eng.now, *msgs[i]))
-        eng.send_batch(dst, len(msgs), 2000, link, deliver, lambda i: msgs[i])
+        eng.send_batch(len(msgs), 2000, link, deliver)
     else:
         for msg in msgs:
             eng.send(dst, msg, 2000, link, on_drop=lambda m: drops.append((eng.now, m[1])))
@@ -237,14 +243,19 @@ def _loss_oracle_run(batched, msgs, max_attempts, draws, dst):
 
 
 def test_send_batch_matches_one_at_a_time_sends():
+    """A batch delivers, drops, counts and draws as one-at-a-time sends do.
+    Each attempt of the batch is one event: the rows that get through share
+    one delivery event and the lost ones one retransmission event."""
     for case, args in SEND_BATCH_CASES.items():
         single = _loss_oracle_run(False, *args)
         batch = _loss_oracle_run(True, *args)
-        assert batch[:5] == single[:5], case
+        assert batch[0] == single[0], case
+        assert batch[2:5] == single[2:5], case
         assert batch[4] == [], case  # every scripted draw was made
-        # the first-attempt deliveries (at 1000 + 5200 us) share one event
-        first = sum(t == 6_200 for t, *_ in single[0])
-        assert batch[5] == single[5] - first + (first > 0), case
+        # one retransmission event per retry of the batch, and one delivery
+        # event per attempt that delivers
+        assert batch[1] == sorted(set(single[1])), case
+        assert batch[5] == len({t for t, *_ in single[0]}), case
     # a dropped message's on_drop fires at its last lost attempt
     assert _loss_oracle_run(False, *SEND_BATCH_CASES["mixed"])[6] == [(21_000, 2)]
     assert _loss_oracle_run(False, *SEND_BATCH_CASES["drop after max_attempts"])[6] == [
@@ -253,26 +264,22 @@ def test_send_batch_matches_one_at_a_time_sends():
     # first attempts land at 1000 + 5200 us, retries 20 ms later
     assert calls == [(6_200, "a", 0), (6_200, "b", 3),
                      (26_200, "b", 1), (26_200, "a", 4)]
-    assert retx == [21_000, 21_000, 21_000]
+    assert retx == [21_000]
     assert drops == [2]
     assert (messages.sent, messages.delivered, messages.dropped) == (5, 4, 1)
-    assert n_events == 3
+    assert n_events == 2
     calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(
         True, *SEND_BATCH_CASES["drop after max_attempts"])
     assert retx == [] and drops == [1, 2, 4]
     assert (messages.sent, messages.delivered, messages.dropped, n_events) == (5, 2, 3, 1)
     calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(True, *SEND_BATCH_CASES["empty"])
     assert (calls, retx, drops, messages.sent, n_events) == ([], [], [], 0, 0)
-
-
-def test_send_batch_unknown_endpoint():
-    eng = Engine(random.Random(0))
-    eng.register("sink", lambda p: None)
-    with pytest.raises(RoutingError):
-        eng.send_batch("nowhere", 2, 100, LinkSpec(1.0, 1e7),
-                       lambda indices: None, lambda i: i)
-    # nothing was counted or scheduled before the check
-    assert eng.messages.sent == 0 and eng.run_until(1_000_000) == 0
+    calls, retx, drops, messages, _, n_events, _ = _loss_oracle_run(
+        True, *SEND_BATCH_CASES["retry with delivery"])
+    assert calls == [(6_200, "a", 0), (6_200, "b", 3), (11_400, "a", 2),
+                     (11_400, "a", 4), (16_600, "b", 1)]
+    assert retx == [6_200, 11_400] and drops == []
+    assert (messages.sent, messages.delivered, messages.dropped, n_events) == (5, 5, 0, 3)
 
 
 # Where an event goes, from the clock ``now`` when it is scheduled:

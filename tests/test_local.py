@@ -31,33 +31,35 @@ def test_channel_quality_linear_and_clipped():
 
 
 def test_reports_carry_oracle_speed_and_channel_quality():
-    """Each batched 1 Hz report carries its vehicle's speed, as the fleet
-    holds it, and the oracle's channel quality at its distance to its
-    serving RSU; each out-of-cycle report carries those of the latest
-    batch."""
+    """Each 1 Hz report carries its vehicle's speed, as the fleet holds it,
+    and the oracle's channel quality at its distance to its serving RSU;
+    each out-of-cycle report carries those of the latest 1 Hz batch."""
     sim = Simulation(parse_scenario({"seed": 0, "duration_s": 31.0,
                                      "vehicles_per_rsu": 20}))
-    engine = sim.engine
-    latest, out_of_cycle = {}, []
-    send_batch, send = engine.send_batch, engine.send
+    engine, local = sim.engine, sim.local
+    latest, out_of_cycle, ticks = {}, [], []
+    send_batch, emit_reports = engine.send_batch, local.emit_reports
 
-    def checked_batch(dst, n, nbytes, link, deliver, payload):
-        for v in range(n):
-            _, (rsu, device, speed, cq, _) = payload(v)
-            d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
-            assert speed == sim.fleet.speed[v]
-            assert cq == channel_quality(d, sim.net.rsu_radius_m)
-            latest[device] = (speed, cq)
-        return send_batch(dst, n, nbytes, link, deliver, payload)
+    def checked_emit(now, d_rel):
+        ticks.append(now)
+        emit_reports(now, d_rel)
+        ticks.pop()
 
-    def checked_send(dst, payload, *args, **kwargs):
-        if payload[0] == "report":
-            _, device, speed, cq, _ = payload[1]
-            assert (speed, cq) == latest[device]
-            out_of_cycle.append(device)
-        return send(dst, payload, *args, **kwargs)
+    def checked_batch(n, nbytes, link, deliver):
+        v, rsu, speed, cq, _ = deliver.args[0]
+        assert deliver.func == sim.edges.take_batch and n == len(v)
+        for i, device in enumerate(v.tolist()):
+            if ticks:
+                d = rsu_distances(sim.net, sim.fleet.pos[device])[rsu[i]]
+                assert speed[i] == sim.fleet.speed[device]
+                assert cq[i] == channel_quality(d, sim.net.rsu_radius_m)
+                latest[device] = (speed[i], cq[i])
+            else:
+                assert (speed[i], cq[i]) == latest[device]
+                out_of_cycle.append(device)
+        return send_batch(n, nbytes, link, deliver)
 
-    engine.send_batch, engine.send = checked_batch, checked_send
+    engine.send_batch, local.emit_reports = checked_batch, checked_emit
     sim.run()
     assert len(latest) == sim.cfg.n_vehicles and out_of_cycle
 

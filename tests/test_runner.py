@@ -1,6 +1,8 @@
 import copy
+import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from twinsim.kernel import CLOUD, EDGES, VEHICLES, Engine
@@ -9,7 +11,7 @@ from twinsim.mobility import ConfigError
 from twinsim.runner import Simulation, run_showcase
 from twinsim.scenario import GridConfig, ScenarioConfig, parse_scenario
 
-from oracles import channel_quality, rsu_distances
+from oracles import take_report
 from test_digests import SCENARIOS
 
 US = 1_000_000
@@ -162,58 +164,65 @@ def _backlogged_two_rsu_sim(**overrides):
 
 
 def test_batched_reports_match_per_vehicle_fields():
-    """The local twins build the 1 Hz reports from their per-vehicle arrays
-    in one pass; each must carry what the per-vehicle accessors give at send
-    time, in vehicle order."""
+    """The local twins build every report batch, 1 Hz or out of cycle, from
+    their per-vehicle arrays in one pass; each row must carry what the
+    vehicle's own fields give at send time (the channel quality of the
+    latest report tick), its vehicles ascending."""
     sim = _backlogged_two_rsu_sim()
     local = sim.local
     send_batch = sim.engine.send_batch
-    checked = {"reports": 0, "backlogged": 0}
+    checked = {"reports": 0, "backlogged": 0, "batches": 0}
+    cap = sim.cfg.capacity.local_cu_s
 
-    def checking_send_batch(dst, n, nbytes, link, deliver, payload):
+    def checking_send_batch(n, nbytes, link, deliver):
         now = sim.engine.now
-        assert dst == EDGES and n == sim.cfg.n_vehicles
-        assert [payload(v)[1][0] for v in range(n)] == sim.current_rsu.tolist()
-        for v in range(n):
-            kind, (rsu, device, speed, cq, backlog) = payload(v)
-            assert kind == "report" and device == v
-            d = rsu_distances(sim.net, sim.fleet.pos[v])[rsu]
-            assert speed == sim.fleet.speed[v]
-            assert cq == channel_quality(d, sim.net.rsu_radius_m)
-            assert backlog == local.backlog_cu(v, now)
-            assert all(type(x) is float for x in (speed, cq, backlog))
-            checked["backlogged"] += backlog > 0
+        v, rsu, speed, cq, backlog = batch = deliver.args[0]
+        assert n == len(v) and (np.diff(v) > 0).all()
+        assert rsu.tolist() == sim.current_rsu[v].tolist()
+        for i, device in enumerate(v.tolist()):
+            assert speed[i] == sim.fleet.speed[device]
+            assert cq[i] == local._report_cq[device]
+            assert backlog[i] == max(0, local.busy_until.item(device) - now) / US * cap
+            checked["backlogged"] += backlog[i] > 0
+        assert all(x.dtype == np.float64 for x in batch[2:])
         checked["reports"] += n
-        return send_batch(dst, n, nbytes, link, deliver, payload)
+        checked["batches"] += 1
+        return send_batch(n, nbytes, link, deliver)
 
     sim.engine.send_batch = checking_send_batch
     sim.run()
-    assert checked["reports"] > 0
+    assert checked["reports"] > 30 * sim.cfg.n_vehicles
+    assert checked["batches"] > 30
     assert checked["backlogged"] > 0
 
 
 @pytest.mark.parametrize("v2r_latency_ms", [5, 250])
 def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
-    """Delivering a report batch from its arrays (``EdgeTwins.take_batch``)
-    leaves every edge window, held report, role and task record as sending
-    each report on its own (``Engine.send`` to ``EdgeTwins.receive``) does.
-    At 250 ms some vehicles change RSU while their report is in flight."""
+    """Delivering each report batch from its arrays (``EdgeTwins.take_batch``)
+    leaves every edge window, held report, role, task record and message
+    counter as sending each report on its own (``Engine.send``) to the
+    scalar oracle ``take_report`` does.  At 250 ms some vehicles change RSU
+    while their report is in flight.  A batch retries its lost rows in one
+    event, so it takes fewer retransmission events."""
     def run(batched):
         sim = _backlogged_two_rsu_sim(links={"v2r": {"base_latency_ms": v2r_latency_ms}})
-        send_batch, lost = sim.engine.send_batch, []
+        engine, edges = sim.engine, sim.edges
+        send_batch, schedule, retx = engine.send_batch, engine.schedule, []
+        engine.register("oracle", functools.partial(take_report, edges))
 
-        def sending(dst, n, nbytes, link, deliver, payload):
+        def sending(n, nbytes, link, deliver):
             if batched:
-                def lost_payload(i):
-                    lost.append(i)
-                    return payload(i)
-                return send_batch(dst, n, nbytes, link, deliver, lost_payload)
+                return send_batch(n, nbytes, link, deliver)
+            v, rsu, speed, cq, backlog = deliver.args[0]
             for i in range(n):
-                sim.engine.send(dst, payload(i), nbytes, link)
-        sim.engine.send_batch = sending
-        roles = []
+                engine.send("oracle", (rsu.item(i), v.item(i), speed.item(i), cq.item(i),
+                                       backlog.item(i)), nbytes, link)
 
-        edges, fuse = sim.edges, sim.edges.fuse_and_uplink
+        def counting(at_us, fn, *args, kind="timer"):
+            retx.extend([at_us] * (kind == "retx"))
+            return schedule(at_us, fn, *args, kind=kind)
+        engine.send_batch, engine.schedule = sending, counting
+        roles, fuse = [], edges.fuse_and_uplink
 
         def recording_fuse(now):
             fuse(now)
@@ -221,10 +230,11 @@ def test_report_batch_delivery_matches_one_at_a_time_reports(v2r_latency_ms):
         edges.fuse_and_uplink = recording_fuse
         result = sim.run()
         held = (edges.has.tolist(), edges.cq.tolist(), edges.backlog.tolist())
-        return result, roles, held, len(lost)
+        return result, roles, held, retx
 
-    (batched, roles_b, held_b, lost), (single, roles_s, held_s, _) = run(True), run(False)
-    assert lost > 0  # some reports of a batch retransmit on their own
+    (batched, roles_b, held_b, retx_b), (single, roles_s, held_s, retx_s) = run(True), run(False)
+    assert 0 < len(retx_b) < len(retx_s)  # some rows of a batch retry
+    assert set(retx_b) <= set(retx_s)
     assert batched.label_log == single.label_log
     assert roles_b == roles_s and len(roles_b) > 0
     assert held_b == held_s and any(held_b[0])
