@@ -1,4 +1,4 @@
-"""Pinned artifact digests: short runs of seven scenarios must reproduce these
+"""Pinned artifact digests: short runs of eight scenarios must reproduce these
 sha256 values byte for byte.
 
 The determinism criterion only compares two reruns of the same code, so a
@@ -49,6 +49,18 @@ SCENARIOS["congestion"] = {**SCENARIOS["v2v_handoff"], "periods": {"epoch_s": 5}
 # this catches a fusion window whose speed sum stays 0 (every region would
 # read Congestion and localize its blueprints)
 SCENARIOS["localize"] = {**SCENARIOS["v2v_handoff"], "periods": {"epoch_s": 5}}
+# three regions in a row, no Poisson task in region 0 and a slow edge: the
+# cloud skips an overloaded region with no free underloaded neighbour (7
+# times, 3 directives issued), region 0's vehicles re-check their zero rate
+# each second, and one scripted task runs.  It reaches neither the early
+# keep of evaluate_epoch (a missing median) nor a fusion window with no
+# report
+SCENARIOS["sparse"] = {"seed": 5, "duration_s": 31, "grid": {"rows": 1, "cols": 3},
+                       "vehicles_per_rsu": 50, "capacity": {"edge_cu_s": 20},
+                       "periods": {"epoch_s": 5},
+                       "hotspot": {"region": 0, "rate_multiplier": 0,
+                                   "t_start_s": 0, "t_end_s": 31},
+                       "scripted_tasks": [{"device": 0, "at_s": 2.0, "cost_cu": 3.0}]}
 
 DIGESTS = {
     "layered": {
@@ -86,6 +98,11 @@ DIGESTS = {
         "indices.csv": "a0edd25f4b171403abb02eb2eadc641bcdfac71285428bba6a09d2724c1030da",
         "epochs.jsonl": "0647204ab940cabe4ef1d8b7d9be4520a482fb168d5bbcdf486db1d416bb2af7",
     },
+    "sparse": {
+        "tasks.csv": "5b2d4dbca03ddc1412524c7d7a732c9c4c61fd68bdc02c08fbec08461f495936",
+        "indices.csv": "4dc8d2b37c85cec5530424cbace1a77879807959c7d2da97b53b068998404002",
+        "epochs.jsonl": "4b0d640543cd42634cf6a09a8f053ad55afbd2a96816468f4afdba0de9d11848",
+    },
 }
 
 # final (sent, delivered, dropped) message counters, beacons included
@@ -97,6 +114,7 @@ MESSAGES = {
     "evolution": (115719, 110099, 5318),
     "congestion": (2122619, 2017526, 103889),
     "localize": (2134997, 2029314, 104481),
+    "sparse": (107849, 102799, 4900),
 }
 
 # label entries that read Congestion, out of each run's label log
@@ -131,6 +149,8 @@ def test_pinned_digests(name, tmp_path):
     assert (m.sent, m.delivered, m.dropped) == MESSAGES[name]
     if name == "hotspot":
         assert len(result.directive_log) >= 1
+    if name == "sparse":
+        assert len(result.directive_log) == 3
     if name == "v2v_handoff":
         assert handoffs > 0
     if name in CONGESTION:
