@@ -34,7 +34,7 @@ MUTANTS = [
     ("localize_is_identity", "edge.py",
      "if not congestion_active or shift <= 0:", "if True:", DIGESTS),
     ("edge_never_congested", "edge.py",
-     'congested = "Congestion" in self.labels[r]', "congested = False", DIGESTS),
+     'congested = "Congestion" in self.state[r].labels', "congested = False", DIGESTS),
     ("fusion_speed_sum_zero", "edge.py",
      "np.add.at(self.speed_sum, at, speed[kept])", "pass", DIGESTS),
     # reached only from a parent with a small processing quota
@@ -70,6 +70,17 @@ MUTANTS = [
     ("no_stale_report_filter", "edge.py",
      "kept = rows[rsu[rows] == self.current_rsu[v[rows]]]", "kept = rows",
      "tests/test_runner.py::test_report_batch_delivery_matches_one_at_a_time_reports[250]"),
+    # a region's fused state: the edge keeps it, the cloud latches it, and a
+    # window with no report carries its mean speed forward
+    ("cloud_never_ingests", "cloud.py",
+     "self.nodes[state.rsu_id] = state", "pass", DIGESTS),
+    ("edge_state_never_updated", "edge.py",
+     "state = self.state[r] = RegionState(r, now, labels, utilization, mean_speed)",
+     "state = RegionState(r, now, labels, utilization, mean_speed)", DIGESTS),
+    ("no_report_speed_zero", "edge.py",
+     'mean_speed, labels = self.state[r].mean_speed, ("Normal",)',
+     'mean_speed, labels = 0.0, ("Normal",)',
+     "tests/test_edge.py::test_fusion_window_with_no_report"),
 ]
 
 

@@ -1,18 +1,21 @@
-"""Cloud twin: cross-regional knowledge graph of the latest region labels
-and utilization, (1+1)-style blueprint evolution with rollback, and
-overload/underload pairing directives.  A blueprint is an ``edge.Policy``
-with its lineage: the target region, the epoch and the parent blueprint.
+"""Cloud twin: cross-regional knowledge graph of each region's latest
+uplinked ``edge.RegionState``, (1+1)-style blueprint evolution with
+rollback, and overload/underload pairing directives.  A blueprint is an
+``edge.Policy`` with its lineage: the target region, the epoch and the
+parent blueprint.  A directive is sent and logged as the one frozen
+``OffloadDirective``, which carries the two regions' labels at issue.
 
 ``CloudTwin``, the kernel endpoint ``CLOUD``, owns the cloud FIFO and the
 results it sends back to the edge layer (``EDGES``), the uplink ingest,
-each region's per-epoch completion tallies, and the epoch boundary.
+each region's per-epoch completion tallies, and the epoch boundary.  Its
+per-region state is in lists indexed by RSU, as the edge's is.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
 
-from .edge import PARAM_RANGES, Policy, UplinkPackage
+from .edge import PARAM_RANGES, Policy, RegionState
 from .kernel import EDGES, US_PER_S, rng_stream
 from .local import drop_task
 from .metrics import BELOW_CLOUD, median
@@ -60,52 +63,45 @@ class OffloadDirective:
     to_rsu: int
     fraction: float
     epoch: int
+    issued_us: int
     expires_at_us: int
-
-
-@dataclass
-class RegionNode:
-    labels: tuple[str, ...] = ("Normal",)
-    utilization: float = 0.0
+    from_labels: tuple[str, ...]
+    to_labels: tuple[str, ...]
 
 
 class KnowledgeGraph:
-    """One node per RSU region holding its latest labels and utilization;
-    edges follow RSU adjacency."""
+    """One node per RSU region, the latest ``RegionState`` delivered from
+    it; edges follow RSU adjacency."""
 
-    def __init__(self, rsu_ids: list[int], adjacency: dict[int, list[int]]):
-        self.nodes = {r: RegionNode() for r in rsu_ids}
+    def __init__(self, n_regions: int, adjacency: dict[int, list[int]]):
+        self.nodes = [RegionState(r) for r in range(n_regions)]
         self.adjacency = adjacency
 
-    def ingest(self, package: UplinkPackage) -> None:
-        """Latch a package's labels and utilization on its region."""
-        node = self.nodes[package.rsu_id]
-        node.labels = package.event_labels
-        node.utilization = package.utilization
+    def ingest(self, state: RegionState) -> None:
+        """Latch an uplinked state on its region."""
+        self.nodes[state.rsu_id] = state
 
 
-def coordinate(graph: KnowledgeGraph, fractions: dict[int, float], epoch: int,
-               expires_at_us: int) -> list[OffloadDirective]:
+def coordinate(graph: KnowledgeGraph, fractions: list[float], epoch: int,
+               issued_us: int, expires_at_us: int) -> list[OffloadDirective]:
     """Pair each overloaded region with its lowest-utilization underloaded
     neighbor; no region joins two pairings; ties break on rsu id."""
-    overloaded = sorted(
-        r for r, n in graph.nodes.items() if "Overload" in n.labels
-    )
+    nodes = graph.nodes
+    overloaded = [r for r, node in enumerate(nodes) if "Overload" in node.labels]
     taken: set[int] = set()
     directives = []
     for r in overloaded:
         candidates = [
-            n for n in graph.adjacency.get(r, [])
-            if n not in taken and "Underload" in graph.nodes[n].labels
+            n for n in graph.adjacency[r]
+            if n not in taken and "Underload" in nodes[n].labels
         ]
         if not candidates:
             continue
-        partner = min(candidates, key=lambda n: (graph.nodes[n].utilization, n))
+        partner = min(candidates, key=lambda n: (nodes[n].utilization, n))
         taken.add(partner)
         taken.add(r)
-        directives.append(
-            OffloadDirective(r, partner, fractions.get(r, 0.0), epoch, expires_at_us)
-        )
+        directives.append(OffloadDirective(r, partner, fractions[r], epoch, issued_us,
+                                           expires_at_us, nodes[r].labels, nodes[partner].labels))
     return directives
 
 
@@ -204,17 +200,6 @@ class RegionEvolution:
         return self.candidate
 
 
-@dataclass
-class DirectiveLogEntry:
-    issued_us: int
-    epoch: int
-    from_rsu: int
-    to_rsu: int
-    fraction: float
-    from_labels: tuple
-    to_labels: tuple
-
-
 class CloudTwin:
     """The one cloud twin; ``world`` is the runner's read-only view."""
 
@@ -224,16 +209,16 @@ class CloudTwin:
         self._r2c = cfg.links.r2c
         self.rng_mutation = rng_stream(cfg.seed, "mutation")
         self.epoch_us = epoch_us
-        regions = range(cfg.n_rsus)
-        self.graph = KnowledgeGraph(list(regions), world.net.adjacency)
-        self.evolutions = {r: RegionEvolution(PolicyBlueprint(r, 0, None, cfg.policy))
-                           for r in regions}
+        m = cfg.n_rsus
+        self.graph = KnowledgeGraph(m, world.net.adjacency)
+        self.evolutions = [RegionEvolution(PolicyBlueprint(r, 0, None, cfg.policy))
+                           for r in range(m)]
         self.busy_until = 0
         # per region: response times and below-cloud completions this epoch
-        self.epoch_rts: dict[int, list[int]] = {r: [] for r in regions}
-        self.epoch_below: dict[int, int] = {r: 0 for r in regions}
+        self.epoch_rts: list[list[int]] = [[] for _ in range(m)]
+        self.epoch_below = [0] * m
         self.epoch_records: list[EpochRecord] = []
-        self.directive_log: list[DirectiveLogEntry] = []
+        self.directive_log: list[OffloadDirective] = []
 
     def receive(self, payload) -> None:
         kind = payload[0]
@@ -262,8 +247,7 @@ class CloudTwin:
 
     def epoch_boundary(self, now: int, epoch_idx: int) -> None:
         """Close epoch ``epoch_idx``; unless the run ends, open the next."""
-        for r in sorted(self.evolutions):
-            evo = self.evolutions[r]
+        for r, evo in enumerate(self.evolutions):
             evaluated = evo.candidate if evo.candidate is not None else evo.kept
             rts = self.epoch_rts[r]
             med = median(rts) if rts else None
@@ -275,15 +259,12 @@ class CloudTwin:
             self.epoch_below[r] = 0
         if now >= self.cfg.duration_us:
             return
-        fractions = {}
-        for r in sorted(self.evolutions):
-            candidate = self.evolutions[r].open_epoch(epoch_idx + 1, self.rng_mutation)
-            fractions[r] = candidate.policy.offload_fraction
+        fractions = []
+        for evo in self.evolutions:
+            candidate = evo.open_epoch(epoch_idx + 1, self.rng_mutation)
+            fractions.append(candidate.policy.offload_fraction)
             self.engine.send(EDGES, ("blueprint", candidate),
                              self.cfg.workload.blueprint_bytes, self._r2c)
-        nodes = self.graph.nodes
-        for d in coordinate(self.graph, fractions, epoch_idx + 1, now + self.epoch_us):
-            self.directive_log.append(DirectiveLogEntry(
-                now, d.epoch, d.from_rsu, d.to_rsu, d.fraction,
-                nodes[d.from_rsu].labels, nodes[d.to_rsu].labels))
+        for d in coordinate(self.graph, fractions, epoch_idx + 1, now, now + self.epoch_us):
+            self.directive_log.append(d)
             self.engine.send(EDGES, ("directive", d), DIRECTIVE_BYTES, self._r2c)

@@ -1,14 +1,16 @@
 """Edge twins: one vectorized ``EdgeTwins`` for the twins of every RSU,
 behind the one kernel endpoint ``EDGES``.  It owns each region's roles,
 fusion and labels, task scheduling (FIFO server, counter thinning to a
-partner edge, cloud overflow), results to vehicles, the uplink package, and
-the localization of the cloud's blueprints and directives.  An RSU's
-population is the vehicles it serves (``current_rsu[v] == r``).  Status
-reports come as rows of report batches, which the kernel hands straight to
-``take_batch``; every other message comes through ``EDGES``.
+partner edge, cloud overflow), results to vehicles, and the localization of
+the cloud's blueprints and directives.  An RSU's population is the vehicles
+it serves (``current_rsu[v] == r``).  Status reports come as rows of report
+batches, which the kernel hands straight to ``take_batch``; every other
+message comes through ``EDGES``.
 
 ``Policy`` is the one policy type: the scenario's initial policy, the policy
 a cloud blueprint carries, and the edge's localized copy of it.
+``RegionState`` is the one record of a region's fused window: the edge acts
+on it, logs it and uplinks it, and the cloud's knowledge graph latches it.
 """
 from __future__ import annotations
 
@@ -41,12 +43,15 @@ PARAM_RANGES = {
 }
 
 
-@dataclass
-class UplinkPackage:
-    """What the cloud reads of a region's fusion window."""
+@dataclass(frozen=True)
+class RegionState:
+    """A region's fused picture at the close of the fusion window that ends
+    at ``window_end_us``; the defaults are its state before the first."""
     rsu_id: int
-    event_labels: tuple[str, ...]
-    utilization: float
+    window_end_us: int = 0
+    labels: tuple[str, ...] = ("Normal",)
+    utilization: float = 0.0
+    mean_speed: float = 0.0
 
 
 def largest_remainder_seats(quotas: tuple[float, ...], n: int) -> tuple[int, ...]:
@@ -136,19 +141,10 @@ class EdgeServer:
         return self.busy_until_us
 
 
-@dataclass
-class LabelLogEntry:
-    window_end_us: int
-    rsu_id: int
-    labels: tuple
-    utilization: float
-    mean_speed: float
-
-
 class EdgeTwins:
     """The twins of every RSU.  Per region, indexed by RSU: the policy, the
     pending cloud blueprint (applied at fusion), the cloud's latest
-    directive, the fused labels, the last utilization and mean speed, one
+    directive, the ``RegionState`` of the last closed window, one
     ``EdgeServer``, one ``ThinningCounter`` and the sums of the current
     fusion window, all in lists but the speed sums and counts, which are
     arrays that a report batch adds to.  Per vehicle, in arrays that only
@@ -168,16 +164,14 @@ class EdgeTwins:
         self.policy = [cfg.policy] * m
         self.pending_blueprint = [None] * m
         self.directive = [None] * m
-        self.labels = [("Normal",)] * m
-        self.last_utilization = [0.0] * m
-        self.last_mean_speed = [0.0] * m
+        self.state = [RegionState(r) for r in range(m)]
         self.server = [EdgeServer(cfg.capacity.edge_cu_s) for _ in range(m)]
         self.thinning = [ThinningCounter() for _ in range(m)]
         # the current fusion window: report speeds and their count, CU served
         self.speed_sum = np.zeros(m)
         self.speed_count = np.zeros(m, dtype=np.int64)
         self.processed_cu = [0.0] * m
-        self.label_log: list[LabelLogEntry] = []
+        self.label_log: list[RegionState] = []
         self._window_cu = cfg.capacity.edge_cu_s * window_us / US_PER_S
         # what each task reads
         self._serves = cfg.mode != "cloud_only"
@@ -209,12 +203,12 @@ class EdgeTwins:
         now = self.engine.now
         if not relayed:
             task.edge_arrival_us = now
-            task.overloaded_at_arrival = "Overload" in self.labels[r]
+            task.overloaded_at_arrival = "Overload" in self.state[r].labels
         # cloud_only relays every task to the cloud
         if self._serves:
             directive = self.directive[r]
             if (not relayed and directive is not None and now < directive.expires_at_us
-                    and self.last_utilization[r] > self._util_high
+                    and self.state[r].utilization > self._util_high
                     and self.thinning[r].take(directive.fraction)):
                 self.engine.send(EDGES, ("relay_task", directive.to_rsu, task),
                                  self._request_bytes, self._e2e, on_drop=drop_task)
@@ -260,8 +254,9 @@ class EdgeTwins:
 
     def fuse_and_uplink(self, now: int) -> None:
         """Close every region's fusion window, in region order: adopt its
-        pending blueprint, fuse its labels, log them and uplink them, then
-        reassign its members' roles.  One stable ``argsort`` of
+        pending blueprint, fuse its new ``RegionState`` (a window with no
+        report reads Normal and keeps the last mean speed), log it and uplink
+        it, then reassign its members' roles.  One stable ``argsort`` of
         ``current_rsu`` lists each region's members in ascending id."""
         cfg = self.cfg
         util_high, util_low = cfg.thresholds.util_high, cfg.thresholds.util_low
@@ -275,23 +270,21 @@ class EdgeTwins:
             # policy descent takes effect only at window boundaries
             blueprint = self.pending_blueprint[r]
             if blueprint is not None:
-                congested = "Congestion" in self.labels[r]
+                congested = "Congestion" in self.state[r].labels
                 self.policy[r] = localize_policy(blueprint.policy, congested)
                 self.pending_blueprint[r] = None
             policy = self.policy[r]
             utilization = min(1.0, self.processed_cu[r] / self._window_cu)
             self.processed_cu[r] = 0.0
             if counts[r]:
-                mean_speed = self.last_mean_speed[r] = sums[r] / counts[r]
+                mean_speed = sums[r] / counts[r]
                 labels = fuse_labels(mean_speed, utilization, policy.congestion_speed_threshold,
                                      util_high, util_low)
             else:
-                mean_speed, labels = self.last_mean_speed[r], ("Normal",)
-            self.labels[r] = labels
-            self.last_utilization[r] = utilization
-            self.label_log.append(LabelLogEntry(now, r, labels, utilization, mean_speed))
-            self.engine.send(CLOUD, ("uplink", UplinkPackage(r, labels, utilization)),
-                             cfg.workload.uplink_bytes, self._r2c)
+                mean_speed, labels = self.state[r].mean_speed, ("Normal",)
+            state = self.state[r] = RegionState(r, now, labels, utilization, mean_speed)
+            self.label_log.append(state)
+            self.engine.send(CLOUD, ("uplink", state), cfg.workload.uplink_bytes, self._r2c)
 
             # role churn follows the fused picture
             ids, start = members[start:end], end

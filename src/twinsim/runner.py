@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel, metrics
-from .cloud import CloudTwin, DirectiveLogEntry, EpochRecord
-from .edge import EdgeTwins, LabelLogEntry
+from .cloud import CloudTwin, EpochRecord, OffloadDirective
+from .edge import EdgeTwins, RegionState
 from .kernel import CLOUD, EDGES, US_PER_S, VEHICLES, Engine, rng_stream, numpy_stream
 from .local import LocalTwins
 from .metrics import TaskRecord, build_index_series
@@ -40,8 +40,8 @@ class RunResult:
     records: list[TaskRecord]
     series: metrics.IndexSeries
     epoch_records: list[EpochRecord]
-    directive_log: list[DirectiveLogEntry]
-    label_log: list[LabelLogEntry]
+    directive_log: list[OffloadDirective]
+    label_log: list[RegionState]
     messages: kernel.MessageCounters
     wall_time_s: float
 

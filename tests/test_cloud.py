@@ -6,7 +6,7 @@ import pytest
 from twinsim.cloud import (EpochRecord, KnowledgeGraph, PolicyBlueprint,
                            RegionEvolution, coordinate,
                            evaluate_epoch, mutate_blueprint)
-from twinsim.edge import PARAM_RANGES, Policy, UplinkPackage
+from twinsim.edge import PARAM_RANGES, Policy, RegionState
 
 
 def bp(target=0, epoch=0, **overrides):
@@ -15,21 +15,24 @@ def bp(target=0, epoch=0, **overrides):
 
 
 def package(rsu_id, labels=("Normal",), utilization=0.2):
-    return UplinkPackage(rsu_id, labels, utilization)
+    return RegionState(rsu_id, 5_000_000, labels, utilization, 11.0)
 
 
 def lattice_graph():
     # 2x3 lattice adjacency (RSU ids 0..5)
     adjacency = {0: [1, 3], 1: [0, 2, 4], 2: [1, 5],
                  3: [0, 4], 4: [1, 3, 5], 5: [2, 4]}
-    return KnowledgeGraph(list(range(6)), adjacency)
+    return KnowledgeGraph(6, adjacency)
 
 
 def test_ingest_latches_labels():
     graph = lattice_graph()
-    graph.ingest(package(2, labels=("Overload",), utilization=0.95))
+    state = package(2, labels=("Overload",), utilization=0.95)
+    graph.ingest(state)
+    assert graph.nodes[2] is state
     assert graph.nodes[2].labels == ("Overload",)
     assert graph.nodes[2].utilization == pytest.approx(0.95)
+    assert graph.nodes[1] == RegionState(1)  # a region not heard from yet
 
 
 def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
@@ -38,13 +41,16 @@ def test_coordinate_pairs_overload_with_best_underloaded_neighbor():
     graph.ingest(package(0, labels=("Underload",), utilization=0.30))
     graph.ingest(package(2, labels=("Underload",), utilization=0.10))
     graph.ingest(package(4, labels=("Normal",), utilization=0.60))
-    directives = coordinate(graph, {1: 0.25}, epoch=3, expires_at_us=90_000_000)
+    directives = coordinate(graph, [0.0, 0.25, 0.0, 0.0, 0.0, 0.0], epoch=3,
+                            issued_us=60_000_000, expires_at_us=90_000_000)
     assert len(directives) == 1
     d = directives[0]
     assert (d.from_rsu, d.to_rsu) == (1, 2)  # lowest utilization neighbor
     assert d.fraction == 0.25
     assert d.epoch == 3
+    assert d.issued_us == 60_000_000
     assert d.expires_at_us == 90_000_000
+    assert (d.from_labels, d.to_labels) == (("Overload",), ("Underload",))
 
 
 def test_coordinate_exclusive_partners():
@@ -53,7 +59,7 @@ def test_coordinate_exclusive_partners():
     graph.ingest(package(0, labels=("Overload",), utilization=0.9))
     graph.ingest(package(2, labels=("Overload",), utilization=0.9))
     graph.ingest(package(1, labels=("Underload",), utilization=0.2))
-    directives = coordinate(graph, {0: 0.2, 2: 0.2}, 1, 0)
+    directives = coordinate(graph, [0.2] * 6, 1, 0, 0)
     # lower rsu id claims the partner first
     assert [(d.from_rsu, d.to_rsu) for d in directives] == [(0, 1)]
 
@@ -61,7 +67,7 @@ def test_coordinate_exclusive_partners():
 def test_coordinate_no_eligible_partner():
     graph = lattice_graph()
     graph.ingest(package(0, labels=("Overload",), utilization=0.9))
-    assert coordinate(graph, {0: 0.2}, 1, 0) == []
+    assert coordinate(graph, [0.2] * 6, 1, 0, 0) == []
 
 
 def test_evaluate_epoch_strict_tolerance():

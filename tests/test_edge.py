@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twinsim.edge import (ROLES, EdgeServer, EdgeTwins, Policy, ThinningCounter,
+from twinsim.edge import (ROLES, EdgeServer, EdgeTwins, Policy, RegionState, ThinningCounter,
                           assign_roles, fuse_labels, largest_remainder_seats, localize_policy)
-from twinsim.kernel import US_PER_S, Engine, LinkSpec, MessageCounters
+from twinsim.kernel import CLOUD, US_PER_S, Engine, LinkSpec, MessageCounters
 from twinsim.runner import Simulation
 from twinsim.scenario import parse_scenario
 
@@ -189,3 +189,36 @@ def test_take_batch_rows_are_not_vehicle_ids():
     assert batched.speed_sum.tolist() == [8.5, 9.25]
     assert batched.speed_count.tolist() == [1, 1]
     assert batched.cq[[3, 7]].tolist() == [0.9, 0.5]
+
+
+def test_fusion_window_with_no_report():
+    """A region that got no report in a fusion window reads Normal, keeps the
+    mean speed of its last reported window and takes its utilization from
+    the CU its edge served in the window.  Each window's record is the
+    region's state, its label log entry and its uplink."""
+    cfg = parse_scenario({"grid": {"rows": 1, "cols": 2}, "vehicles_per_rsu": 2,
+                          "duration_s": 31.0, "capacity": {"edge_cu_s": 100}})
+    engine = Engine(ScriptedRng([]))
+    uplinks = []
+    engine.register(CLOUD, uplinks.append)
+    current_rsu = np.repeat(np.arange(2), 2)
+    edges = EdgeTwins(SimpleNamespace(cfg=cfg, engine=engine, current_rsu=current_rsu),
+                      5 * US_PER_S)  # a window serves at most 500 CU
+    assert edges.state == [RegionState(0), RegionState(1)]
+    v, ones = np.arange(4), np.ones(4)
+    # window 1: both regions report, and region 1's edge served 450 CU
+    edges.take_batch((v, current_rsu, np.array([12.0, 14.0, 9.0, 11.0]), ones, ones), v)
+    edges.processed_cu[1] = 450.0
+    edges.fuse_and_uplink(5 * US_PER_S)
+    assert edges.state[1] == RegionState(1, 5 * US_PER_S, ("Overload",), 0.9, 10.0)
+    # window 2: only region 0 reports, and region 1's edge served 100 CU
+    edges.take_batch((v, current_rsu, np.array([12.0, 14.0, 9.0, 11.0]), ones, ones), v[:2])
+    edges.processed_cu[1] = 100.0
+    edges.fuse_and_uplink(10 * US_PER_S)
+    assert edges.state[0] == RegionState(0, 10 * US_PER_S, ("Underload",), 0.0, 13.0)
+    # had the empty window been fused, 0.2 would read Underload and a zero
+    # mean speed Congestion
+    assert edges.state[1] == RegionState(1, 10 * US_PER_S, ("Normal",), 0.2, 10.0)
+    engine.run_until(11 * US_PER_S)
+    assert edges.label_log == [x for _, x in uplinks] and len(uplinks) == 4
+    assert all(a is b for a, b in zip(edges.label_log[2:], edges.state))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsim.cloud import KnowledgeGraph, PolicyBlueprint, RegionEvolution, coordinate
-from twinsim.edge import PARAM_RANGES, Policy, ThinningCounter, largest_remainder_seats
+from twinsim.edge import (PARAM_RANGES, Policy, RegionState, ThinningCounter,
+                          largest_remainder_seats)
 from twinsim.kernel import Engine
 from twinsim.mobility import build_grid, serving_rsu
 from twinsim.scenario import parse_scenario
@@ -127,11 +128,10 @@ label_sets = st.sampled_from(
 def test_directive_legality_and_exclusivity(labels):
     adjacency = {0: [1, 3], 1: [0, 2, 4], 2: [1, 5],
                  3: [0, 4], 4: [1, 3, 5], 5: [2, 4]}
-    graph = KnowledgeGraph(list(range(6)), adjacency)
+    graph = KnowledgeGraph(6, adjacency)
     for r, ls in enumerate(labels):
-        graph.nodes[r].labels = ls
-        graph.nodes[r].utilization = 0.9 if "Overload" in ls else 0.3
-    directives = coordinate(graph, {r: 0.2 for r in range(6)}, 1, 0)
+        graph.ingest(RegionState(r, labels=ls, utilization=0.9 if "Overload" in ls else 0.3))
+    directives = coordinate(graph, [0.2] * 6, 1, 0, 0)
     partners = [d.to_rsu for d in directives]
     sources = [d.from_rsu for d in directives]
     assert len(set(partners)) == len(partners)       # exclusive partners
@@ -140,6 +140,7 @@ def test_directive_legality_and_exclusivity(labels):
         assert "Overload" in graph.nodes[d.from_rsu].labels
         assert "Underload" in graph.nodes[d.to_rsu].labels
         assert d.to_rsu in adjacency[d.from_rsu]
+        assert (d.from_labels, d.to_labels) == (labels[d.from_rsu], labels[d.to_rsu])
 
 
 @settings(max_examples=100, deadline=None)
